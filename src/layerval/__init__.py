@@ -17,16 +17,19 @@ from .influence import (
     ip_influence,
     lai_influence,
     lli_influence,
+    pair_matrix,
     pair_similarities,
     preconditioned_score,
 )
 from .network import (
     MLP,
     Activation,
+    BatchTaps,
     LayerSpec,
     ParamGrads,
     SampleTaps,
     backward_taps,
+    batch_taps,
     evaluate_sample,
     forward,
     loss_and_output_grad,

@@ -224,12 +224,28 @@ def build_dataset(config: dict):
         noise = ds["flip_rate"]
         if manifest_path.exists():
             noise = serialize.load_json(manifest_path).get("flip_rate", noise)
-        return load_bundle(d, noise_rate=noise, seed=config["seed"])
+        bundle = load_bundle(d, noise_rate=noise, seed=config["seed"])
+        _check_csv_fits_model(d, bundle, config["model"]["layer_dims"])
+        return bundle
     return make_noisy_blob_bundle(
         num_classes=ds["num_classes"], per_class=ds["per_class"],
         feature_dim=ds["feature_dim"], spread=ds["spread"],
         flip_rate=ds["flip_rate"], fractions=tuple(ds["fractions"]),
         seed=config["seed"])
+
+
+def _check_csv_fits_model(d: Path, bundle, layer_dims: list[int]) -> None:
+    """Reject CSV splits whose feature dim or labels the model cannot take."""
+    in_dim, out_dim = layer_dims[0], layer_dims[-1]
+    for name, samples in (("train.csv", bundle.train), ("val.csv", bundle.validation),
+                          ("test.csv", bundle.test)):
+        if samples and samples[0].features.shape[0] != in_dim:
+            raise ValueError(f"{d / name}: feature dim {samples[0].features.shape[0]} "
+                             f"!= model.layer_dims[0] = {in_dim}")
+        for lineno, s in enumerate(samples, start=2):
+            if s.label >= out_dim:
+                raise ValueError(f"{d / name}: line {lineno}: label {s.label} "
+                                 f">= model.layer_dims[-1] = {out_dim}")
 
 
 def build_net(config: dict) -> MLP:

@@ -146,6 +146,11 @@ def load_csv(path: str | Path) -> list[Sample]:
         except ValueError as exc:
             raise CsvFormatError("non_numeric",
                                  f"{path}: line {lineno}: non-numeric field ({exc})") from exc
+        if not np.all(np.isfinite(feats)):
+            raise CsvFormatError("non_finite", f"{path}: line {lineno}: non-finite feature")
+        if label < 0:
+            raise CsvFormatError("negative_label",
+                                 f"{path}: line {lineno}: negative label {label}")
         if sid in seen_ids:
             raise CsvFormatError("duplicate_id", f"{path}: line {lineno}: duplicate id {sid}")
         seen_ids.add(sid)

@@ -6,20 +6,19 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import DatasetBundle, Sample
-from .influence import (
-    Estimator,
-    ghost_influence,
-    ip_influence,
-    lai_influence,
-    lli_influence,
-    pair_similarities,
-)
-from .network import MLP, evaluate_sample, forward, param_grads
+from .influence import Estimator, pair_matrix
+from .network import MLP
 from .oracle import UtilityFn, shapley_mc
-from .trainer import CurationMode, TrainerConfig, TrainingReport, train
+from .trainer import (
+    CurationMode,
+    TrainerConfig,
+    TrainingReport,
+    mean_loss_and_accuracy,
+    sample_taps,
+    train,
+)
 from . import serialize
 
 
@@ -45,23 +44,28 @@ def pearson(xs, ys) -> float:
     return float(np.dot(xc, yc) / (nx * ny))
 
 
+def average_ranks(xs) -> np.ndarray:
+    """1-based ranks; each run of equal values gets the mean of the ranks it spans."""
+    xs = np.asarray(xs, dtype=np.float64)
+    order = np.argsort(xs, kind="stable")
+    ordered = xs[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], xs.shape[0])
+    ranks = np.empty(xs.shape[0])
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(xs, ys) -> float:
     """Pearson correlation of average ranks."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    return pearson(rankdata(xs), rankdata(ys))
+    return pearson(average_ranks(xs), average_ranks(ys))
 
 
 def accuracy(net: MLP, samples: list[Sample]) -> float:
     """Fraction with argmax(logits) == label; argmax ties go to the lowest index."""
     if not samples:
         raise ValueError("empty sample list")
-    hits = 0
-    for s in samples:
-        logits, _ = forward(net, s.features)
-        if int(np.argmax(logits)) == s.label:
-            hits += 1
-    return hits / len(samples)
+    return mean_loss_and_accuracy(net, samples)[1]
 
 
 @dataclass
@@ -95,22 +99,10 @@ class FidelitySummary:
 
 def _benefit_scores(net: MLP, probe: list[Sample], val: list[Sample]) -> dict[str, list[float]]:
     """Aggregated benefit scores of each probe sample for the four estimators."""
-    val_taps = [evaluate_sample(net, z.features, z.label) for z in val]
-    val_pgs = [param_grads(t) for t in val_taps]
-    out: dict[str, list[float]] = {est.value: [] for est in FIDELITY_ESTIMATORS}
-    for j in probe:
-        taps_j = evaluate_sample(net, j.features, j.label)
-        pg_j = param_grads(taps_j)
-        totals = {est.value: 0.0 for est in FIDELITY_ESTIMATORS}
-        for taps_z, pg_z in zip(val_taps, val_pgs):
-            sims = pair_similarities(taps_z, taps_j)
-            totals[Estimator.IP.value] += ip_influence(pg_z, pg_j).value
-            totals[Estimator.GHOST.value] += ghost_influence(sims).value
-            totals[Estimator.LAI.value] += lai_influence(sims).value
-            totals[Estimator.LLI.value] += lli_influence(sims).value
-        for key, total in totals.items():
-            out[key].append(-total)  # benefit sign
-    return out
+    val_taps = sample_taps(net, val, backward=True)
+    probe_taps = sample_taps(net, probe, backward=True)
+    return {est.value: pair_matrix(est, val_taps, probe_taps).sum(axis=0).tolist()
+            for est in FIDELITY_ESTIMATORS}
 
 
 def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,

@@ -15,6 +15,11 @@ The bias augmentation makes alpha(l)*beta(l) equal the weight+bias gradient
 inner product at layer l exactly, so Ghost reproduces IP for any activation
 kind. Scores carry the classical influence sign (leading minus: negative means
 beneficial); negate them for benefit scores where positive means helpful.
+
+Because each per-sample gradient is rank-1 per layer, the scores of every
+(z, j) pair of two batches are products of per-layer Gram matrices of the
+row-stacked taps; pair_matrix is that batched form and the one scoring path
+of the trainer and the fidelity protocol.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import MLP, ParamGrads, SampleTaps, evaluate_sample
+from .network import MLP, BatchTaps, ParamGrads, SampleTaps, evaluate_sample
 
 
 class Estimator(str, Enum):
@@ -158,6 +163,52 @@ def preconditioned_score(gl_z: np.ndarray, gl_j: np.ndarray, sims: PairSimilarit
     return InfluenceScore(-float(sims.alpha.sum() * beta_tilde), Estimator.PRECOND_LAI)
 
 
+def _flat_grads(taps: BatchTaps, l: int) -> np.ndarray:
+    """Row-stacked flattened layer-l gradients [dW(l), db(l)] = g(l) [a(l-1), 1]^T."""
+    g, a = taps.grads[l], taps.acts[l]
+    return (g[:, :, None] * a[:, None, :]).reshape(taps.size, -1)
+
+
+def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
+                precond: Preconditioner | None = None,
+                calibrate: bool = False) -> np.ndarray:
+    """Benefit-sign scores of every pair: entry [z, j] is minus the influence
+    of row j of j_taps on row z of z_taps.
+
+        Ghost        sum_l (A_z A_j^T)(l) * (G_z G_j^T)(l)
+        LAI          (sum_l (A_z A_j^T)(l)) * (G_z G_j^T)(L)
+        LLI          (A_z A_j^T)(L) * (G_z G_j^T)(L)
+        precond_lai  LAI with g(L) scaled by D^(-1/2)
+        IP           explicit flattened-gradient Gram, the reference for Ghost
+
+    Products of Gram matrices are elementwise. With calibrate=True the LAI-family
+    alpha(l) is divided by dim(a~(l-1)); Ghost and IP ignore it. Ghost and
+    IP need taps from a full backward pass.
+    """
+    depth = len(z_taps.acts)
+    if len(j_taps.acts) != depth:
+        raise ValueError("taps come from different architectures")
+    if estimator in (Estimator.GHOST, Estimator.IP) and not (z_taps.full and j_taps.full):
+        raise ValueError(f"{estimator.value} scoring needs taps from a full backward pass")
+    if estimator is Estimator.IP:
+        return sum(_flat_grads(z_taps, l) @ _flat_grads(j_taps, l).T for l in range(depth))
+    if estimator is Estimator.GHOST:
+        return sum((az @ aj.T) * (gz @ gj.T) for az, aj, gz, gj in
+                   zip(z_taps.acts, j_taps.acts, z_taps.grads, j_taps.grads))
+    if estimator not in (Estimator.LAI, Estimator.LLI, Estimator.PRECOND_LAI):
+        raise ValueError(f"no pair scores for estimator {estimator.value}")
+    layers = [depth - 1] if estimator is Estimator.LLI else range(depth)
+    alpha = sum(z_taps.acts[l] @ j_taps.acts[l].T
+                / (z_taps.acts[l].shape[1] if calibrate else 1) for l in layers)
+    gz, gj = z_taps.grads[-1], j_taps.grads[-1]
+    if estimator is Estimator.PRECOND_LAI:
+        if precond is None:
+            raise ValueError("preconditioned scoring needs a Preconditioner")
+        scale = 1.0 / np.sqrt(precond.diag)
+        gz, gj = gz * scale, gj * scale
+    return alpha * (gz @ gj.T)
+
+
 def aggregate_over_validation(scores: list[InfluenceScore]) -> InfluenceScore:
     """Sum per-pair scores of a single estimator/convention.
 
@@ -173,12 +224,14 @@ def aggregate_over_validation(scores: list[InfluenceScore]) -> InfluenceScore:
     return InfluenceScore(math.fsum(s.value for s in scores), estimator, convention)
 
 
-def update_preconditioner(precond: Preconditioner,
-                          output_grads: list[np.ndarray]) -> Preconditioner:
-    """EMA step: D <- decay*D + (1-decay)*mean(g_L^2), floored."""
-    if not output_grads:
+def update_preconditioner(precond: Preconditioner, output_grads) -> Preconditioner:
+    """EMA step: D <- decay*D + (1-decay)*mean(g_L^2), floored.
+
+    output_grads holds one g(L) per row (an array or a list of vectors).
+    """
+    if len(output_grads) == 0:
         raise ValueError("empty output-gradient batch")
-    sq = np.mean([np.asarray(g, dtype=np.float64) ** 2 for g in output_grads], axis=0)
+    sq = np.mean(np.asarray(output_grads, dtype=np.float64) ** 2, axis=0)
     diag = precond.decay * precond.diag + (1.0 - precond.decay) * sq
     return Preconditioner(np.maximum(diag, precond.floor), precond.decay, precond.floor)
 

@@ -7,7 +7,9 @@ Grads:     dW(l) = g(l) a(l-1)^T,   db(l) = g(l)
 
 Every intermediate activation a(l) and loss-to-pre-activation gradient g(l)
 is recorded in a SampleTaps so downstream scoring can form embedding and
-gradient similarities without re-running passes. All arithmetic is float64.
+gradient similarities without re-running passes. batch_taps runs the same
+passes for a whole batch at once and row-stacks the taps; the per-sample
+functions stay as its reference. All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -225,6 +227,75 @@ def evaluate_sample(net: MLP, x: np.ndarray, label: int) -> SampleTaps:
     loss, g = loss_and_output_grad(logits, label)
     taps.loss = loss
     return backward_taps(net, taps, g)
+
+
+@dataclass
+class BatchTaps:
+    """Row-stacked taps of a batch, one row per sample.
+
+    acts[l-1] is the augmented activation block [a(l-1), 1] of layer l, for
+    l = 1..L. grads holds the g(l) blocks of every layer after a full
+    backward pass, and only [g(L)] otherwise.
+    """
+
+    acts: list[np.ndarray]
+    grads: list[np.ndarray]
+    losses: np.ndarray
+    logits: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.losses.shape[0]
+
+    @property
+    def full(self) -> bool:
+        return len(self.grads) == len(self.acts)
+
+
+def batch_taps(net: MLP, X: np.ndarray, labels, backward: bool) -> BatchTaps:
+    """Forward, loss and output gradient for every row of X; with backward=True
+    also g(l) of every layer. Row i of each block matches evaluate_sample on
+    (X[i], labels[i]) up to rounding."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels)
+    if X.ndim != 2 or X.shape[1] != net.in_dim:
+        raise ValueError(f"input shape {X.shape} != (batch, {net.in_dim})")
+    if labels.shape != (X.shape[0],) or (labels.size and labels.dtype.kind not in "iu"):
+        raise ValueError(f"need one integer label per row, got shape {labels.shape}")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite input in row {int(np.argmin(finite))}")
+    bad = (labels < 0) | (labels >= net.out_dim)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"label {labels[row]} in row {row} out of range "
+                         f"for {net.out_dim} logits")
+    rows = np.arange(X.shape[0])
+    ones = np.ones((X.shape[0], 1))
+    acts = []
+    pre_activations = []
+    a = X
+    for layer in net.layers:
+        acts.append(np.hstack([a, ones]))
+        s = a @ layer.weights.T + layer.bias
+        pre_activations.append(s)
+        a = _apply_activation(layer.spec.activation, s)
+    logits = pre_activations[-1]
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    losses = np.log(total) - shifted[rows, labels]
+    g = exp / total[:, None]
+    g[rows, labels] -= 1.0
+    grads = [g]
+    if backward:
+        for l in range(net.depth - 1, 0, -1):
+            upstream = grads[0] @ net.layers[l].weights
+            grads.insert(0, upstream * _activation_derivative(
+                net.layers[l - 1].spec.activation, pre_activations[l - 1]))
+    return BatchTaps(acts=acts, grads=grads, losses=losses, logits=logits)
 
 
 def save_checkpoint(net: MLP, path: str | Path) -> None:

@@ -3,14 +3,10 @@
 Each curated step scores the batch against a cached validation subsample
 (or against the rest of the batch in self-influence mode), drops members
 whose benefit score falls below the threshold, and applies the SGD update
-with the survivors. A cost ledger tracks the multiply-accumulate work and
-cache footprint of the scoring pass per estimator.
-
-Cache layouts per estimator family (per validation sample):
-    lai / precond_lai : concatenated augmented activations + output gradient
-    lli               : last augmented activation + output gradient
-    ghost             : concatenated augmented activations + all layer gradients
-    ip                : flattened parameter gradient
+with the survivors. Every pass over a batch is one network.batch_taps call,
+and every score comes from influence.pair_matrix. A cost ledger tracks the
+multiply-accumulate work and cache footprint of the scoring pass per
+estimator.
 """
 
 from __future__ import annotations
@@ -23,21 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .data import DatasetBundle, Sample
-from .influence import (
-    Estimator,
-    Preconditioner,
-    augmented,
-    update_preconditioner,
-)
-from .network import (
-    MLP,
-    SampleTaps,
-    backward_taps,
-    evaluate_sample,
-    forward,
-    loss_and_output_grad,
-    param_grads,
-)
+from .influence import Estimator, Preconditioner, pair_matrix, update_preconditioner
+from .network import MLP, BatchTaps, batch_taps
 
 
 class CurationMode(str, Enum):
@@ -237,75 +220,39 @@ def ledger_compare(ledger: CostLedger, methods: list[Estimator]) -> dict:
 # --- validation cache ------------------------------------------------------
 
 
+def sample_taps(net: MLP, samples: list[Sample], backward: bool) -> BatchTaps:
+    """One batched pass over a list of samples (see network.batch_taps)."""
+    return batch_taps(net, np.stack([s.features for s in samples]),
+                      np.array([s.label for s in samples], dtype=np.int64), backward)
+
+
+def _needs_backward(estimator: Estimator) -> bool:
+    return estimator in (Estimator.GHOST, Estimator.IP)
+
+
 @dataclass
 class ValidationCache:
     step_id: int
     estimator: Estimator
-    sample_count: int
-    segment_dims: list[int]
-    activation_block: np.ndarray | None = None
-    output_grads: np.ndarray | None = None
-    layer_grad_blocks: list[np.ndarray] | None = None
-    param_grad_block: np.ndarray | None = None
+    taps: BatchTaps
+    byte_size: int  # the estimator's cached reals (cache_reals_per_sample), in bytes
 
     @property
-    def byte_size(self) -> int:
-        total = 0
-        for block in (self.activation_block, self.output_grads, self.param_grad_block):
-            if block is not None:
-                total += block.size * 8
-        if self.layer_grad_blocks is not None:
-            # ghost family: the full per-layer gradient stack, g(L) included
-            total += sum(b.size for b in self.layer_grad_blocks) * 8
-        return total
-
-
-def _concat_augmented(taps: SampleTaps) -> np.ndarray:
-    return np.concatenate([augmented(a) for a in taps.activations])
+    def sample_count(self) -> int:
+        return self.taps.size
 
 
 def build_validation_cache(net: MLP, val_subset: list[Sample], estimator: Estimator,
-                           step_id: int = 0, calibrate: bool = False) -> ValidationCache:
-    """Forward (and for Ghost/IP, backward) every validation sample once and
-    store the vectors the estimator needs for cheap batch scoring."""
+                           step_id: int = 0) -> ValidationCache:
+    """Take the taps of the validation subsample once (with a full backward
+    pass for Ghost/IP only) for scoring batches against it."""
     if not val_subset:
         raise ValueError("validation subset must be nonempty")
     if estimator is Estimator.NONE:
         raise ValueError("cannot build a cache for estimator 'none'")
-    aug_dims = [d + 1 for d in _act_dims(net)]
-    acts = []
-    grads = []
-    layer_blocks: list[list[np.ndarray]] = [[] for _ in range(net.depth)]
-    pgs = []
-    for s in val_subset:
-        if estimator in (Estimator.GHOST, Estimator.IP):
-            taps = evaluate_sample(net, s.features, s.label)
-            if estimator is Estimator.GHOST:
-                acts.append(_concat_augmented(taps))
-                for l, g in enumerate(taps.layer_grads):
-                    layer_blocks[l].append(g)
-            else:
-                pgs.append(param_grads(taps).flatten())
-        else:
-            logits, taps = forward(net, s.features)
-            _, gl = loss_and_output_grad(logits, s.label)
-            vec = augmented(taps.activations[-1]) if estimator is Estimator.LLI \
-                else _concat_augmented(taps)
-            if calibrate:
-                vec = _calibrated(vec, net, estimator)
-            acts.append(vec)
-            grads.append(gl)
-    cache = ValidationCache(step_id=step_id, estimator=estimator,
-                            sample_count=len(val_subset), segment_dims=aug_dims)
-    if estimator is Estimator.IP:
-        cache.param_grad_block = np.stack(pgs)
-    elif estimator is Estimator.GHOST:
-        cache.activation_block = np.stack(acts)
-        cache.layer_grad_blocks = [np.stack(bs) for bs in layer_blocks]
-    else:
-        cache.activation_block = np.stack(acts)
-        cache.output_grads = np.stack(grads)
-    return cache
+    taps = sample_taps(net, val_subset, _needs_backward(estimator))
+    return ValidationCache(step_id=step_id, estimator=estimator, taps=taps,
+                           byte_size=taps.size * cache_reals_per_sample(net, estimator) * 8)
 
 
 # --- curation --------------------------------------------------------------
@@ -319,68 +266,7 @@ class CurationDecision:
     step_id: int
     note: str = ""
     losses: list[float] = field(default_factory=list)
-    output_grads: list[np.ndarray] = field(default_factory=list)
-
-
-def _train_sample_vectors(net: MLP, sample: Sample, estimator: Estimator,
-                          calibrate: bool) -> dict:
-    """Build the per-sample pieces scoring needs; backward only for Ghost/IP."""
-    if estimator in (Estimator.GHOST, Estimator.IP):
-        taps = evaluate_sample(net, sample.features, sample.label)
-        out = {"loss": taps.loss, "gl": taps.output_grad}
-        if estimator is Estimator.IP:
-            out["pg"] = param_grads(taps).flatten()
-        else:
-            out["concat"] = _concat_augmented(taps)
-            out["layer_grads"] = taps.layer_grads
-        return out
-    logits, taps = forward(net, sample.features)
-    loss, gl = loss_and_output_grad(logits, sample.label)
-    out = {"loss": loss, "gl": gl}
-    if estimator is Estimator.LLI:
-        out["concat"] = augmented(taps.activations[-1])
-    else:
-        out["concat"] = _concat_augmented(taps)
-    if calibrate:
-        out["concat"] = _calibrated(out["concat"], net, estimator)
-    return out
-
-
-def _calibrated(concat: np.ndarray, net: MLP, estimator: Estimator) -> np.ndarray:
-    aug = [d + 1 for d in _act_dims(net)]
-    if estimator is Estimator.LLI:
-        return concat / math.sqrt(aug[-1])
-    scaled = concat.copy()
-    offset = 0
-    for dim in aug:
-        scaled[offset:offset + dim] /= math.sqrt(dim)
-        offset += dim
-    return scaled
-
-
-def _benefit_against_cache(vec: dict, cache: ValidationCache,
-                           precond: Preconditioner | None) -> float:
-    est = cache.estimator
-    if est is Estimator.IP:
-        return float((cache.param_grad_block @ vec["pg"]).sum())
-    if est is Estimator.GHOST:
-        total = 0.0
-        offset = 0
-        concat = vec["concat"]
-        for l, dim in enumerate(cache.segment_dims):
-            a_dot = cache.activation_block[:, offset:offset + dim] @ concat[offset:offset + dim]
-            g_dot = cache.layer_grad_blocks[l] @ vec["layer_grads"][l]
-            total += float(np.dot(a_dot, g_dot))
-            offset += dim
-        return total
-    block = cache.activation_block
-    a_dot = block @ vec["concat"]
-    if est is Estimator.PRECOND_LAI:
-        scale = 1.0 / np.sqrt(precond.diag)
-        g_dot = (cache.output_grads * scale) @ (vec["gl"] * scale)
-    else:
-        g_dot = cache.output_grads @ vec["gl"]
-    return float(np.dot(a_dot, g_dot))
+    output_grads: np.ndarray | None = None  # g(L), one row per batch member
 
 
 def curate_batch(net: MLP, batch: list[Sample], cache: ValidationCache,
@@ -389,8 +275,8 @@ def curate_batch(net: MLP, batch: list[Sample], cache: ValidationCache,
                  preconditioner: Preconditioner | None = None) -> CurationDecision:
     """Score batch members against the cached validation subsample.
 
-    Benefit is the negated influence-sign aggregate; a member is kept when
-    benefit >= cfg.threshold (inclusive boundary).
+    A member's benefit is its column sum of pair_matrix over the cache rows;
+    it is kept when benefit >= cfg.threshold (inclusive boundary).
     """
     if cfg.estimator is Estimator.NONE:
         raise ValueError("estimator 'none' cannot curate; use mode 'off' instead")
@@ -401,16 +287,9 @@ def curate_batch(net: MLP, batch: list[Sample], cache: ValidationCache,
         raise StaleCacheError(
             f"cache from step {cache.step_id} is stale at step {step_id} "
             f"(refresh every {cfg.cache_refresh_steps})")
-    if cfg.estimator is Estimator.PRECOND_LAI and preconditioner is None:
-        raise ValueError("preconditioned scoring needs a Preconditioner")
-    benefits = []
-    losses = []
-    gls = []
-    for s in batch:
-        vec = _train_sample_vectors(net, s, cfg.estimator, cfg.layer_calibration)
-        benefits.append(_benefit_against_cache(vec, cache, preconditioner))
-        losses.append(vec["loss"])
-        gls.append(vec["gl"])
+    taps = sample_taps(net, batch, _needs_backward(cfg.estimator))
+    pair = pair_matrix(cfg.estimator, cache.taps, taps, preconditioner, cfg.layer_calibration)
+    benefits = pair.sum(axis=0).tolist()
     kept = [b >= cfg.threshold for b in benefits]
     if ledger is not None:
         macs = (len(batch) * cache.sample_count * pair_macs(net, cfg.estimator)
@@ -425,7 +304,7 @@ def curate_batch(net: MLP, batch: list[Sample], cache: ValidationCache,
                         cache.sample_count)))
     return CurationDecision(kept_mask=kept, benefit_scores=benefits,
                             estimator=cfg.estimator, step_id=step_id,
-                            losses=losses, output_grads=gls)
+                            losses=taps.losses.tolist(), output_grads=taps.grads[-1])
 
 
 def self_influence_curate(net: MLP, batch: list[Sample], cfg: TrainerConfig,
@@ -436,37 +315,17 @@ def self_influence_curate(net: MLP, batch: list[Sample], cfg: TrainerConfig,
         raise ValueError("estimator 'none' cannot curate; use mode 'off' instead")
     if cfg.estimator is Estimator.PRECOND_LAI and preconditioner is None:
         raise ValueError("preconditioned scoring needs a Preconditioner")
-    vecs = [_train_sample_vectors(net, s, cfg.estimator, cfg.layer_calibration)
-            for s in batch]
-    losses = [v["loss"] for v in vecs]
-    gls = [v["gl"] for v in vecs]
-    if len(batch) == 1:
-        return CurationDecision(kept_mask=[True], benefit_scores=[0.0],
-                                estimator=cfg.estimator, step_id=step_id,
-                                note="degenerate batch of one: kept unconditionally",
-                                losses=losses, output_grads=gls)
-    n = len(batch)
     est = cfg.estimator
-    if est is Estimator.IP:
-        block = np.stack([v["pg"] for v in vecs])
-        gram = block @ block.T
-        pair = gram
-    elif est is Estimator.GHOST:
-        concat = np.stack([v["concat"] for v in vecs])
-        pair = np.zeros((n, n))
-        offset = 0
-        for l, dim in enumerate([d + 1 for d in _act_dims(net)]):
-            a_gram = concat[:, offset:offset + dim] @ concat[:, offset:offset + dim].T
-            g_block = np.stack([v["layer_grads"][l] for v in vecs])
-            pair += a_gram * (g_block @ g_block.T)
-            offset += dim
-    else:
-        a_block = np.stack([v["concat"] for v in vecs])
-        g_block = np.stack(gls)
-        if est is Estimator.PRECOND_LAI:
-            g_block = g_block / np.sqrt(preconditioner.diag)
-        pair = (a_block @ a_block.T) * (g_block @ g_block.T)
-    benefits = [float(pair[i].sum() - pair[i, i]) for i in range(n)]
+    taps = sample_taps(net, batch, _needs_backward(est))
+    losses = taps.losses.tolist()
+    n = len(batch)
+    if n == 1:
+        return CurationDecision(kept_mask=[True], benefit_scores=[0.0],
+                                estimator=est, step_id=step_id,
+                                note="degenerate batch of one: kept unconditionally",
+                                losses=losses, output_grads=taps.grads[-1])
+    pair = pair_matrix(est, taps, taps, preconditioner, cfg.layer_calibration)
+    benefits = (pair.sum(axis=0) - np.diag(pair)).tolist()
     kept = [b >= cfg.threshold for b in benefits]
     if ledger is not None:
         macs = (n * (n - 1) // 2 * pair_macs(net, est)
@@ -478,7 +337,7 @@ def self_influence_curate(net: MLP, batch: list[Sample], cfg: TrainerConfig,
             config_key=(tuple([net.in_dim] + _grad_dims(net)), n, n - 1)))
     return CurationDecision(kept_mask=kept, benefit_scores=benefits,
                             estimator=est, step_id=step_id,
-                            losses=losses, output_grads=gls)
+                            losses=losses, output_grads=taps.grads[-1])
 
 
 # --- optimizer -------------------------------------------------------------
@@ -497,26 +356,21 @@ def sgd_step(net: MLP, kept: list[Sample], cfg: TrainerConfig,
 
     velocity <- momentum * velocity + grad;  theta <- theta - lr * velocity.
     Returns the updated net, state, and mean loss over the kept samples.
+    The per-layer sum over samples, g(l)^T [a(l-1), 1], is a fixed-order
+    einsum: it adds the samples in order, as a per-sample loop would, and
+    its bits do not depend on the BLAS thread count.
     """
     if not kept:
         raise ValueError("sgd_step needs at least one sample")
     if state is None:
         state = init_momentum(net)
-    sums = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
-    loss_total = 0.0
-    for s in kept:
-        taps = evaluate_sample(net, s.features, s.label)
-        loss_total += taps.loss
-        pg = param_grads(taps)
-        for (ws, bs), w, b in zip(sums, pg.weight_grads, pg.bias_grads):
-            ws += w
-            bs += b
+    taps = sample_taps(net, kept, backward=True)
     scale = 1.0 / len(kept)
     new_state: MomentumState = []
-    for layer, (vw, vb), (ws, bs) in zip(net.layers, state, sums):
-        gw = ws * scale
-        gb = bs * scale
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+    for layer, (vw, vb), a, g in zip(net.layers, state, taps.acts, taps.grads):
+        grad = np.einsum("bi,bj->ij", g, a, optimize=False) * scale
+        gw, gb = grad[:, :-1], grad[:, -1]
+        if not np.all(np.isfinite(grad)):
             raise NonFiniteGradientError(
                 f"non-finite gradient in layer {layer.spec.in_dim}x{layer.spec.out_dim}; "
                 f"|grad W| max={np.abs(gw).max()}")
@@ -525,7 +379,14 @@ def sgd_step(net: MLP, kept: list[Sample], cfg: TrainerConfig,
         layer.weights -= cfg.learning_rate * vw
         layer.bias -= cfg.learning_rate * vb
         new_state.append((vw, vb))
-    return net, new_state, loss_total * scale
+    return net, new_state, float(taps.losses.sum()) * scale
+
+
+def mean_loss_and_accuracy(net: MLP, samples: list[Sample]) -> tuple[float, float]:
+    """Mean cross-entropy and argmax accuracy (ties to the lowest index) of one batched pass."""
+    taps = sample_taps(net, samples, backward=False)
+    hits = int(np.count_nonzero(np.argmax(taps.logits, axis=1) == [s.label for s in samples]))
+    return float(taps.losses.mean()), hits / len(samples)
 
 
 # --- training loop ---------------------------------------------------------
@@ -555,24 +416,6 @@ class TrainingReport:
     mode: str
     estimator: str
     steps_total: int
-
-
-def _mean_loss(net: MLP, samples: list[Sample]) -> float:
-    total = 0.0
-    for s in samples:
-        logits, _ = forward(net, s.features)
-        loss, _ = loss_and_output_grad(logits, s.label)
-        total += loss
-    return total / len(samples)
-
-
-def _accuracy(net: MLP, samples: list[Sample]) -> float:
-    hits = 0
-    for s in samples:
-        logits, _ = forward(net, s.features)
-        if int(np.argmax(logits)) == s.label:
-            hits += 1
-    return hits / len(samples)
 
 
 def _histogram(values: list[float], bins: int = 20) -> tuple[list[float], list[int]]:
@@ -633,8 +476,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                         k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
                         idx = rng_val.choice(len(data.validation), size=k, replace=False)
                         subset = [data.validation[i] for i in sorted(idx.tolist())]
-                        cache = build_validation_cache(net, subset, cfg.estimator, step,
-                                                       cfg.layer_calibration)
+                        cache = build_validation_cache(net, subset, cfg.estimator, step)
                     decision = curate_batch(net, batch, cache, cfg, step, ledger, precond)
                 else:
                     decision = self_influence_curate(net, batch, cfg, step, ledger, precond)
@@ -666,11 +508,13 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                 checkpoint_hook(step, net.copy())
                 checkpoints_fired += 1
         edges, counts = _histogram(epoch_benefits)
+        val_loss = mean_loss_and_accuracy(net, data.validation)[0] if data.validation else 0.0
+        test_accuracy = mean_loss_and_accuracy(net, data.test)[1] if data.test else 0.0
         epoch_stats.append(EpochStats(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-            val_loss=_mean_loss(net, data.validation) if data.validation else 0.0,
-            test_accuracy=_accuracy(net, data.test) if data.test else 0.0,
+            val_loss=val_loss,
+            test_accuracy=test_accuracy,
             kept_count=sum(row),
             scored_count=scored,
             histogram_edges=edges,

@@ -1,9 +1,14 @@
 """Config resolution, subcommands, exit codes, and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import layerval
 from layerval.cli import (
     ConfigError,
     apply_overrides,
@@ -166,6 +171,83 @@ class TestTrain:
         cfg_path2 = write_config(tmp_path, cfg, "train.json")
         assert main(["train", "--config", str(cfg_path2)]) == 0
         assert (tmp_path / "run" / "training_report.json").exists()
+
+
+class TestCsvDataFitsModel:
+    """CSV splits must match the model's input width and class count."""
+
+    def run_on_dataset(self, tmp_path, capsys, edit):
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        edit(ds_dir)
+        cfg = tiny_config(tmp_path / "run")
+        cfg["dataset"].update({"kind": "csv", "dir": str(ds_dir)})
+        assert main(["train", "--config", str(write_config(tmp_path, cfg, "train.json"))]) == 2
+        return json.loads(capsys.readouterr().err.strip())["message"]
+
+    def test_feature_dim_mismatch_rejected(self, tmp_path, capsys):
+        def drop_last_feature(ds_dir):
+            path = ds_dir / "val.csv"
+            lines = path.read_text().splitlines()
+            rows = [line.split(",") for line in lines]
+            path.write_text("".join(",".join(r[:-2] + r[-1:]) + "\n" for r in rows))
+
+        message = self.run_on_dataset(tmp_path, capsys, drop_last_feature)
+        assert "val.csv" in message and "feature dim 3" in message
+
+    def test_label_beyond_output_dim_rejected(self, tmp_path, capsys):
+        def relabel_second_row(ds_dir):
+            path = ds_dir / "test.csv"
+            lines = path.read_text().splitlines()
+            head, _, _ = lines[2].rpartition(",")
+            lines[2] = head + ",3"
+            path.write_text("\n".join(lines) + "\n")
+
+        message = self.run_on_dataset(tmp_path, capsys, relabel_second_row)
+        assert "test.csv" in message and "line 3" in message and "label 3" in message
+
+
+class TestThreadCountDeterminism:
+    """`train` writes the same bytes under one and two OpenBLAS threads.
+
+    The net is wide enough (8-256-256-3, batch 64) that OpenBLAS splits its
+    GEMMs across threads, so a sum whose order follows the thread split
+    would show up here.
+    """
+
+    VARIANTS = {est: ["--set", f"trainer.estimator={est}"]
+                for est in ("ip", "ghost", "lai", "lli", "precond_lai")}
+    VARIANTS["self"] = ["--set", "trainer.mode=self"]
+    OUTPUTS = ("training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json")
+
+    def run_all(self, cfg_path, out_root, threads):
+        argvs = [["train", "--config", str(cfg_path), "--out", str(out_root / name)] + extra
+                 for name, extra in self.VARIANTS.items()]
+        code = ("import json, sys\n"
+                "from layerval.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    if main(argv):\n"
+                "        sys.exit(1)\n")
+        src = str(Path(layerval.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                       check=True, timeout=300)
+
+    def test_one_and_two_threads_byte_identical(self, tmp_path):
+        cfg = tiny_config(tmp_path / "unused")
+        cfg["dataset"].update({"per_class": 60, "feature_dim": 8})
+        cfg["model"] = {"layer_dims": [8, 256, 256, 3],
+                        "activations": ["relu", "relu", "linear"]}
+        cfg["trainer"].update({"batch_size": 64, "epochs": 2, "warmup_epochs": 1})
+        cfg_path = write_config(tmp_path, cfg)
+        for threads in (1, 2):
+            self.run_all(cfg_path, tmp_path / f"t{threads}", threads)
+        differing = [f"{name}/{f}" for name in self.VARIANTS for f in self.OUTPUTS
+                     if (tmp_path / "t1" / name / f).read_bytes()
+                     != (tmp_path / "t2" / name / f).read_bytes()]
+        assert not differing
 
 
 class TestFidelity:

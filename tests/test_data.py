@@ -193,6 +193,23 @@ class TestCsv:
         assert err.value.kind == "duplicate_id"
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_named_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"id,f1,label\n0,0.5,1\n1,{value},0\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert err.value.kind == "non_finite"
+        assert str(path) in str(err.value) and "line 3" in str(err.value)
+
+    def test_negative_label_named_line(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("id,f1,label\n0,0.5,1\n1,0.5,-1\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert err.value.kind == "negative_label"
+        assert str(path) in str(err.value) and "line 3" in str(err.value)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("идентификатор,f1,label\n")

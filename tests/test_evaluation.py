@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerval.data import Sample, make_noisy_blob_bundle
 from layerval.evaluation import (
@@ -9,6 +11,7 @@ from layerval.evaluation import (
     FidelityRecord,
     FidelitySummary,
     accuracy,
+    average_ranks,
     emit_reports,
     pearson,
     run_fidelity,
@@ -66,6 +69,14 @@ class TestSpearman:
         got = spearman([1.0, 2.0, 3.0], [5.0, 5.0, 9.0])
         want = pearson([1.0, 2.0, 3.0], [1.5, 1.5, 3.0])
         assert got == pytest.approx(want, abs=1e-12)
+
+
+    @given(st.lists(st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_average_ranks_match_brute_force_definition(self, values):
+        xs = np.array(values, dtype=np.float64)
+        want = [1 + np.sum(xs < x) + (np.sum(xs == x) - 1) / 2 for x in xs]
+        assert average_ranks(xs).tolist() == want
 
 
 class TestAccuracy:

@@ -18,6 +18,7 @@ from layerval.influence import (
     ip_influence,
     lai_influence,
     lli_influence,
+    pair_matrix,
     pair_similarities,
     preconditioned_score,
     update_preconditioner,
@@ -29,6 +30,7 @@ from layerval.network import (
     Layer,
     LayerSpec,
     backward_taps,
+    batch_taps,
     evaluate_sample,
     forward,
     param_grads,
@@ -401,3 +403,50 @@ class TestVarianceDiagnostic:
         a = variance_diagnostic(net, (pool[0], pool[1]), pool, 20, 4, seed=11)
         b = variance_diagnostic(net, (pool[0], pool[1]), pool, 20, 4, seed=11)
         assert a == b
+
+
+class TestPairMatrix:
+    @pytest.mark.parametrize("acts", [["linear", "linear", "linear"],
+                                      ["relu", "tanh", "linear"],
+                                      ["tanh", "relu", "linear"]])
+    def test_entries_match_per_pair_estimators(self, acts):
+        rng = np.random.default_rng(17)
+        net = MLP.initialize([3, 5, 4, 3], acts, seed=17)
+        Xz, yz = rng.normal(size=(4, 3)), rng.integers(3, size=4)
+        Xj, yj = rng.normal(size=(5, 3)), rng.integers(3, size=5)
+        z_taps = batch_taps(net, Xz, yz, backward=True)
+        j_taps = batch_taps(net, Xj, yj, backward=True)
+        precond = Preconditioner(np.array([1.5, 0.5, 2.0]))
+        per_pair = {
+            Estimator.IP: lambda tz, tj, sims: ip_influence(param_grads(tz), param_grads(tj)),
+            Estimator.GHOST: lambda tz, tj, sims: ghost_influence(sims),
+            Estimator.LAI: lambda tz, tj, sims: lai_influence(sims),
+            Estimator.LLI: lambda tz, tj, sims: lli_influence(sims),
+            Estimator.PRECOND_LAI: lambda tz, tj, sims: preconditioned_score(
+                tz.output_grad, tj.output_grad, sims, precond),
+        }
+        for est, score in per_pair.items():
+            got = pair_matrix(est, z_taps, j_taps, precond)
+            assert got.shape == (4, 5)
+            for z in range(4):
+                tz = evaluate_sample(net, Xz[z], int(yz[z]))
+                for j in range(5):
+                    tj = evaluate_sample(net, Xj[j], int(yj[j]))
+                    want = -score(tz, tj, pair_similarities(tz, tj)).value
+                    assert got[z, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_ghost_and_ip_need_full_backward(self):
+        net = MLP.initialize([3, 4, 2], ["relu", "linear"], seed=2)
+        X, y = np.ones((2, 3)), np.array([0, 1])
+        partial = batch_taps(net, X, y, backward=False)
+        full = batch_taps(net, X, y, backward=True)
+        for est in (Estimator.GHOST, Estimator.IP):
+            with pytest.raises(ValueError, match="full backward"):
+                pair_matrix(est, full, partial)
+        pair_matrix(Estimator.LAI, full, partial)  # LAI needs g(L) only
+
+    def test_precond_requires_preconditioner(self):
+        net = MLP.initialize([3, 2], ["linear"], seed=2)
+        taps = batch_taps(net, np.ones((2, 3)), np.array([0, 1]), backward=False)
+        with pytest.raises(ValueError, match="Preconditioner"):
+            pair_matrix(Estimator.PRECOND_LAI, taps, taps)

@@ -11,6 +11,7 @@ from layerval.network import (
     Layer,
     LayerSpec,
     backward_taps,
+    batch_taps,
     evaluate_sample,
     forward,
     load_checkpoint,
@@ -243,3 +244,42 @@ class TestDeterminismAndCheckpoint:
         taps = forward(net, np.array([0.0]))[1]  # s1 == 0 exactly
         taps = backward_taps(net, taps, np.array([1.0]))
         assert taps.layer_grads[0][0] == 0.0
+
+
+class TestBatchTaps:
+    @given(st.integers(0, 2 ** 16), st.lists(st.sampled_from(ALL_ACTS), min_size=0, max_size=2),
+           st.integers(1, 9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_per_sample_taps(self, seed, hidden_acts, batch, backward):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 6, size=len(hidden_acts) + 1)] + [3]
+        net = seeded_net(dims, hidden_acts + ["linear"], seed=seed)
+        X = rng.normal(size=(batch, dims[0]))
+        labels = rng.integers(3, size=batch)
+        taps = batch_taps(net, X, labels, backward)
+        assert len(taps.acts) == net.depth
+        assert len(taps.grads) == (net.depth if backward else 1)
+        for i in range(batch):
+            ref = evaluate_sample(net, X[i], int(labels[i]))
+            for l in range(net.depth):
+                np.testing.assert_allclose(taps.acts[l][i], np.append(ref.activations[l], 1.0),
+                                           rtol=1e-12, atol=1e-15)
+            for got, want in zip(taps.grads[::-1], ref.layer_grads[::-1]):
+                np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(taps.logits[i], ref.pre_activations[-1],
+                                       rtol=1e-12, atol=1e-15)
+            assert taps.losses[i] == pytest.approx(ref.loss, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("X, labels, match", [
+        (np.array([[0.0, 1.0], [np.nan, 0.0]]), [0, 1], "non-finite input in row 1"),
+        (np.array([[0.0, 1.0], [1.0, np.inf]]), [0, 1], "non-finite input in row 1"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), [0, -1], "label -1 in row 1 out of range"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), [2, 0], "label 2 in row 0 out of range"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 1.0], "integer label"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), [0], "integer label"),
+        (np.array([0.0, 1.0]), [0], "input shape"),
+        (np.array([[0.0, 1.0, 2.0]]), [0], "input shape"),
+    ])
+    def test_bad_input_rejected(self, X, labels, match):
+        with pytest.raises(ValueError, match=match):
+            batch_taps(identity_net(), X, labels, backward=True)

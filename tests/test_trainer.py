@@ -64,14 +64,15 @@ def cfg_with(**kw):
     return TrainerConfig(**base)
 
 
-def benefit_by_pairwise_ops(net, sample, val_subset, estimator, precond=None):
+def benefit_by_pairwise_ops(net, sample, val_subset, estimator, precond=None,
+                            calibrate=False):
     """Independent recomputation through the per-pair influence operations."""
     taps_j = evaluate_sample(net, sample.features, sample.label)
     pg_j = param_grads(taps_j)
     scores = []
     for z in val_subset:
         taps_z = evaluate_sample(net, z.features, z.label)
-        sims = pair_similarities(taps_z, taps_j)
+        sims = pair_similarities(taps_z, taps_j, calibrate=calibrate)
         if estimator is Estimator.IP:
             scores.append(ip_influence(param_grads(taps_z), pg_j))
         elif estimator is Estimator.GHOST:
@@ -93,21 +94,20 @@ class TestValidationCache:
         x = np.array([0.3, -0.7])
         cache = build_validation_cache(net, [Sample(id=0, features=x, label=0)],
                                        Estimator.LAI)
-        np.testing.assert_array_equal(cache.activation_block[0], np.append(x, 1.0))
+        np.testing.assert_array_equal(cache.taps.acts[0][0], np.append(x, 1.0))
         from layerval.network import forward, loss_and_output_grad
 
         logits, _ = forward(net, x)
         _, gl = loss_and_output_grad(logits, 0)
-        np.testing.assert_array_equal(cache.output_grads[0], gl)
+        np.testing.assert_array_equal(cache.taps.grads[-1][0], gl)
 
     def test_rebuild_bit_identical(self):
         net = toy_net(seed=1)
         val = toy_samples(net, 5, seed=2)
         a = build_validation_cache(net, val, Estimator.GHOST, step_id=3)
         b = build_validation_cache(net, val, Estimator.GHOST, step_id=3)
-        assert np.array_equal(a.activation_block, b.activation_block)
-        for ga, gb in zip(a.layer_grad_blocks, b.layer_grad_blocks):
-            assert np.array_equal(ga, gb)
+        for xa, xb in zip(a.taps.acts + a.taps.grads, b.taps.acts + b.taps.grads):
+            assert np.array_equal(xa, xb)
 
     def test_concat_dot_equals_layerwise_alpha_sum(self):
         net = toy_net(dims=(3, 5, 4, 2), acts=("relu", "tanh", "linear"), seed=4)
@@ -116,9 +116,10 @@ class TestValidationCache:
         cache = build_validation_cache(net, [z], Estimator.LAI)
         taps_j = evaluate_sample(net, j.features, j.label)
         concat_j = np.concatenate([augmented(a) for a in taps_j.activations])
+        concat_z = np.concatenate([block[0] for block in cache.taps.acts])
         taps_z = evaluate_sample(net, z.features, z.label)
         sims = pair_similarities(taps_z, taps_j)
-        assert float(cache.activation_block[0] @ concat_j) == pytest.approx(
+        assert float(concat_z @ concat_j) == pytest.approx(
             float(sims.alpha.sum()), abs=1e-12)
 
     def test_empty_subset_rejected(self):
@@ -213,6 +214,57 @@ class TestCurateBatch:
             decision = curate_batch(net, batch, cache, cfg_with(threshold=thr))
             kept_sets.append({i for i, k in enumerate(decision.kept_mask) if k})
         assert kept_sets[0] >= kept_sets[1] >= kept_sets[2]
+
+
+class TestLayerCalibration:
+    """layer_calibration divides alpha(l) by dim(a~(l-1)) for the LAI family only."""
+
+    NET_DIMS, NET_ACTS = (3, 6, 4, 3), ("tanh", "relu", "linear")
+    PRECOND = Preconditioner(np.array([1.5, 0.5, 2.0]))
+
+    @pytest.mark.parametrize("estimator", [Estimator.LAI, Estimator.LLI,
+                                           Estimator.PRECOND_LAI])
+    def test_curate_batch_matches_calibrated_pairwise_ops(self, estimator):
+        net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=50)
+        batch = toy_samples(net, 4, seed=51)
+        val = toy_samples(net, 5, seed=52)
+        cache = build_validation_cache(net, val, estimator)
+        decision = curate_batch(net, batch, cache,
+                                cfg_with(estimator=estimator, layer_calibration=True),
+                                preconditioner=self.PRECOND)
+        for got, s in zip(decision.benefit_scores, batch):
+            want = benefit_by_pairwise_ops(net, s, val, estimator, self.PRECOND,
+                                           calibrate=True)
+            assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("estimator", [Estimator.LAI, Estimator.LLI,
+                                           Estimator.PRECOND_LAI])
+    def test_self_influence_matches_calibrated_pairwise_ops(self, estimator):
+        net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=53)
+        batch = toy_samples(net, 5, seed=54)
+        decision = self_influence_curate(
+            net, batch, cfg_with(estimator=estimator, mode=CurationMode.SELF,
+                                 layer_calibration=True),
+            preconditioner=self.PRECOND)
+        for i, s in enumerate(batch):
+            rest = batch[:i] + batch[i + 1:]
+            want = benefit_by_pairwise_ops(net, s, rest, estimator, self.PRECOND,
+                                           calibrate=True)
+            assert decision.benefit_scores[i] == pytest.approx(want, abs=1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("estimator", [Estimator.GHOST, Estimator.IP])
+    def test_ghost_and_ip_ignore_calibration(self, estimator):
+        net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=55)
+        batch = toy_samples(net, 4, seed=56)
+        cache = build_validation_cache(net, toy_samples(net, 5, seed=57), estimator)
+        for mode in (CurationMode.VALIDATION, CurationMode.SELF):
+            scores = []
+            for calibrate in (False, True):
+                cfg = cfg_with(estimator=estimator, mode=mode, layer_calibration=calibrate)
+                decision = curate_batch(net, batch, cache, cfg) \
+                    if mode is CurationMode.VALIDATION else self_influence_curate(net, batch, cfg)
+                scores.append(decision.benefit_scores)
+            assert scores[0] == scores[1]
 
 
 class TestSelfInfluence:
