@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .network import MLP, Activation, evaluate_sample, param_grads
+from .network import MLP, BatchTaps, _apply_activation, batch_taps
 
 
 @dataclass
@@ -36,10 +36,15 @@ class ShapleyEstimate:
 class UtilityFn:
     """One-step validation-loss-decrease game over a frozen checkpoint.
 
-    Evaluations are pure: the frozen parameters are never mutated, and v(S)
-    values are cached by subset bitmask. Call bind_batch (or pass the batch
-    to the Shapley helpers, which do it) before querying subsets.
+    A coalition's step is rank-1 per member and layer, so it is read off the
+    bound batch's taps: [dW(l) | db(l)] summed over S is (M * G_l)^T A_l for
+    the membership row M. Coalitions are evaluated in blocks of BLOCK, each
+    with its own stacked weights. Evaluations are pure: the frozen parameters
+    are never mutated. Call bind_batch (or pass the batch to the Shapley
+    helpers, which do it) before querying subsets.
     """
+
+    BLOCK = 64  # coalitions per evaluation block; 16, 256 and 1024 were slower
 
     def __init__(self, net: MLP, val_samples: list[Sample], learning_rate: float):
         if learning_rate <= 0.0:
@@ -50,47 +55,21 @@ class UtilityFn:
         self.learning_rate = learning_rate
         self.val_x = np.stack([s.features for s in val_samples])
         self.val_y = np.array([s.label for s in val_samples], dtype=np.int64)
-        self._theta = np.concatenate(
-            [np.concatenate([l.weights.ravel(), l.bias]) for l in self.net.layers])
-        self._shapes = [(l.weights.shape, l.bias.shape) for l in self.net.layers]
-        self._acts = [l.spec.activation for l in self.net.layers]
-        self._base_loss = self._val_loss(self._theta)
+        self._base_loss = float(batch_taps(self.net, self.val_x, self.val_y,
+                                           backward=False).losses.mean())
+        self._layers = [(np.hstack([l.weights, l.bias[:, None]]), l.spec.activation)
+                        for l in self.net.layers]
         self._batch: list[Sample] | None = None
-        self._grads: np.ndarray | None = None  # (n, P) per-sample flat gradients
-        self._cache: dict[int, float] = {}
-
-    def _val_loss(self, theta: np.ndarray) -> float:
-        """Mean softmax cross-entropy over the validation block at parameters theta."""
-        a = self.val_x
-        s = a
-        offset = 0
-        for (w_shape, b_shape), act in zip(self._shapes, self._acts):
-            w = theta[offset:offset + w_shape[0] * w_shape[1]].reshape(w_shape)
-            offset += w_shape[0] * w_shape[1]
-            b = theta[offset:offset + b_shape[0]]
-            offset += b_shape[0]
-            s = a @ w.T + b
-            if act is Activation.RELU:
-                a = np.maximum(s, 0.0)
-            elif act is Activation.TANH:
-                a = np.tanh(s)
-            else:
-                a = s
-        logits = s
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        picked = shifted[np.arange(logits.shape[0]), self.val_y]
-        return float(np.mean(lse - picked))
+        self._taps: BatchTaps | None = None
 
     def bind_batch(self, batch: list[Sample]) -> None:
-        """Precompute per-sample flat gradients for subsequent subset queries."""
-        grads = []
-        for s in batch:
-            taps = evaluate_sample(self.net, s.features, s.label)
-            grads.append(param_grads(taps).flatten())
+        """Take the batch's taps (one full batched pass) for subsequent subset queries."""
+        if not batch:
+            raise ValueError("empty batch")
+        self._taps = batch_taps(self.net, np.stack([s.features for s in batch]),
+                                np.array([s.label for s in batch], dtype=np.int64),
+                                backward=True)
         self._batch = list(batch)
-        self._grads = np.stack(grads)
-        self._cache = {}
 
     def _ensure_batch(self, batch: list[Sample] | None = None) -> list[Sample]:
         if batch is not None:
@@ -101,19 +80,34 @@ class UtilityFn:
             raise ValueError("no batch bound to the utility; call bind_batch first")
         return self._batch
 
+    def utilities(self, masks: np.ndarray) -> np.ndarray:
+        """v(S) for every row of an (m, n) boolean membership matrix over the bound batch."""
+        n = len(self._ensure_batch())
+        masks = np.asarray(masks)
+        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
+            raise ValueError(f"need an (m, {n}) boolean membership matrix, "
+                             f"got {masks.dtype} {masks.shape}")
+        rows = np.arange(len(self.val_y))
+        values = np.zeros(masks.shape[0])
+        for start in range(0, masks.shape[0], self.BLOCK):
+            member = masks[start:start + self.BLOCK, :, None]
+            a = self.val_x
+            for (wb, act), A, G in zip(self._layers, self._taps.acts, self._taps.grads):
+                w = wb - self.learning_rate * (np.swapaxes(member * G, 1, 2) @ A)
+                s = a @ np.swapaxes(w[:, :, :-1], 1, 2) + w[:, None, :, -1]
+                a = _apply_activation(act, s)
+            shifted = s - s.max(axis=2, keepdims=True)
+            losses = np.log(np.exp(shifted).sum(axis=2)) - shifted[:, rows, self.val_y]
+            values[start:start + self.BLOCK] = self._base_loss - losses.mean(axis=1)
+        values[~masks.any(axis=1)] = 0.0
+        return values
+
     def utility_of_mask(self, mask: int) -> float:
         """v(S) for the subset encoded as a bitmask over bound-batch positions."""
-        if mask == 0:
-            return 0.0
-        batch = self._ensure_batch()
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        idx = [i for i in range(len(batch)) if mask >> i & 1]
-        step_grad = self._grads[idx].sum(axis=0)
-        value = self._base_loss - self._val_loss(self._theta - self.learning_rate * step_grad)
-        self._cache[mask] = value
-        return value
+        n = len(self._ensure_batch())
+        if not 0 <= mask < 1 << n:
+            raise ValueError(f"mask {mask:#x} has bits outside the {n}-sample batch")
+        return float(self.utilities(np.array([[mask >> i & 1 for i in range(n)]], dtype=bool))[0])
 
 
 def subset_utility(u: UtilityFn, subset: set[int] | list[int]) -> float:
@@ -130,21 +124,19 @@ def subset_utility(u: UtilityFn, subset: set[int] | list[int]) -> float:
 def shapley_exact(u: UtilityFn, batch: list[Sample]) -> ShapleyEstimate:
     """Exact Shapley values by 2^n subset enumeration (n <= 10)."""
     n = len(batch)
-    if n == 0:
-        raise ValueError("empty batch")
     if n > 10:
         raise ValueError(f"exact enumeration limited to 10 samples, got {n}")
     u._ensure_batch(batch)
-    fact = [math.factorial(k) for k in range(n + 1)]
+    codes = np.arange(1 << n)
+    masks = (codes[:, None] >> np.arange(n) & 1).astype(bool)
+    v = u.utilities(masks)
+    sizes = masks.sum(axis=1)
+    weight = np.array([math.factorial(k) * math.factorial(n - k - 1) / math.factorial(n)
+                       for k in range(n)])
     values = np.zeros(n)
-    for mask in range(1 << n):
-        size = bin(mask).count("1")
-        v_s = u.utility_of_mask(mask)
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            weight = fact[size] * fact[n - size - 1] / fact[n]
-            values[i] += weight * (u.utility_of_mask(mask | (1 << i)) - v_s)
+    for i in range(n):
+        without = codes[~masks[:, i]]
+        values[i] = weight[sizes[without]] @ (v[without | 1 << i] - v[without])
     return ShapleyEstimate(values=values, stderr=np.zeros(n), permutations_used=0, seed=0)
 
 
@@ -154,42 +146,35 @@ def shapley_mc(u: UtilityFn, batch: list[Sample], permutations: int, seed: int,
 
     With exhaustive=True every one of the n! orderings is visited once
     (matching exact enumeration) and the permutations argument is ignored.
+    Every permutation prefix is a coalition; the distinct ones are evaluated
+    in one utilities call.
     """
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty batch")
+    n = len(u._ensure_batch(batch))
     if not exhaustive and permutations < 1:
         raise ValueError("need at least one permutation")
-    u._ensure_batch(batch)
     rng = np.random.default_rng(seed)
     if exhaustive:
-        orderings = list(itertools.permutations(range(n)))
+        orders = np.array(list(itertools.permutations(range(n))))
     else:
-        orderings = [rng.permutation(n).tolist() for _ in range(permutations)]
-    marginals = np.zeros((len(orderings), n))
-    for r, order in enumerate(orderings):
-        mask = 0
-        prev = 0.0
-        for i in order:
-            mask |= 1 << i
-            cur = u.utility_of_mask(mask)
-            marginals[r, i] = cur - prev
-            prev = cur
+        orders = np.stack([rng.permutation(n) for _ in range(permutations)])
+    draws = orders.shape[0]
+    # prefixes[r, k] is the coalition of the first k + 1 members of ordering r
+    prefixes = np.zeros((draws, n, n), dtype=bool)
+    np.put_along_axis(prefixes, orders[:, :, None], True, axis=2)
+    prefixes = np.logical_or.accumulate(prefixes, axis=1).reshape(draws * n, n)
+    keys = np.packbits(prefixes, axis=1).view(np.dtype((np.void, (n + 7) // 8))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    v = u.utilities(prefixes[first])[inverse].reshape(draws, n)
+    marginals = np.zeros((draws, n))
+    np.put_along_axis(marginals, orders, np.diff(v, axis=1, prepend=0.0), axis=1)
     values = marginals.mean(axis=0)
-    if len(orderings) >= 2:
-        stderr = marginals.std(axis=0, ddof=1) / math.sqrt(len(orderings))
-    else:
-        stderr = np.zeros(n)
+    stderr = marginals.std(axis=0, ddof=1) / math.sqrt(draws) if draws >= 2 else np.zeros(n)
     return ShapleyEstimate(values=values, stderr=stderr,
-                           permutations_used=len(orderings), seed=seed)
+                           permutations_used=draws, seed=seed)
 
 
 def loo_influence(u: UtilityFn, batch: list[Sample]) -> np.ndarray:
     """One-step leave-one-out: v(B) - v(B without i) per member."""
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty batch")
-    u._ensure_batch(batch)
-    full = (1 << n) - 1
-    v_full = u.utility_of_mask(full)
-    return np.array([v_full - u.utility_of_mask(full & ~(1 << i)) for i in range(n)])
+    n = len(u._ensure_batch(batch))
+    v = u.utilities(np.vstack([np.ones((1, n), dtype=bool), ~np.eye(n, dtype=bool)]))
+    return v[0] - v[1:]

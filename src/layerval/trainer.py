@@ -235,7 +235,9 @@ class ValidationCache:
     step_id: int
     estimator: Estimator
     taps: BatchTaps
-    byte_size: int  # the estimator's cached reals (cache_reals_per_sample), in bytes
+    # The ledger's analytic figure (cache_reals_per_sample, in bytes), not what
+    # the taps hold: an LLI cache keeps every layer, an IP cache keeps taps.
+    byte_size: int
 
     @property
     def sample_count(self) -> int:

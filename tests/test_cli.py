@@ -209,11 +209,11 @@ class TestCsvDataFitsModel:
 
 
 class TestThreadCountDeterminism:
-    """`train` writes the same bytes under one and two OpenBLAS threads.
+    """`train` and `fidelity` write the same bytes under one and two OpenBLAS threads.
 
-    The net is wide enough (8-256-256-3, batch 64) that OpenBLAS splits its
-    GEMMs across threads, so a sum whose order follows the thread split
-    would show up here.
+    The net is wide enough (8-256-256-3) that OpenBLAS may split its GEMMs,
+    the Shapley oracle's stacked coalition matmuls included, across threads,
+    so a sum whose order follows the thread split would show up here.
     """
 
     VARIANTS = {est: ["--set", f"trainer.estimator={est}"]
@@ -221,9 +221,7 @@ class TestThreadCountDeterminism:
     VARIANTS["self"] = ["--set", "trainer.mode=self"]
     OUTPUTS = ("training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json")
 
-    def run_all(self, cfg_path, out_root, threads):
-        argvs = [["train", "--config", str(cfg_path), "--out", str(out_root / name)] + extra
-                 for name, extra in self.VARIANTS.items()]
+    def run_all(self, argvs, threads):
         code = ("import json, sys\n"
                 "from layerval.cli import main\n"
                 "for argv in json.loads(sys.argv[1]):\n"
@@ -235,19 +233,37 @@ class TestThreadCountDeterminism:
         subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                        check=True, timeout=300)
 
-    def test_one_and_two_threads_byte_identical(self, tmp_path):
+    def wide_config(self, tmp_path):
         cfg = tiny_config(tmp_path / "unused")
         cfg["dataset"].update({"per_class": 60, "feature_dim": 8})
         cfg["model"] = {"layer_dims": [8, 256, 256, 3],
                         "activations": ["relu", "relu", "linear"]}
+        return cfg
+
+    def test_one_and_two_threads_byte_identical(self, tmp_path):
+        cfg = self.wide_config(tmp_path)
         cfg["trainer"].update({"batch_size": 64, "epochs": 2, "warmup_epochs": 1})
         cfg_path = write_config(tmp_path, cfg)
         for threads in (1, 2):
-            self.run_all(cfg_path, tmp_path / f"t{threads}", threads)
+            out_root = tmp_path / f"t{threads}"
+            self.run_all([["train", "--config", str(cfg_path), "--out", str(out_root / name)]
+                          + extra for name, extra in self.VARIANTS.items()], threads)
         differing = [f"{name}/{f}" for name in self.VARIANTS for f in self.OUTPUTS
                      if (tmp_path / "t1" / name / f).read_bytes()
                      != (tmp_path / "t2" / name / f).read_bytes()]
         assert not differing
+
+    def test_fidelity_one_and_two_threads_byte_identical(self, tmp_path):
+        cfg = self.wide_config(tmp_path)
+        cfg["trainer"].update({"batch_size": 16, "epochs": 1})
+        cfg["fidelity"] = {"probe_batch_size": 8, "checkpoint_every": 4,
+                           "permutations": 40, "exhaustive": False}
+        cfg_path = write_config(tmp_path, cfg)
+        for threads in (1, 2):
+            self.run_all([["fidelity", "--config", str(cfg_path),
+                           "--out", str(tmp_path / f"t{threads}")]], threads)
+        for name in ("fidelity.csv", "fidelity_summary.json"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 class TestFidelity:

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerval.data import Sample
-from layerval.network import MLP, evaluate_sample, param_grads
+from layerval.network import MLP, Activation, evaluate_sample, param_grads
 from layerval.oracle import (
     ShapleyEstimate,
     UtilityFn,
@@ -29,6 +31,51 @@ def toy_samples(net, n, seed, labels=None):
         label = labels[i] if labels else int(rng.integers(net.out_dim))
         out.append(Sample(id=i, features=rng.normal(size=net.in_dim), label=label))
     return out
+
+
+class ReferenceGame:
+    """The one-step game written out on a flat parameter vector: per-sample
+    flat gradients from evaluate_sample + param_grads, and a forward pass of
+    its own over theta. UtilityFn's batched coalitions are checked against it.
+    """
+
+    def __init__(self, net, val_samples, batch, learning_rate):
+        self.net = net
+        self.learning_rate = learning_rate
+        self.val_x = np.stack([s.features for s in val_samples])
+        self.val_y = np.array([s.label for s in val_samples], dtype=np.int64)
+        self.theta = np.concatenate(
+            [np.concatenate([l.weights.ravel(), l.bias]) for l in net.layers])
+        self.grads = np.stack([param_grads(evaluate_sample(net, s.features, s.label)).flatten()
+                               for s in batch])
+
+    def val_loss(self, theta):
+        """Mean softmax cross-entropy over the validation block at parameters theta."""
+        a = self.val_x
+        offset = 0
+        for layer in self.net.layers:
+            (out_dim, in_dim), act = layer.weights.shape, layer.spec.activation
+            w = theta[offset:offset + out_dim * in_dim].reshape(out_dim, in_dim)
+            offset += out_dim * in_dim
+            b = theta[offset:offset + out_dim]
+            offset += out_dim
+            s = a @ w.T + b
+            if act is Activation.RELU:
+                a = np.maximum(s, 0.0)
+            elif act is Activation.TANH:
+                a = np.tanh(s)
+            else:
+                a = s
+        shifted = s - s.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=1))
+        picked = shifted[np.arange(s.shape[0]), self.val_y]
+        return float(np.mean(lse - picked))
+
+    def value(self, member):
+        if not np.any(member):
+            return 0.0
+        step = self.grads[np.asarray(member, dtype=bool)].sum(axis=0)
+        return self.val_loss(self.theta) - self.val_loss(self.theta - self.learning_rate * step)
 
 
 def permutation_average_shapley(u, batch):
@@ -94,6 +141,91 @@ class TestSubsetUtility:
         assert v1 == v2
         for w, layer in zip(before, net.layers):
             assert np.array_equal(w, layer.weights)
+
+
+class TestBatchedUtilities:
+    @given(st.integers(0, 2 ** 16),
+           st.lists(st.sampled_from(["relu", "tanh", "linear"]), min_size=0, max_size=2),
+           st.integers(1, 8), st.integers(1, 20), st.floats(0.01, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_flat_parameter_reference(self, seed, hidden_acts, n, m, eta):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 7, size=len(hidden_acts) + 1)] + [3]
+        net = MLP.initialize(dims, hidden_acts + ["linear"], seed=seed)
+        for layer in net.layers:
+            layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
+        val = toy_samples(net, int(rng.integers(1, 7)), seed=seed + 1)
+        batch = toy_samples(net, n, seed=seed + 2)
+        masks = rng.random((m, n)) < 0.5
+        u = UtilityFn(net, val, learning_rate=eta)
+        u.bind_batch(batch)
+        ref = ReferenceGame(net, val, batch, eta)
+        want = [ref.value(row) for row in masks]
+        np.testing.assert_allclose(u.utilities(masks), want, rtol=0, atol=1e-12)
+
+    def test_blocks_equal_one_mask_at_a_time(self):
+        net = toy_net(seed=40, dims=(3, 5, 4, 3), acts=("tanh", "relu", "linear"))
+        batch = toy_samples(net, 9, seed=41)
+        u = UtilityFn(net, toy_samples(net, 6, seed=42), learning_rate=0.3)
+        u.bind_batch(batch)
+        codes = np.random.default_rng(43).choice(1 << 9, size=2 * UtilityFn.BLOCK + 37,
+                                                 replace=False)
+        masks = (codes[:, None] >> np.arange(9) & 1).astype(bool)
+        single = [u.utility_of_mask(int(c)) for c in codes]
+        assert u.utilities(masks).tolist() == single
+
+    def test_empty_coalition_exactly_zero(self):
+        net = toy_net(seed=44)
+        u = UtilityFn(net, toy_samples(net, 4, seed=45), learning_rate=0.5)
+        u.bind_batch(toy_samples(net, 3, seed=46))
+        masks = np.array([[False] * 3, [True] * 3, [False] * 3])
+        v = u.utilities(masks)
+        assert v[0] == 0.0 and v[2] == 0.0 and v[1] != 0.0
+
+
+class TestBoundary:
+    def val_with(self, net, **fields):
+        val = toy_samples(net, 3, seed=50)
+        val[1] = Sample(**{"id": 1, "features": val[1].features, "label": 0, **fields})
+        return val
+
+    def test_val_label_minus_one_rejected(self):
+        net = toy_net()
+        with pytest.raises(ValueError, match="label -1 in row 1"):
+            UtilityFn(net, self.val_with(net, label=-1), learning_rate=0.1)
+
+    def test_val_nan_feature_rejected(self):
+        net = toy_net()
+        with pytest.raises(ValueError, match="non-finite input in row 1"):
+            UtilityFn(net, self.val_with(net, features=np.array([0.0, np.nan, 1.0])),
+                      learning_rate=0.1)
+
+    def test_val_label_past_last_logit_rejected(self):
+        net = toy_net()
+        with pytest.raises(ValueError, match="label 2 in row 1"):
+            UtilityFn(net, self.val_with(net, label=net.out_dim), learning_rate=0.1)
+
+    def test_bad_batch_sample_rejected(self):
+        net = toy_net()
+        u = UtilityFn(net, toy_samples(net, 3, seed=51), learning_rate=0.1)
+        with pytest.raises(ValueError, match="label 5 in row 0"):
+            u.bind_batch([Sample(id=0, features=np.zeros(3), label=5)])
+
+    def test_mask_bits_outside_batch_rejected(self):
+        net = toy_net()
+        u = UtilityFn(net, toy_samples(net, 3, seed=52), learning_rate=0.1)
+        u.bind_batch(toy_samples(net, 1, seed=53))
+        for mask in (0b11, 0b10, -1):
+            with pytest.raises(ValueError, match="outside the 1-sample batch"):
+                u.utility_of_mask(mask)
+
+    def test_membership_matrix_shape_and_dtype_checked(self):
+        net = toy_net()
+        u = UtilityFn(net, toy_samples(net, 3, seed=54), learning_rate=0.1)
+        u.bind_batch(toy_samples(net, 1, seed=55))
+        for masks in (np.ones((2, 2), dtype=bool), np.ones(1, dtype=bool), np.ones((2, 1))):
+            with pytest.raises(ValueError, match="boolean membership matrix"):
+                u.utilities(masks)
 
 
 class TestShapleyExact:
@@ -173,6 +305,24 @@ class TestShapleyMC:
         spread = exact.values.max() - exact.values.min()
         mc = shapley_mc(u, batch, permutations=1000, seed=29)
         assert np.max(np.abs(mc.values - exact.values)) <= 0.05 * spread
+
+    def test_equals_one_permutation_at_a_time(self):
+        # the deduplicated prefix evaluation reproduces the sequential walk bit for bit
+        net = toy_net(seed=60)
+        batch = toy_samples(net, 5, seed=61)
+        u = UtilityFn(net, toy_samples(net, 4, seed=62), learning_rate=0.3)
+        est = shapley_mc(u, batch, permutations=30, seed=63)
+        rng = np.random.default_rng(63)
+        marginals = np.zeros((30, 5))
+        for r in range(30):
+            mask, prev = 0, 0.0
+            for i in rng.permutation(5).tolist():
+                mask |= 1 << i
+                cur = u.utility_of_mask(mask)
+                marginals[r, i] = cur - prev
+                prev = cur
+        assert np.array_equal(est.values, marginals.mean(axis=0))
+        assert np.array_equal(est.stderr, marginals.std(axis=0, ddof=1) / math.sqrt(30))
 
     def test_seed_determinism(self):
         net = toy_net(seed=30)
