@@ -20,6 +20,7 @@ from .data import load_bundle, make_noisy_blob_bundle
 from .evaluation import emit_reports, run_fidelity
 from .influence import Estimator, bound_diagnostics, variance_diagnostic
 from .network import MLP, evaluate_sample, load_checkpoint, save_checkpoint
+from .oracle import EXHAUSTIVE_MAX
 from .trainer import (
     CostLedger,
     TrainerConfig,
@@ -171,6 +172,10 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("model.layer_dims", "first dim must match dataset.feature_dim")
     if resolved["dataset"]["kind"] == "csv" and not resolved["dataset"]["dir"]:
         raise ConfigError("dataset.dir", "required when dataset.kind is 'csv'")
+    if resolved["fidelity"]["exhaustive"] \
+            and resolved["fidelity"]["probe_batch_size"] > EXHAUSTIVE_MAX:
+        raise ConfigError("fidelity.exhaustive",
+                          f"needs fidelity.probe_batch_size <= {EXHAUSTIVE_MAX}")
     return resolved
 
 

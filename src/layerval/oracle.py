@@ -22,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .network import MLP, BatchTaps, _apply_activation, batch_taps
+from .network import MLP, _apply_activation, batch_taps
+
+
+EXHAUSTIVE_MAX = 8  # n! orderings, each with n prefixes, are held at once
 
 
 @dataclass
@@ -36,15 +39,16 @@ class ShapleyEstimate:
 class UtilityFn:
     """One-step validation-loss-decrease game over a frozen checkpoint.
 
-    A coalition's step is rank-1 per member and layer, so it is read off the
-    bound batch's taps: [dW(l) | db(l)] summed over S is (M * G_l)^T A_l for
-    the membership row M. Coalitions are evaluated in blocks of BLOCK, each
-    with its own stacked weights. Evaluations are pure: the frozen parameters
-    are never mutated. Call bind_batch (or pass the batch to the Shapley
-    helpers, which do it) before querying subsets.
+    A coalition's step is rank-1 per member and layer: with D_l[i] the flat
+    g_l(i) (x) a~_l(i) from the bound batch's taps, [dW(l) | db(l)] summed
+    over S is M @ D_l for the membership row M. Coalitions are evaluated in
+    blocks of BLOCK with stacked weights and feature-major (b, d, V)
+    activations. Evaluations are pure: the frozen parameters are never
+    mutated. Call bind_batch (or pass the batch to the Shapley helpers, which
+    do it) before querying subsets.
     """
 
-    BLOCK = 64  # coalitions per evaluation block; 16, 256 and 1024 were slower
+    BLOCK = 64  # coalitions per block; 32 was as fast, 16 slower, 128 and 256 no faster
 
     def __init__(self, net: MLP, val_samples: list[Sample], learning_rate: float):
         if learning_rate <= 0.0:
@@ -60,15 +64,17 @@ class UtilityFn:
         self._layers = [(np.hstack([l.weights, l.bias[:, None]]), l.spec.activation)
                         for l in self.net.layers]
         self._batch: list[Sample] | None = None
-        self._taps: BatchTaps | None = None
+        self._steps: list[np.ndarray] | None = None
 
     def bind_batch(self, batch: list[Sample]) -> None:
-        """Take the batch's taps (one full batched pass) for subsequent subset queries."""
+        """Take the batch's taps (one full batched pass) and step rows D_l for subset queries."""
         if not batch:
             raise ValueError("empty batch")
-        self._taps = batch_taps(self.net, np.stack([s.features for s in batch]),
-                                np.array([s.label for s in batch], dtype=np.int64),
-                                backward=True)
+        taps = batch_taps(self.net, np.stack([s.features for s in batch]),
+                          np.array([s.label for s in batch], dtype=np.int64),
+                          backward=True)
+        self._steps = [(G[:, :, None] * A[:, None, :]).reshape(len(batch), -1)
+                       for A, G in zip(taps.acts, taps.grads)]
         self._batch = list(batch)
 
     def _ensure_batch(self, batch: list[Sample] | None = None) -> list[Sample]:
@@ -87,17 +93,23 @@ class UtilityFn:
         if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
             raise ValueError(f"need an (m, {n}) boolean membership matrix, "
                              f"got {masks.dtype} {masks.shape}")
-        rows = np.arange(len(self.val_y))
+        cols = np.arange(len(self.val_y))
         values = np.zeros(masks.shape[0])
+        # pre-activation buffers reused by every block: no per-block ~0.5 MB mmap churn
+        bufs = [np.empty((min(self.BLOCK, len(masks)), wb.shape[0], len(cols)))
+                for wb, _ in self._layers]
         for start in range(0, masks.shape[0], self.BLOCK):
-            member = masks[start:start + self.BLOCK, :, None]
-            a = self.val_x
-            for (wb, act), A, G in zip(self._layers, self._taps.acts, self._taps.grads):
-                w = wb - self.learning_rate * (np.swapaxes(member * G, 1, 2) @ A)
-                s = a @ np.swapaxes(w[:, :, :-1], 1, 2) + w[:, None, :, -1]
+            member = masks[start:start + self.BLOCK].astype(np.float64)
+            a = self.val_x.T
+            for (wb, act), D, buf in zip(self._layers, self._steps, bufs):
+                # einsum, not a GEMM over the block: a row's sum must not depend on the block
+                step = np.einsum("mi,ik->mk", member, D).reshape(-1, *wb.shape)
+                w = wb - self.learning_rate * step
+                s = np.matmul(w[:, :, :-1], a, out=buf[:len(member)])
+                s += w[:, :, -1:]
                 a = _apply_activation(act, s)
-            shifted = s - s.max(axis=2, keepdims=True)
-            losses = np.log(np.exp(shifted).sum(axis=2)) - shifted[:, rows, self.val_y]
+            shifted = s - s.max(axis=1, keepdims=True)
+            losses = np.log(np.exp(shifted).sum(axis=1)) - shifted[:, self.val_y, cols]
             values[start:start + self.BLOCK] = self._base_loss - losses.mean(axis=1)
         values[~masks.any(axis=1)] = 0.0
         return values
@@ -145,13 +157,17 @@ def shapley_mc(u: UtilityFn, batch: list[Sample], permutations: int, seed: int,
     """Monte-Carlo permutation Shapley; stderr = std(marginals)/sqrt(draws).
 
     With exhaustive=True every one of the n! orderings is visited once
-    (matching exact enumeration) and the permutations argument is ignored.
+    (matching exact enumeration, n <= EXHAUSTIVE_MAX) and the permutations
+    argument is ignored.
     Every permutation prefix is a coalition; the distinct ones are evaluated
     in one utilities call.
     """
-    n = len(u._ensure_batch(batch))
+    n = len(batch)
+    if exhaustive and n > EXHAUSTIVE_MAX:
+        raise ValueError(f"exhaustive permutations limited to {EXHAUSTIVE_MAX} samples, got {n}")
     if not exhaustive and permutations < 1:
         raise ValueError("need at least one permutation")
+    u._ensure_batch(batch)
     rng = np.random.default_rng(seed)
     if exhaustive:
         orders = np.array(list(itertools.permutations(range(n))))

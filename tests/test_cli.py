@@ -67,6 +67,15 @@ class TestConfigResolution:
             resolve_config({"dataset": {"feature_dim": 5}})
         assert err.value.path == "model.layer_dims"
 
+    def test_exhaustive_needs_small_probe(self):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"fidelity": {"exhaustive": True}})
+        assert err.value.path == "fidelity.exhaustive"
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"fidelity": {"exhaustive": True, "probe_batch_size": 9}})
+        assert err.value.path == "fidelity.exhaustive"
+        assert resolve_config({"fidelity": {"exhaustive": True, "probe_batch_size": 8}})
+
     def test_round_trip_identity(self):
         resolved = resolve_config({"seed": 3, "trainer": {"momentum": 0.5}})
         again = resolve_config(json.loads(json.dumps(resolved)))

@@ -174,6 +174,34 @@ class TestBatchedUtilities:
         single = [u.utility_of_mask(int(c)) for c in codes]
         assert u.utilities(masks).tolist() == single
 
+    def test_any_block_size_gives_identical_values(self, monkeypatch):
+        net = toy_net(seed=47, dims=(3, 5, 4, 3), acts=("tanh", "relu", "linear"))
+        u = UtilityFn(net, toy_samples(net, 6, seed=48), learning_rate=0.3)
+        u.bind_batch(toy_samples(net, 9, seed=49))
+        masks = np.random.default_rng(50).random((2 * 64 + 37, 9)) < 0.5
+        got = []
+        for block in (1, 5, 64):
+            monkeypatch.setattr(UtilityFn, "BLOCK", block)
+            got.append(u.utilities(masks))
+        assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+
+    @pytest.mark.parametrize("dims, acts", [((8, 16, 3), ("relu", "linear")),
+                                            ((8, 64, 64, 5), ("relu", "tanh", "linear"))])
+    def test_matches_reference_at_fixed_shapes(self, dims, acts):
+        # the shipped fidelity shape (probe 16, 60 validation samples) and a wider net
+        net = toy_net(seed=51, dims=dims, acts=acts)
+        rng = np.random.default_rng(52)
+        for layer in net.layers:
+            layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
+        val = toy_samples(net, 60, seed=53)
+        batch = toy_samples(net, 16, seed=54)
+        masks = np.vstack([np.ones((1, 16), dtype=bool), rng.random((150, 16)) < 0.5])
+        u = UtilityFn(net, val, learning_rate=0.05)
+        u.bind_batch(batch)
+        ref = ReferenceGame(net, val, batch, 0.05)
+        np.testing.assert_allclose(u.utilities(masks), [ref.value(row) for row in masks],
+                                   rtol=0, atol=1e-12)
+
     def test_empty_coalition_exactly_zero(self):
         net = toy_net(seed=44)
         u = UtilityFn(net, toy_samples(net, 4, seed=45), learning_rate=0.5)
@@ -285,6 +313,18 @@ class TestShapleyMC:
         mc = shapley_mc(u, batch, permutations=6, seed=0, exhaustive=True)
         np.testing.assert_allclose(mc.values, exact.values, atol=1e-9)
         assert mc.permutations_used == math.factorial(3)
+
+    def test_exhaustive_past_eight_rejected_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("orderings enumerated")
+
+        monkeypatch.setattr(itertools, "permutations", unreachable)
+        net = toy_net()
+        u = UtilityFn(net, toy_samples(net, 3, seed=0), learning_rate=0.1)
+        with pytest.raises(ValueError, match="limited to 8 samples, got 9"):
+            shapley_mc(u, toy_samples(net, 9, seed=1), permutations=1, seed=0,
+                       exhaustive=True)
+        assert u._batch is None
 
     def test_duplicates_within_three_stderr(self):
         net = toy_net(seed=21)
