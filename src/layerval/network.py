@@ -137,12 +137,18 @@ class ParamGrads:
         return np.concatenate(parts)
 
 
-def _apply_activation(kind: Activation, s: np.ndarray) -> np.ndarray:
-    if kind is Activation.LINEAR:
-        return s
+def _apply_activation(kind: Activation, s: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of s, written into out when it is given (out may be s itself)."""
     if kind is Activation.RELU:
-        return np.maximum(s, 0.0)
-    return np.tanh(s)
+        return np.maximum(s, 0.0, out=out)
+    if kind is Activation.TANH:
+        return np.tanh(s, out=out)
+    if out is None:
+        return s
+    if out is not s:
+        out[...] = s
+    return out
 
 
 def _activation_derivative(kind: Activation, s: np.ndarray) -> np.ndarray:

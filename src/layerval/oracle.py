@@ -40,15 +40,22 @@ class UtilityFn:
     """One-step validation-loss-decrease game over a frozen checkpoint.
 
     A coalition's step is rank-1 per member and layer: with D_l[i] the flat
-    g_l(i) (x) a~_l(i) from the bound batch's taps, [dW(l) | db(l)] summed
-    over S is M @ D_l for the membership row M. Coalitions are evaluated in
-    blocks of BLOCK with stacked weights and feature-major (b, d, V)
-    activations. Evaluations are pure: the frozen parameters are never
-    mutated. Call bind_batch (or pass the batch to the Shapley helpers, which
-    do it) before querying subsets.
+    g_l(i) (x) a~_l(i) from the bound batch's taps, a coalition's flat
+    weights [W|b] - eta * sum_{i in S} D_l[i] are the product of the row
+    [1, M] (M its 0/1 membership) with E_l = [ravel([W|b]); -eta * D_l].
+    Coalitions are evaluated in blocks of BLOCK: one stacked (1, n+1) @ E_l
+    product per coalition gives its weights, and the validation activations
+    are feature-major (b, d+1, V) with a ones row, so each layer's W a + b is
+    one stacked matmul into a buffer reused by every block, activated in
+    place. Evaluations are pure: the frozen parameters are never mutated.
+    Call bind_batch (or pass the batch to the Shapley helpers, which do it)
+    before querying subsets.
     """
 
-    BLOCK = 64  # coalitions per block; 32 was as fast, 16 slower, 128 and 256 no faster
+    # coalitions per block; utilities over the 20 shipped fidelity checkpoints,
+    # one BLAS thread, median of 3: 16 -> 1.01 s, 32 -> 0.80, 64 -> 0.68,
+    # 128 -> 0.72, 256 -> 0.79
+    BLOCK = 64
 
     def __init__(self, net: MLP, val_samples: list[Sample], learning_rate: float):
         if learning_rate <= 0.0:
@@ -61,20 +68,24 @@ class UtilityFn:
         self.val_y = np.array([s.label for s in val_samples], dtype=np.int64)
         self._base_loss = float(batch_taps(self.net, self.val_x, self.val_y,
                                            backward=False).losses.mean())
-        self._layers = [(np.hstack([l.weights, l.bias[:, None]]), l.spec.activation)
-                        for l in self.net.layers]
+        # [X^T; 1]: the first layer's bias rides in its matmul
+        self._val_a = np.vstack([self.val_x.T, np.ones((1, len(self.val_y)))])
+        self._onehot = (np.arange(self.net.out_dim)[:, None] == self.val_y).astype(np.float64)
         self._batch: list[Sample] | None = None
-        self._steps: list[np.ndarray] | None = None
+        self._weight_rows: list[np.ndarray] | None = None
 
     def bind_batch(self, batch: list[Sample]) -> None:
-        """Take the batch's taps (one full batched pass) and step rows D_l for subset queries."""
+        """Take the batch's taps (one full batched pass) and weight rows E_l for subset queries."""
         if not batch:
             raise ValueError("empty batch")
         taps = batch_taps(self.net, np.stack([s.features for s in batch]),
                           np.array([s.label for s in batch], dtype=np.int64),
                           backward=True)
-        self._steps = [(G[:, :, None] * A[:, None, :]).reshape(len(batch), -1)
-                       for A, G in zip(taps.acts, taps.grads)]
+        eta = self.learning_rate
+        self._weight_rows = [
+            np.vstack([np.hstack([l.weights, l.bias[:, None]]).ravel(),
+                       -eta * (G[:, :, None] * A[:, None, :]).reshape(len(batch), -1)])
+            for l, A, G in zip(self.net.layers, taps.acts, taps.grads)]
         self._batch = list(batch)
 
     def _ensure_batch(self, batch: list[Sample] | None = None) -> list[Sample]:
@@ -93,24 +104,36 @@ class UtilityFn:
         if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
             raise ValueError(f"need an (m, {n}) boolean membership matrix, "
                              f"got {masks.dtype} {masks.shape}")
-        cols = np.arange(len(self.val_y))
-        values = np.zeros(masks.shape[0])
-        # pre-activation buffers reused by every block: no per-block ~0.5 MB mmap churn
-        bufs = [np.empty((min(self.BLOCK, len(masks)), wb.shape[0], len(cols)))
-                for wb, _ in self._layers]
-        for start in range(0, masks.shape[0], self.BLOCK):
-            member = masks[start:start + self.BLOCK].astype(np.float64)
-            a = self.val_x.T
-            for (wb, act), D, buf in zip(self._layers, self._steps, bufs):
-                # einsum, not a GEMM over the block: a row's sum must not depend on the block
-                step = np.einsum("mi,ik->mk", member, D).reshape(-1, *wb.shape)
-                w = wb - self.learning_rate * step
-                s = np.matmul(w[:, :, :-1], a, out=buf[:len(member)])
-                s += w[:, :, -1:]
-                a = _apply_activation(act, s)
-            shifted = s - s.max(axis=1, keepdims=True)
-            losses = np.log(np.exp(shifted).sum(axis=1)) - shifted[:, self.val_y, cols]
-            values[start:start + self.BLOCK] = self._base_loss - losses.mean(axis=1)
+        V = len(self.val_y)
+        b = min(self.BLOCK, len(masks))
+        values = np.zeros(len(masks))
+        member = np.ones((b, n + 1))  # [1, M]: column 0 picks the frozen weights
+        # buffers reused by every block (no per-block ~0.5 MB mmap churn); a
+        # hidden layer's last row stays 1 and carries the next layer's bias
+        layers = self.net.layers
+        bufs = [np.ones((b, l.weights.shape[0] + 1, V)) for l in layers[:-1]]
+        bufs.append(np.empty((b, self.net.out_dim, V)))
+        for start in range(0, len(masks), self.BLOCK):
+            m = min(self.BLOCK, len(masks) - start)
+            member[:m, 1:] = masks[start:start + m]
+            a = self._val_a
+            for l, E, buf in zip(layers, self._weight_rows, bufs):
+                out_dim, in_dim = l.weights.shape
+                # one (1, n+1) @ E_l product per coalition, not a GEMM over the
+                # block: a row's bits must not depend on the block it lands in
+                w = np.matmul(member[:m, None, :], E).reshape(m, out_dim, in_dim + 1)
+                h = buf[:m]
+                np.matmul(w, a, out=h[:, :out_dim])
+                if l is not layers[-1]:
+                    _apply_activation(l.spec.activation, h, out=h)
+                    h[:, -1] = 1.0
+                a = h
+            top = a.max(axis=1)
+            label = np.einsum("mcv,cv->m", a, self._onehot)
+            a -= top[:, None, :]
+            np.exp(a, out=a)
+            lse = (np.log(a.sum(axis=1)) + top).sum(axis=1)
+            values[start:start + m] = self._base_loss - (lse - label) / V
         values[~masks.any(axis=1)] = 0.0
         return values
 
@@ -172,7 +195,7 @@ def shapley_mc(u: UtilityFn, batch: list[Sample], permutations: int, seed: int,
     if exhaustive:
         orders = np.array(list(itertools.permutations(range(n))))
     else:
-        orders = np.stack([rng.permutation(n) for _ in range(permutations)])
+        orders = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
     draws = orders.shape[0]
     # prefixes[r, k] is the coalition of the first k + 1 members of ordering r
     prefixes = np.zeros((draws, n, n), dtype=bool)

@@ -202,6 +202,18 @@ class TestBatchedUtilities:
         np.testing.assert_allclose(u.utilities(masks), [ref.value(row) for row in masks],
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dims, acts", [((8, 16, 3), ("relu", "linear")),
+                                            ((8, 64, 64, 5), ("relu", "tanh", "linear"))])
+    def test_row_placement_invariant(self, dims, acts):
+        # a coalition's value is the same bits wherever its row sits in the matrix
+        net = toy_net(seed=55, dims=dims, acts=acts)
+        u = UtilityFn(net, toy_samples(net, 60, seed=56), learning_rate=0.05)
+        u.bind_batch(toy_samples(net, 16, seed=57))
+        rng = np.random.default_rng(58)
+        masks = rng.random((3 * UtilityFn.BLOCK + 29, 16)) < 0.5
+        p = rng.permutation(len(masks))
+        assert u.utilities(masks[p]).tobytes() == u.utilities(masks)[p].tobytes()
+
     def test_empty_coalition_exactly_zero(self):
         net = toy_net(seed=44)
         u = UtilityFn(net, toy_samples(net, 4, seed=45), learning_rate=0.5)
@@ -363,6 +375,24 @@ class TestShapleyMC:
                 prev = cur
         assert np.array_equal(est.values, marginals.mean(axis=0))
         assert np.array_equal(est.stderr, marginals.std(axis=0, ddof=1) / math.sqrt(30))
+
+    def test_equals_one_permutation_at_a_time_sixteen(self):
+        # the same walk at the shipped probe size, where prefixes share blocks
+        net = toy_net(seed=64, dims=(8, 16, 3))
+        batch = toy_samples(net, 16, seed=65)
+        u = UtilityFn(net, toy_samples(net, 60, seed=66), learning_rate=0.05)
+        est = shapley_mc(u, batch, permutations=40, seed=67)
+        rng = np.random.default_rng(67)
+        marginals = np.zeros((40, 16))
+        for r in range(40):
+            mask, prev = 0, 0.0
+            for i in rng.permutation(16).tolist():
+                mask |= 1 << i
+                cur = u.utility_of_mask(mask)
+                marginals[r, i] = cur - prev
+                prev = cur
+        assert np.array_equal(est.values, marginals.mean(axis=0))
+        assert np.array_equal(est.stderr, marginals.std(axis=0, ddof=1) / math.sqrt(40))
 
     def test_seed_determinism(self):
         net = toy_net(seed=30)
