@@ -8,18 +8,10 @@ fidelity checks, and batch-curation training policies.
 from .data import DatasetBundle, Sample
 from .influence import (
     Estimator,
-    InfluenceScore,
     PairSimilarities,
     Preconditioner,
-    SignConvention,
-    aggregate_over_validation,
-    ghost_influence,
-    ip_influence,
-    lai_influence,
-    lli_influence,
     pair_matrix,
     pair_similarities,
-    preconditioned_score,
 )
 from .network import (
     MLP,

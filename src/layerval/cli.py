@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from . import serialize
 from .data import load_bundle, make_noisy_blob_bundle
 from .evaluation import emit_reports, run_fidelity
 from .influence import Estimator, bound_diagnostics, variance_diagnostic
-from .network import MLP, evaluate_sample, load_checkpoint, save_checkpoint
+from .network import MLP, load_checkpoint, save_checkpoint
 from .oracle import EXHAUSTIVE_MAX
 from .trainer import (
     CostLedger,
@@ -27,6 +28,7 @@ from .trainer import (
     build_validation_cache,
     curate_batch,
     ledger_compare,
+    sample_taps,
     train,
 )
 
@@ -333,13 +335,13 @@ def cmd_diagnose(config: dict) -> int:
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
     net = load_checkpoint(ckpt_path)
     bundle = build_dataset(config)
-    pairs = []
-    for i in range(min(d["pair_count"], len(bundle.train))):
-        z = bundle.validation[i % len(bundle.validation)]
-        j = bundle.train[i]
-        pairs.append((evaluate_sample(net, z.features, z.label),
-                      evaluate_sample(net, j.features, j.label)))
-    bound = bound_diagnostics(pairs)
+    for name, rows in (("train.csv", bundle.train), ("val.csv", bundle.validation)):
+        if not rows:  # only CSV splits can be empty: generated splits never are
+            raise ValueError(f"{Path(config['dataset']['dir']) / name}: no rows")
+    n = min(d["pair_count"], len(bundle.train))
+    val_rows = [bundle.validation[i % len(bundle.validation)] for i in range(n)]
+    bound = bound_diagnostics(sample_taps(net, val_rows, backward=True),
+                              sample_taps(net, bundle.train[:n], backward=True))
     serialize.dump_json({
         "depth": bound.depth,
         "rho_hat": bound.rho_hat,
@@ -372,12 +374,8 @@ def cmd_diagnose(config: dict) -> int:
     ledger = CostLedger()
     for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI):
         cache = build_validation_cache(net, subset, est, step_id=0)
-        method_cfg = TrainerConfig(
-            learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-            epochs=cfg.epochs, warmup_epochs=cfg.warmup_epochs,
-            estimator=est, mode=cfg.mode, threshold=cfg.threshold,
-            cache_refresh_steps=cfg.cache_refresh_steps, seed=cfg.seed)
-        curate_batch(net, batch, cache, method_cfg, step_id=0, ledger=ledger)
+        curate_batch(net, batch, cache, dataclasses.replace(cfg, estimator=est),
+                     step_id=0, ledger=ledger)
     record = ledger_compare(ledger, [Estimator.GHOST, Estimator.LAI, Estimator.LLI])
     serialize.dump_json(record, out / "cost.json")
     return 0

@@ -15,7 +15,6 @@ from .trainer import (
     CurationMode,
     TrainerConfig,
     TrainingReport,
-    mean_loss_and_accuracy,
     sample_taps,
     train,
 )
@@ -59,13 +58,6 @@ def average_ranks(xs) -> np.ndarray:
 def spearman(xs, ys) -> float:
     """Pearson correlation of average ranks."""
     return pearson(average_ranks(xs), average_ranks(ys))
-
-
-def accuracy(net: MLP, samples: list[Sample]) -> float:
-    """Fraction with argmax(logits) == label; argmax ties go to the lowest index."""
-    if not samples:
-        raise ValueError("empty sample list")
-    return mean_loss_and_accuracy(net, samples)[1]
 
 
 @dataclass

@@ -13,13 +13,18 @@ through per-layer similarities of the recorded taps:
 
 The bias augmentation makes alpha(l)*beta(l) equal the weight+bias gradient
 inner product at layer l exactly, so Ghost reproduces IP for any activation
-kind. Scores carry the classical influence sign (leading minus: negative means
-beneficial); negate them for benefit scores where positive means helpful.
+kind. The formulas carry the classical influence sign (leading minus:
+negative means beneficial); pair_matrix returns benefit scores, where
+positive means helpful.
 
 Because each per-sample gradient is rank-1 per layer, the scores of every
 (z, j) pair of two batches are products of per-layer Gram matrices of the
 row-stacked taps; pair_matrix is that batched form and the one scoring path
-of the trainer and the fidelity protocol.
+of the trainer, the fidelity protocol and the diagnostics.
+
+pair_similarities is the per-sample form of alpha and beta. No command calls
+it: it stays because the benchmark tracer (perfbench/job.py) binds it by
+name, and the tests check the batched scorer against it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import MLP, BatchTaps, ParamGrads, SampleTaps, evaluate_sample
+from .network import MLP, BatchTaps, SampleTaps, batch_taps
 
 
 class Estimator(str, Enum):
@@ -40,23 +45,6 @@ class Estimator(str, Enum):
     LLI = "lli"
     PRECOND_LAI = "precond_lai"
     NONE = "none"
-
-
-class SignConvention(str, Enum):
-    INFLUENCE = "influence"  # leading minus: negative means beneficial
-    BENEFIT = "benefit"  # positive means beneficial
-
-
-@dataclass(frozen=True)
-class InfluenceScore:
-    value: float
-    estimator: Estimator
-    convention: SignConvention = SignConvention.INFLUENCE
-
-    def to_benefit(self) -> "InfluenceScore":
-        if self.convention is SignConvention.BENEFIT:
-            return self
-        return InfluenceScore(-self.value, self.estimator, SignConvention.BENEFIT)
 
 
 @dataclass
@@ -96,11 +84,6 @@ class BoundReport:
     depth: int
 
 
-def augmented(activation: np.ndarray) -> np.ndarray:
-    """Activation vector with a constant 1 appended (absorbs the bias column)."""
-    return np.concatenate([activation, [1.0]])
-
-
 def pair_similarities(taps_z: SampleTaps, taps_j: SampleTaps,
                       calibrate: bool = False) -> PairSimilarities:
     """Per-layer embedding and gradient similarities of two completed taps.
@@ -124,43 +107,6 @@ def pair_similarities(taps_z: SampleTaps, taps_j: SampleTaps,
             alpha[l] /= az.shape[0] + 1
         beta[l] = float(np.dot(taps_z.layer_grads[l], taps_j.layer_grads[l]))
     return PairSimilarities(alpha=alpha, beta=beta)
-
-
-def ip_influence(pg_z: ParamGrads, pg_j: ParamGrads) -> InfluenceScore:
-    """Full-parameter gradient inner product, negated."""
-    if len(pg_z.weight_grads) != len(pg_j.weight_grads):
-        raise ValueError("gradient structures differ in depth")
-    total = 0.0
-    for wz, wj, bz, bj in zip(pg_z.weight_grads, pg_j.weight_grads,
-                              pg_z.bias_grads, pg_j.bias_grads):
-        if wz.shape != wj.shape:
-            raise ValueError("gradient shape mismatch")
-        total += float(np.dot(wz.ravel(), wj.ravel())) + float(np.dot(bz, bj))
-    return InfluenceScore(-total, Estimator.IP)
-
-
-def ghost_influence(sims: PairSimilarities) -> InfluenceScore:
-    """Layerwise decomposition: -sum_l alpha(l) beta(l)."""
-    return InfluenceScore(-float(np.dot(sims.alpha, sims.beta)), Estimator.GHOST)
-
-
-def lai_influence(sims: PairSimilarities) -> InfluenceScore:
-    """Layer-aware estimator: -(sum_l alpha(l)) * beta(L)."""
-    return InfluenceScore(-float(sims.alpha.sum() * sims.beta[-1]), Estimator.LAI)
-
-
-def lli_influence(sims: PairSimilarities) -> InfluenceScore:
-    """Last-layer-only estimator: -alpha(L) * beta(L)."""
-    return InfluenceScore(-float(sims.alpha[-1] * sims.beta[-1]), Estimator.LLI)
-
-
-def preconditioned_score(gl_z: np.ndarray, gl_j: np.ndarray, sims: PairSimilarities,
-                         precond: Preconditioner) -> InfluenceScore:
-    """LAI with the output-gradient similarity taken in the D^(-1/2) space."""
-    if np.any(precond.diag < precond.floor) or np.any(precond.diag <= 0.0):
-        raise ValueError("preconditioner entries must be >= floor > 0")
-    beta_tilde = float(np.dot(gl_z / np.sqrt(precond.diag), gl_j / np.sqrt(precond.diag)))
-    return InfluenceScore(-float(sims.alpha.sum() * beta_tilde), Estimator.PRECOND_LAI)
 
 
 def _flat_grads(taps: BatchTaps, l: int) -> np.ndarray:
@@ -209,21 +155,6 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
     return alpha * (gz @ gj.T)
 
 
-def aggregate_over_validation(scores: list[InfluenceScore]) -> InfluenceScore:
-    """Sum per-pair scores of a single estimator/convention.
-
-    Uses math.fsum, so the result is independent of the list order.
-    """
-    if not scores:
-        raise ValueError("cannot aggregate an empty score list")
-    estimator = scores[0].estimator
-    convention = scores[0].convention
-    for s in scores[1:]:
-        if s.estimator is not estimator or s.convention is not convention:
-            raise ValueError("cannot aggregate scores of mixed estimators or conventions")
-    return InfluenceScore(math.fsum(s.value for s in scores), estimator, convention)
-
-
 def update_preconditioner(precond: Preconditioner, output_grads) -> Preconditioner:
     """EMA step: D <- decay*D + (1-decay)*mean(g_L^2), floored.
 
@@ -236,15 +167,11 @@ def update_preconditioner(precond: Preconditioner, output_grads) -> Precondition
     return Preconditioner(np.maximum(diag, precond.floor), precond.decay, precond.floor)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v)) / (nu * nv)
 
 
-def bound_diagnostics(pairs: list[tuple[SampleTaps, SampleTaps]]) -> BoundReport:
-    """Measure the Ghost-vs-LAI gap against its geometric depth bound.
+def bound_diagnostics(z_taps: BatchTaps, j_taps: BatchTaps) -> BoundReport:
+    """Measure the Ghost-vs-LAI gap against its geometric depth bound over the
+    pairs (row i of z_taps, row i of j_taps), taken from full backward passes.
 
     rho_hat is the smallest decay rate consistent with the recorded gradient
     norms; ca_hat the largest augmented-activation norm; alpha_bar the
@@ -253,41 +180,35 @@ def bound_diagnostics(pairs: list[tuple[SampleTaps, SampleTaps]]) -> BoundReport
         (ca_hat^2 / alpha_bar) * sum_{l=1..L-1} rho_hat^(2l)
 
     dominates |Ghost - LAI| / |LAI| when the decay/positivity/alignment
-    assumptions hold; assumptions_hold records whether they did here.
+    assumptions hold; assumptions_hold records whether they did here. The
+    Ghost and LAI totals are the traces of pair_matrix.
     """
-    if not pairs:
-        raise ValueError("need at least one pair of taps")
-    depth = len(pairs[0][0].layer_grads)
+    if z_taps.size == 0 or z_taps.size != j_taps.size:
+        raise ValueError(f"need one j row per z row and at least one pair, "
+                         f"got {z_taps.size} and {j_taps.size}")
+    ghost_total = -float(np.trace(pair_matrix(Estimator.GHOST, z_taps, j_taps)))
+    lai_total = -float(np.trace(pair_matrix(Estimator.LAI, z_taps, j_taps)))
+    depth = len(z_taps.grads)
+    # per-layer gradient norms and similarities of each pair, shape (L, pairs)
+    norms_z = np.array([np.linalg.norm(g, axis=1) for g in z_taps.grads])
+    norms_j = np.array([np.linalg.norm(g, axis=1) for g in j_taps.grads])
+    beta = np.array([np.einsum("ij,ij->i", gz, gj)
+                     for gz, gj in zip(z_taps.grads, j_taps.grads)])
     rho_hat = 0.0
-    ca_hat = 0.0
-    alpha_bar = math.inf
-    betas_nonneg = True
-    alignment_monotone = True
-    ghost_total = 0.0
-    lai_total = 0.0
-    for taps_z, taps_j in pairs:
-        if not (taps_z.complete and taps_j.complete):
-            raise ValueError("all taps must be complete")
-        for taps in (taps_z, taps_j):
-            gl_norm = float(np.linalg.norm(taps.layer_grads[-1]))
-            for l in range(depth - 1):
-                if gl_norm > 0.0:
-                    ratio = float(np.linalg.norm(taps.layer_grads[l])) / gl_norm
-                    rho_hat = max(rho_hat, ratio ** (1.0 / (depth - 1 - l)))
-            for a in taps.activations:
-                ca_hat = max(ca_hat, float(np.linalg.norm(augmented(a))))
-        sims = pair_similarities(taps_z, taps_j)
-        alpha_bar = min(alpha_bar, float(sims.alpha[-1]))
-        if np.any(sims.beta < 0.0):
-            betas_nonneg = False
-        cosines = [_cosine(taps_z.layer_grads[l], taps_j.layer_grads[l]) for l in range(depth)]
-        for l in range(depth - 1):
-            if cosines[l] > cosines[l + 1] + 1e-12:
-                alignment_monotone = False
-        ghost_total += ghost_influence(sims).value
-        lai_total += lai_influence(sims).value
+    exponents = 1.0 / np.arange(depth - 1, 0, -1)[:, None]  # 1/(L-1-l) for l < L-1
+    for norms in (norms_z, norms_j):
+        live = norms[-1] > 0.0
+        ratios = norms[:-1, live] / norms[-1, live]
+        rho_hat = max(rho_hat, float(np.max(ratios ** exponents, initial=0.0)))
+    ca_hat = max(float(np.linalg.norm(a, axis=1).max())
+                 for a in (*z_taps.acts, *j_taps.acts))
+    alpha_bar = float(np.einsum("ij,ij->i", z_taps.acts[-1], j_taps.acts[-1]).min())
+    norm_products = norms_z * norms_j
+    cosines = np.divide(beta, norm_products, out=np.zeros_like(beta),
+                        where=norm_products > 0.0)
+    alignment_monotone = not np.any(cosines[:-1] > cosines[1:] + 1e-12)
     assumptions_hold = (rho_hat < 1.0 and alpha_bar > 0.0
-                        and betas_nonneg and alignment_monotone)
+                        and not np.any(beta < 0.0) and alignment_monotone)
     if lai_total == 0.0:
         measured = None
     else:
@@ -301,7 +222,7 @@ def bound_diagnostics(pairs: list[tuple[SampleTaps, SampleTaps]]) -> BoundReport
     return BoundReport(
         rho_hat=rho_hat,
         ca_hat=ca_hat,
-        alpha_bar=alpha_bar if math.isfinite(alpha_bar) else 0.0,
+        alpha_bar=alpha_bar,
         measured_rel_gap=measured,
         bound_value=bound,
         assumptions_hold=assumptions_hold,
@@ -316,6 +237,8 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
     The probe pair's own score enters every draw (a constant shift); each
     of `resamples` draws adds a size-`subset_size` subset of the pool and
     the Ghost/LAI totals are recorded. Returns the two sample variances.
+    The scores against the probe sample come from one batched pass over the
+    anchor and the pool and one over the probe.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples for a variance")
@@ -324,22 +247,18 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
     if not val_pool:
         raise ValueError("empty validation pool")
     anchor, probe = probe_pair
-    probe_taps = evaluate_sample(net, probe.features, probe.label)
-    anchor_sims = pair_similarities(evaluate_sample(net, anchor.features, anchor.label), probe_taps)
-    ghost_anchor = ghost_influence(anchor_sims).value
-    lai_anchor = lai_influence(anchor_sims).value
-    # per-pair scores against the pool are fixed by the frozen net: compute once
-    ghost_pool = np.empty(len(val_pool))
-    lai_pool = np.empty(len(val_pool))
-    for i, z in enumerate(val_pool):
-        sims = pair_similarities(evaluate_sample(net, z.features, z.label), probe_taps)
-        ghost_pool[i] = ghost_influence(sims).value
-        lai_pool[i] = lai_influence(sims).value
+    rows = [anchor, *val_pool]
+    z_taps = batch_taps(net, np.stack([s.features for s in rows]),
+                        np.array([s.label for s in rows]), backward=True)
+    j_taps = batch_taps(net, probe.features[None, :], np.array([probe.label]), backward=True)
+    # influence sign: column 0 holds every row's score against the probe
+    ghost = -pair_matrix(Estimator.GHOST, z_taps, j_taps)[:, 0]
+    lai = -pair_matrix(Estimator.LAI, z_taps, j_taps)[:, 0]
     rng = np.random.default_rng(seed)
     ghost_draws = np.empty(resamples)
     lai_draws = np.empty(resamples)
     for r in range(resamples):
-        idx = np.sort(rng.choice(len(val_pool), size=subset_size, replace=False))
-        ghost_draws[r] = ghost_anchor + float(ghost_pool[idx].sum())
-        lai_draws[r] = lai_anchor + float(lai_pool[idx].sum())
+        idx = 1 + np.sort(rng.choice(len(val_pool), size=subset_size, replace=False))
+        ghost_draws[r] = ghost[0] + float(ghost[idx].sum())
+        lai_draws[r] = lai[0] + float(lai[idx].sum())
     return float(np.var(ghost_draws, ddof=1)), float(np.var(lai_draws, ddof=1))

@@ -5,11 +5,14 @@ Backward:  g(L) = softmax(logits) - onehot(label)
            g(l-1) = W(l)^T g(l) * act'(s(l-1))
 Grads:     dW(l) = g(l) a(l-1)^T,   db(l) = g(l)
 
-Every intermediate activation a(l) and loss-to-pre-activation gradient g(l)
-is recorded in a SampleTaps so downstream scoring can form embedding and
-gradient similarities without re-running passes. batch_taps runs the same
-passes for a whole batch at once and row-stacks the taps; the per-sample
-functions stay as its reference. All arithmetic is float64.
+batch_taps runs these passes for a whole batch at once and row-stacks every
+augmented activation [a(l-1), 1] and loss-to-pre-activation gradient g(l)
+in a BatchTaps; every command takes its taps from it. The per-sample
+functions (forward, loss_and_output_grad, backward_taps, param_grads,
+evaluate_sample and their SampleTaps/ParamGrads records) are called by no
+command. They stay because the benchmark tracer (perfbench/job.py) binds
+them by name, and the tests check batch_taps against them. All arithmetic
+is float64.
 """
 
 from __future__ import annotations

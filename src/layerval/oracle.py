@@ -145,17 +145,6 @@ class UtilityFn:
         return float(self.utilities(np.array([[mask >> i & 1 for i in range(n)]], dtype=bool))[0])
 
 
-def subset_utility(u: UtilityFn, subset: set[int] | list[int]) -> float:
-    """v(S) for an index subset of the bound batch; the empty set is worth 0."""
-    batch = u._ensure_batch()
-    mask = 0
-    for i in subset:
-        if not 0 <= i < len(batch):
-            raise ValueError(f"subset index {i} outside the batch")
-        mask |= 1 << i
-    return u.utility_of_mask(mask)
-
-
 def shapley_exact(u: UtilityFn, batch: list[Sample]) -> ShapleyEstimate:
     """Exact Shapley values by 2^n subset enumeration (n <= 10)."""
     n = len(batch)

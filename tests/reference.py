@@ -1,0 +1,140 @@
+"""Per-sample reference forms of the scorers and diagnostics in layerval.influence.
+
+Each function works on one pair of taps from network.evaluate_sample at a
+time and returns plain floats with the influence sign (leading minus:
+negative means beneficial). Tests compare the batched, shipped forms
+(influence.pair_matrix, bound_diagnostics, variance_diagnostic) against them.
+"""
+
+import math
+
+import numpy as np
+
+from layerval.influence import BoundReport, PairSimilarities, Preconditioner, pair_similarities
+from layerval.network import MLP, ParamGrads, SampleTaps, evaluate_sample
+
+
+def ip_influence(pg_z: ParamGrads, pg_j: ParamGrads) -> float:
+    """Full-parameter gradient inner product, negated."""
+    if len(pg_z.weight_grads) != len(pg_j.weight_grads):
+        raise ValueError("gradient structures differ in depth")
+    total = 0.0
+    for wz, wj, bz, bj in zip(pg_z.weight_grads, pg_j.weight_grads,
+                              pg_z.bias_grads, pg_j.bias_grads):
+        if wz.shape != wj.shape:
+            raise ValueError("gradient shape mismatch")
+        total += float(np.dot(wz.ravel(), wj.ravel())) + float(np.dot(bz, bj))
+    return -total
+
+
+def ghost_influence(sims: PairSimilarities) -> float:
+    """Layerwise decomposition: -sum_l alpha(l) beta(l)."""
+    return -float(np.dot(sims.alpha, sims.beta))
+
+
+def lai_influence(sims: PairSimilarities) -> float:
+    """Layer-aware estimator: -(sum_l alpha(l)) * beta(L)."""
+    return -float(sims.alpha.sum() * sims.beta[-1])
+
+
+def lli_influence(sims: PairSimilarities) -> float:
+    """Last-layer-only estimator: -alpha(L) * beta(L)."""
+    return -float(sims.alpha[-1] * sims.beta[-1])
+
+
+def preconditioned_score(gl_z: np.ndarray, gl_j: np.ndarray, sims: PairSimilarities,
+                         precond: Preconditioner) -> float:
+    """LAI with the output-gradient similarity taken in the D^(-1/2) space."""
+    if np.any(precond.diag < precond.floor) or np.any(precond.diag <= 0.0):
+        raise ValueError("preconditioner entries must be >= floor > 0")
+    beta_tilde = float(np.dot(gl_z / np.sqrt(precond.diag), gl_j / np.sqrt(precond.diag)))
+    return -float(sims.alpha.sum() * beta_tilde)
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v)) / (nu * nv)
+
+
+def bound_diagnostics(pairs: list[tuple[SampleTaps, SampleTaps]]) -> BoundReport:
+    """influence.bound_diagnostics, one (z, j) pair of completed taps at a time."""
+    if not pairs:
+        raise ValueError("need at least one pair of taps")
+    depth = len(pairs[0][0].layer_grads)
+    rho_hat = 0.0
+    ca_hat = 0.0
+    alpha_bar = math.inf
+    betas_nonneg = True
+    alignment_monotone = True
+    ghost_total = 0.0
+    lai_total = 0.0
+    for taps_z, taps_j in pairs:
+        if not (taps_z.complete and taps_j.complete):
+            raise ValueError("all taps must be complete")
+        for taps in (taps_z, taps_j):
+            gl_norm = float(np.linalg.norm(taps.layer_grads[-1]))
+            for l in range(depth - 1):
+                if gl_norm > 0.0:
+                    ratio = float(np.linalg.norm(taps.layer_grads[l])) / gl_norm
+                    rho_hat = max(rho_hat, ratio ** (1.0 / (depth - 1 - l)))
+            for a in taps.activations:
+                ca_hat = max(ca_hat, float(np.linalg.norm(np.append(a, 1.0))))
+        sims = pair_similarities(taps_z, taps_j)
+        alpha_bar = min(alpha_bar, float(sims.alpha[-1]))
+        if np.any(sims.beta < 0.0):
+            betas_nonneg = False
+        cosines = [_cosine(taps_z.layer_grads[l], taps_j.layer_grads[l]) for l in range(depth)]
+        for l in range(depth - 1):
+            if cosines[l] > cosines[l + 1] + 1e-12:
+                alignment_monotone = False
+        ghost_total += ghost_influence(sims)
+        lai_total += lai_influence(sims)
+    assumptions_hold = (rho_hat < 1.0 and alpha_bar > 0.0
+                        and betas_nonneg and alignment_monotone)
+    if lai_total == 0.0:
+        measured = None
+    else:
+        measured = abs(ghost_total - lai_total) / abs(lai_total)
+    if depth == 1:
+        bound = 0.0
+    elif alpha_bar > 0.0:
+        bound = (ca_hat ** 2 / alpha_bar) * sum(rho_hat ** (2 * l) for l in range(1, depth))
+    else:
+        bound = math.inf
+    return BoundReport(rho_hat=rho_hat, ca_hat=ca_hat,
+                       alpha_bar=alpha_bar if math.isfinite(alpha_bar) else 0.0,
+                       measured_rel_gap=measured, bound_value=bound,
+                       assumptions_hold=assumptions_hold, depth=depth)
+
+
+def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
+                        subset_size: int, seed: int) -> tuple[float, float]:
+    """influence.variance_diagnostic, one evaluate_sample call per sample."""
+    if resamples < 2:
+        raise ValueError("need at least two resamples for a variance")
+    if subset_size > len(val_pool):
+        raise ValueError("subset_size exceeds the validation pool")
+    if not val_pool:
+        raise ValueError("empty validation pool")
+    anchor, probe = probe_pair
+    probe_taps = evaluate_sample(net, probe.features, probe.label)
+    anchor_sims = pair_similarities(evaluate_sample(net, anchor.features, anchor.label),
+                                    probe_taps)
+    ghost_anchor = ghost_influence(anchor_sims)
+    lai_anchor = lai_influence(anchor_sims)
+    ghost_pool = np.empty(len(val_pool))
+    lai_pool = np.empty(len(val_pool))
+    for i, z in enumerate(val_pool):
+        sims = pair_similarities(evaluate_sample(net, z.features, z.label), probe_taps)
+        ghost_pool[i] = ghost_influence(sims)
+        lai_pool[i] = lai_influence(sims)
+    rng = np.random.default_rng(seed)
+    ghost_draws = np.empty(resamples)
+    lai_draws = np.empty(resamples)
+    for r in range(resamples):
+        idx = np.sort(rng.choice(len(val_pool), size=subset_size, replace=False))
+        ghost_draws[r] = ghost_anchor + float(ghost_pool[idx].sum())
+        lai_draws[r] = lai_anchor + float(lai_pool[idx].sum())
+    return float(np.var(ghost_draws, ddof=1)), float(np.var(lai_draws, ddof=1))

@@ -14,26 +14,9 @@ import pytest
 from layerval.cli import main
 from layerval.data import Sample, make_noisy_blob_bundle
 from layerval.evaluation import run_fidelity
-from layerval.influence import (
-    Estimator,
-    bound_diagnostics,
-    ghost_influence,
-    ip_influence,
-    lai_influence,
-    lli_influence,
-    pair_similarities,
-)
-from layerval.network import (
-    MLP,
-    Activation,
-    Layer,
-    LayerSpec,
-    evaluate_sample,
-    forward,
-    loss_and_output_grad,
-    param_grads,
-)
-from layerval.oracle import UtilityFn, shapley_exact, shapley_mc, subset_utility
+from layerval.influence import Estimator, bound_diagnostics, pair_matrix
+from layerval.network import MLP, Activation, Layer, LayerSpec, batch_taps
+from layerval.oracle import UtilityFn, shapley_exact, shapley_mc
 from layerval.trainer import (
     CostLedger,
     CurationMode,
@@ -62,6 +45,11 @@ def random_architecture(rng, max_depth=3, max_dim=8, out_min=2):
     return dims, acts
 
 
+def row_taps(net, x, label, backward=True):
+    """batch_taps of the single row (x, label)."""
+    return batch_taps(net, x[None, :], np.array([label]), backward)
+
+
 def sample_off_kinks(net, rng, margin=1e-3, tries=200):
     """Draw an input whose ReLU pre-activations sit away from the kink.
 
@@ -70,18 +58,29 @@ def sample_off_kinks(net, rng, margin=1e-3, tries=200):
     """
     for _ in range(tries):
         x = rng.normal(size=net.in_dim)
-        _, taps = forward(net, x)
-        ok = True
-        for layer, s in zip(net.layers, taps.pre_activations):
-            if layer.spec.activation is Activation.RELU and np.min(np.abs(s)) < margin:
-                ok = False
-                break
-        if ok:
+        taps = row_taps(net, x, 0, backward=False)
+        # s(l) = [W|b](l) [a(l-1), 1] from the augmented activation block
+        if all(layer.spec.activation is not Activation.RELU
+               or np.min(np.abs(a @ np.hstack([layer.weights, layer.bias[:, None]]).T)) >= margin
+               for layer, a in zip(net.layers, taps.acts)):
             return x
     return None
 
 
+def flat_gradient(net, x, label):
+    """[dW(1), db(1), ..., dW(L), db(L)] flattened from the rank-1 rows g(l) (x) a~(l-1)."""
+    taps = row_taps(net, x, label)
+    parts = []
+    for a, g in zip(taps.acts, taps.grads):
+        outer = np.outer(g[0], a[0])
+        parts += [outer[:, :-1].ravel(), outer[:, -1]]
+    return np.concatenate(parts)
+
+
 def finite_difference_flat(net, x, label, step=1e-5):
+    def loss():
+        return row_taps(net, x, label, backward=False).losses[0]
+
     flat = []
     for layer in net.layers:
         for arr in (layer.weights, layer.bias):
@@ -90,16 +89,16 @@ def finite_difference_flat(net, x, label, step=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                lp, _ = loss_and_output_grad(forward(net, x)[0], label)
+                lp = loss()
                 arr[idx] = orig - step
-                lm, _ = loss_and_output_grad(forward(net, x)[0], label)
+                lm = loss()
                 arr[idx] = orig
                 flat.append((lp - lm) / (2 * step))
     return np.array(flat)
 
 
 def test_criterion_1_gradient_oracle():
-    """200 seeded nets, depth <= 3, dims <= 8: analytic vs central differences."""
+    """200 seeded nets, depth <= 3, dims <= 8: batched-tap gradients vs central differences."""
     t0 = time.time()
     worst = 0.0
     checked = 0
@@ -113,7 +112,7 @@ def test_criterion_1_gradient_oracle():
         if x is None:
             continue  # net collapses every input onto a kink; skip it
         label = int(rng.integers(dims[-1]))
-        analytic = param_grads(evaluate_sample(net, x, label)).flatten()
+        analytic = flat_gradient(net, x, label)
         fd = finite_difference_flat(net, x, label)
         denom = np.maximum(np.abs(fd), 1e-4)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
@@ -124,6 +123,18 @@ def test_criterion_1_gradient_oracle():
                 f"({elapsed:.1f}s)")
 
 
+def draw_pairs(rng, dims, count):
+    """`count` (z, j) input/label pairs, drawn z then j as one pair at a time."""
+    draws = [(rng.normal(size=dims[0]), int(rng.integers(dims[-1])))
+             for _ in range(2 * count)]
+    return draws[0::2], draws[1::2]
+
+
+def pair_taps(net, rows):
+    return batch_taps(net, np.stack([x for x, _ in rows]),
+                      np.array([label for _, label in rows]), backward=True)
+
+
 def test_criterion_2_ghost_equals_ip():
     """100 seeded nets, any activations, 10 pairs: |Ghost - IP| relative <= 1e-10."""
     t0 = time.time()
@@ -132,12 +143,10 @@ def test_criterion_2_ghost_equals_ip():
         rng = np.random.default_rng(1000 + trial)
         dims, acts = random_architecture(rng)
         net = MLP.initialize(dims, acts, seed=trial)
-        for _ in range(10):
-            tz = evaluate_sample(net, rng.normal(size=dims[0]), int(rng.integers(dims[-1])))
-            tj = evaluate_sample(net, rng.normal(size=dims[0]), int(rng.integers(dims[-1])))
-            ip = ip_influence(param_grads(tz), param_grads(tj)).value
-            ghost = ghost_influence(pair_similarities(tz, tj)).value
-            worst = max(worst, abs(ghost - ip) / max(abs(ip), 1e-12))
+        z_taps, j_taps = (pair_taps(net, rows) for rows in draw_pairs(rng, dims, 10))
+        ip = np.diag(pair_matrix(Estimator.IP, z_taps, j_taps))
+        ghost = np.diag(pair_matrix(Estimator.GHOST, z_taps, j_taps))
+        worst = max(worst, float(np.max(np.abs(ghost - ip) / np.maximum(np.abs(ip), 1e-12))))
     elapsed = time.time() - t0
     report_line(2, worst <= 1e-10 and elapsed < 60,
                 f"ghost == ip: max rel gap {worst:.2e} over 1000 pairs ({elapsed:.1f}s)")
@@ -151,15 +160,11 @@ def test_criterion_3_depth_one_collapse():
         in_dim = int(rng.integers(2, 9))
         out_dim = int(rng.integers(2, 9))
         net = MLP.initialize([in_dim, out_dim], [Activation.LINEAR], seed=trial)
-        for _ in range(5):
-            tz = evaluate_sample(net, rng.normal(size=in_dim), int(rng.integers(out_dim)))
-            tj = evaluate_sample(net, rng.normal(size=in_dim), int(rng.integers(out_dim)))
-            sims = pair_similarities(tz, tj)
-            values = [ip_influence(param_grads(tz), param_grads(tj)).value,
-                      ghost_influence(sims).value,
-                      lai_influence(sims).value,
-                      lli_influence(sims).value]
-            worst = max(worst, max(values) - min(values))
+        z_taps, j_taps = (pair_taps(net, rows)
+                          for rows in draw_pairs(rng, [in_dim, out_dim], 5))
+        values = np.array([np.diag(pair_matrix(est, z_taps, j_taps)) for est in
+                           (Estimator.IP, Estimator.GHOST, Estimator.LAI, Estimator.LLI)])
+        worst = max(worst, float(np.max(values.max(axis=0) - values.min(axis=0))))
     report_line(3, worst <= 1e-12,
                 f"depth-1 collapse: max spread {worst:.2e} across 250 pairs")
 
@@ -178,8 +183,8 @@ def test_criterion_4_shapley_efficiency_and_mc():
         u = UtilityFn(net, val, learning_rate=0.1)
         est = shapley_exact(u, batch)
         u.bind_batch(batch)
-        eff_worst = max(eff_worst,
-                        abs(est.values.sum() - subset_utility(u, list(range(8)))))
+        grand = u.utilities(np.ones((1, 8), dtype=bool))[0]
+        eff_worst = max(eff_worst, abs(est.values.sum() - grand))
     mc_worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(4000 + seed)
@@ -296,8 +301,8 @@ def test_criterion_8_bound_diagnostic():
         depth = int(rng.integers(2, 5))
         net = scaled_orthogonal_net(width, depth, scale=0.9, seed=trial)
         x = 0.5 * rng.normal(size=width)
-        taps = evaluate_sample(net, x, int(rng.integers(width)))
-        rep = bound_diagnostics([(taps, taps)])
+        taps = row_taps(net, x, int(rng.integers(width)))
+        rep = bound_diagnostics(taps, taps)
         if rep.assumptions_hold:
             held += 1
             if rep.measured_rel_gap is not None \

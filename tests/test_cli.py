@@ -322,3 +322,19 @@ class TestDiagnose:
         bound = json.loads((tmp_path / "out" / "bound.json").read_text())
         assert bound["measured_rel_gap"] == 0.0
         assert bound["bound_value"] == 0.0
+
+    @pytest.mark.parametrize("name", ["train.csv", "val.csv"])
+    def test_empty_csv_split_is_runtime_error(self, tmp_path, capsys, name):
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        cfg = tiny_config(tmp_path / "run")
+        cfg["dataset"].update({"kind": "csv", "dir": str(ds_dir)})
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        path = ds_dir / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")  # header only
+        assert main(["diagnose", "--config", str(cfg_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "runtime"
+        assert err["message"] == f"{path}: no rows"

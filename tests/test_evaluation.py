@@ -10,7 +10,6 @@ from layerval.evaluation import (
     DegenerateInputError,
     FidelityRecord,
     FidelitySummary,
-    accuracy,
     average_ranks,
     emit_reports,
     pearson,
@@ -21,7 +20,7 @@ from layerval.evaluation import (
 from layerval.influence import Estimator
 from layerval.network import MLP, Activation, Layer, LayerSpec
 from layerval.serialize import read_csv
-from layerval.trainer import CurationMode, TrainerConfig, train
+from layerval.trainer import CurationMode, TrainerConfig, mean_loss_and_accuracy, train
 
 
 class TestPearson:
@@ -77,6 +76,10 @@ class TestSpearman:
         xs = np.array(values, dtype=np.float64)
         want = [1 + np.sum(xs < x) + (np.sum(xs == x) - 1) / 2 for x in xs]
         assert average_ranks(xs).tolist() == want
+
+
+def accuracy(net, samples):
+    return mean_loss_and_accuracy(net, samples)[1]
 
 
 class TestAccuracy:

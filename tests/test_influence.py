@@ -1,4 +1,4 @@
-"""Estimator identities, aggregation, preconditioning, and the depth-gap diagnostics."""
+"""Estimator identities, preconditioning, and the depth-gap diagnostics."""
 
 import numpy as np
 import pytest
@@ -7,26 +7,18 @@ from hypothesis import strategies as st
 
 from layerval.data import Sample
 from layerval.influence import (
-    BoundReport,
     Estimator,
-    InfluenceScore,
     Preconditioner,
-    SignConvention,
-    aggregate_over_validation,
     bound_diagnostics,
-    ghost_influence,
-    ip_influence,
-    lai_influence,
-    lli_influence,
     pair_matrix,
     pair_similarities,
-    preconditioned_score,
     update_preconditioner,
     variance_diagnostic,
 )
 from layerval.network import (
     MLP,
     Activation,
+    BatchTaps,
     Layer,
     LayerSpec,
     backward_taps,
@@ -34,6 +26,14 @@ from layerval.network import (
     evaluate_sample,
     forward,
     param_grads,
+)
+import reference
+from reference import (
+    ghost_influence,
+    ip_influence,
+    lai_influence,
+    lli_influence,
+    preconditioned_score,
 )
 
 
@@ -105,14 +105,13 @@ class TestEstimators:
     def test_ip_hand_computed_single_layer(self):
         tz, tj = self.standing_pair()
         score = ip_influence(param_grads(tz), param_grads(tj))
-        assert score.value == pytest.approx(-0.5, abs=1e-15)
-        assert score.estimator is Estimator.IP
+        assert score == pytest.approx(-0.5, abs=1e-15)
 
     def test_ip_self_pair_nonpositive(self):
         net = MLP.initialize([3, 4, 2], ["tanh", "linear"], seed=1)
         taps = taps_for(net, [0.3, -0.1, 0.2], 0)
         pg = param_grads(taps)
-        assert ip_influence(pg, pg).value <= 0.0
+        assert ip_influence(pg, pg) <= 0.0
 
     def test_ip_matches_brute_force_flatten(self):
         rng = np.random.default_rng(2)
@@ -122,17 +121,17 @@ class TestEstimators:
             tj = taps_for(net, rng.normal(size=3), int(rng.integers(2)))
             pz, pj = param_grads(tz), param_grads(tj)
             brute = -float(np.dot(pz.flatten(), pj.flatten()))
-            assert ip_influence(pz, pj).value == pytest.approx(brute, rel=1e-12, abs=1e-15)
+            assert ip_influence(pz, pj) == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
     def test_ghost_depth_one_equals_ip(self):
         tz, tj = self.standing_pair()
         sims = pair_similarities(tz, tj)
-        assert ghost_influence(sims).value == pytest.approx(-0.5, abs=1e-15)
+        assert ghost_influence(sims) == pytest.approx(-0.5, abs=1e-15)
 
     def test_ghost_zero_betas(self):
         sims = pair_similarities(*self.standing_pair())
         sims.beta[:] = 0.0
-        assert ghost_influence(sims).value == 0.0
+        assert ghost_influence(sims) == 0.0
 
     @pytest.mark.parametrize("depth_dims,acts", [
         ([3, 4, 2], ["linear", "linear"]),
@@ -145,8 +144,8 @@ class TestEstimators:
             net = MLP.initialize(depth_dims, acts, seed=seed)
             tz = taps_for(net, rng.normal(size=depth_dims[0]), 0)
             tj = taps_for(net, rng.normal(size=depth_dims[0]), 1)
-            ip = ip_influence(param_grads(tz), param_grads(tj)).value
-            ghost = ghost_influence(pair_similarities(tz, tj)).value
+            ip = ip_influence(param_grads(tz), param_grads(tj))
+            ghost = ghost_influence(pair_similarities(tz, tj))
             assert abs(ghost - ip) / max(abs(ip), 1e-12) < 1e-10
 
     def test_ghost_equals_ip_any_activation(self):
@@ -156,20 +155,20 @@ class TestEstimators:
             net = MLP.initialize([3, 5, 4, 3], ["relu", "tanh", "linear"], seed=seed)
             tz = taps_for(net, rng.normal(size=3), int(rng.integers(3)))
             tj = taps_for(net, rng.normal(size=3), int(rng.integers(3)))
-            ip = ip_influence(param_grads(tz), param_grads(tj)).value
-            ghost = ghost_influence(pair_similarities(tz, tj)).value
+            ip = ip_influence(param_grads(tz), param_grads(tj))
+            ghost = ghost_influence(pair_similarities(tz, tj))
             assert abs(ghost - ip) / max(abs(ip), 1e-12) < 1e-10
 
     def test_lai_depth_one_collapse(self):
         tz, tj = self.standing_pair()
         sims = pair_similarities(tz, tj)
-        assert lai_influence(sims).value == pytest.approx(-0.5, abs=1e-15)
-        assert lli_influence(sims).value == pytest.approx(-0.5, abs=1e-15)
+        assert lai_influence(sims) == pytest.approx(-0.5, abs=1e-15)
+        assert lli_influence(sims) == pytest.approx(-0.5, abs=1e-15)
 
     def test_lai_zero_output_beta(self):
         sims = pair_similarities(*self.standing_pair())
         sims.beta[-1] = 0.0
-        assert lai_influence(sims).value == 0.0
+        assert lai_influence(sims) == 0.0
 
     def test_lai_recomputed_from_raw_taps(self):
         net = MLP.initialize([2, 3, 2], ["linear", "linear"], seed=4)
@@ -179,7 +178,7 @@ class TestEstimators:
         a1 = np.dot(tz.activations[0], tj.activations[0]) + 1.0
         a2 = np.dot(tz.activations[1], tj.activations[1]) + 1.0
         b2 = np.dot(tz.layer_grads[1], tj.layer_grads[1])
-        assert lai_influence(sims).value == pytest.approx(-(a1 + a2) * b2, abs=1e-14)
+        assert lai_influence(sims) == pytest.approx(-(a1 + a2) * b2, abs=1e-14)
 
     def test_lli_equals_final_layer_ip(self):
         net = MLP.initialize([3, 4, 4, 2], ["relu", "tanh", "linear"], seed=5)
@@ -189,7 +188,7 @@ class TestEstimators:
         pz, pj = param_grads(tz), param_grads(tj)
         final_ip = -(np.dot(pz.weight_grads[-1].ravel(), pj.weight_grads[-1].ravel())
                      + np.dot(pz.bias_grads[-1], pj.bias_grads[-1]))
-        assert lli_influence(sims).value == pytest.approx(final_ip, abs=1e-12)
+        assert lli_influence(sims) == pytest.approx(final_ip, abs=1e-12)
 
     def test_depth_one_full_collapse(self):
         rng = np.random.default_rng(6)
@@ -198,9 +197,9 @@ class TestEstimators:
             tz = taps_for(net, rng.normal(size=4), int(rng.integers(3)))
             tj = taps_for(net, rng.normal(size=4), int(rng.integers(3)))
             sims = pair_similarities(tz, tj)
-            ip = ip_influence(param_grads(tz), param_grads(tj)).value
+            ip = ip_influence(param_grads(tz), param_grads(tj))
             for score in (ghost_influence(sims), lai_influence(sims), lli_influence(sims)):
-                assert abs(score.value - ip) < 1e-12
+                assert abs(score - ip) < 1e-12
 
 
 class TestPreconditioning:
@@ -214,7 +213,7 @@ class TestPreconditioning:
         tz, tj, sims = self.make_sims()
         d = Preconditioner.identity(2)
         score = preconditioned_score(tz.output_grad, tj.output_grad, sims, d)
-        assert score.value == pytest.approx(lai_influence(sims).value, rel=1e-12)
+        assert score == pytest.approx(lai_influence(sims), rel=1e-12)
 
     def test_uniform_scaling_rescales_and_preserves_ranking(self):
         net = MLP.initialize([2, 3, 2], ["relu", "linear"], seed=8)
@@ -225,9 +224,9 @@ class TestPreconditioning:
         base, scaled = [], []
         for tz, tj in pairs:
             sims = pair_similarities(tz, tj)
-            base.append(lai_influence(sims).value)
+            base.append(lai_influence(sims))
             d = Preconditioner(np.full(2, c), floor=1e-8)
-            scaled.append(preconditioned_score(tz.output_grad, tj.output_grad, sims, d).value)
+            scaled.append(preconditioned_score(tz.output_grad, tj.output_grad, sims, d))
         np.testing.assert_allclose(scaled, np.array(base) / c, rtol=1e-12)
         assert list(np.argsort(base)) == list(np.argsort(scaled))
 
@@ -239,7 +238,7 @@ class TestPreconditioning:
             manual_taps(identity_net(), [1.0, 0.0], gl))
         d = Preconditioner(np.array([4.0, 1.0]))
         score = preconditioned_score(gl, gl, sims, d)
-        assert score.value == pytest.approx(-sims.alpha.sum() * 1.25, rel=1e-14)
+        assert score == pytest.approx(-sims.alpha.sum() * 1.25, rel=1e-14)
 
     def test_update_decay_one_is_identity(self):
         d = Preconditioner(np.array([2.0, 3.0]), decay=1.0)
@@ -266,48 +265,6 @@ class TestPreconditioning:
             update_preconditioner(Preconditioner.identity(2), [])
 
 
-class TestAggregation:
-    def test_singleton_unchanged(self):
-        s = InfluenceScore(-0.5, Estimator.LAI)
-        agg = aggregate_over_validation([s])
-        assert agg.value == -0.5 and agg.estimator is Estimator.LAI
-
-    def test_cancellation(self):
-        scores = [InfluenceScore(-0.5, Estimator.IP), InfluenceScore(0.5, Estimator.IP)]
-        assert aggregate_over_validation(scores).value == 0.0
-
-    def test_matches_summed_formulation(self):
-        rng = np.random.default_rng(13)
-        net = MLP.initialize([2, 3, 2], ["relu", "linear"], seed=13)
-        tj = taps_for(net, [0.4, 0.4], 0)
-        pairs = [pair_similarities(taps_for(net, rng.normal(size=2), int(rng.integers(2))), tj)
-                 for _ in range(10)]
-        agg = aggregate_over_validation([lai_influence(s) for s in pairs])
-        direct = -sum(s.alpha.sum() * s.beta[-1] for s in pairs)
-        assert agg.value == pytest.approx(direct, rel=1e-12)
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_permutation_invariance(self, values, data):
-        scores = [InfluenceScore(v, Estimator.GHOST) for v in values]
-        perm = data.draw(st.permutations(scores))
-        assert aggregate_over_validation(scores).value == \
-            aggregate_over_validation(list(perm)).value
-
-    def test_mixed_estimators_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_over_validation([InfluenceScore(1.0, Estimator.IP),
-                                       InfluenceScore(1.0, Estimator.LAI)])
-
-    def test_sign_coherence_reversed_rankings(self):
-        rng = np.random.default_rng(21)
-        influence = [InfluenceScore(v, Estimator.LAI) for v in rng.normal(size=12)]
-        benefit = [s.to_benefit() for s in influence]
-        order_i = np.argsort([s.value for s in influence])
-        order_b = np.argsort([s.value for s in benefit])
-        assert list(order_i) == list(order_b[::-1])
-
-
 def scaled_orthogonal_net(dims, scale, seed):
     """All-linear net with every weight matrix a scaled orthogonal block."""
     rng = np.random.default_rng(seed)
@@ -321,18 +278,23 @@ def scaled_orthogonal_net(dims, scale, seed):
     return MLP(layers=layers, seed=seed)
 
 
+def row_taps(net, *rows):
+    """Full-backward batch taps of (x, label) rows, in order."""
+    return batch_taps(net, np.array([x for x, _ in rows], dtype=float),
+                      np.array([label for _, label in rows]), backward=True)
+
+
 class TestBoundDiagnostics:
     def test_depth_one_gap_and_bound_zero(self):
-        net = identity_net()
-        taps = taps_for(net, [0.5, 0.2], 0)
-        report = bound_diagnostics([(taps, taps)])
+        taps = row_taps(identity_net(), ([0.5, 0.2], 0))
+        report = bound_diagnostics(taps, taps)
         assert report.measured_rel_gap == 0.0
         assert report.bound_value == 0.0
 
     def test_contractive_linear_self_pair_within_bound(self):
         net = scaled_orthogonal_net([3, 3, 3], scale=0.9, seed=0)
-        taps = taps_for(net, [0.2, -0.1, 0.3], 1)
-        report = bound_diagnostics([(taps, taps)])
+        taps = row_taps(net, ([0.2, -0.1, 0.3], 1))
+        report = bound_diagnostics(taps, taps)
         assert report.assumptions_hold
         assert report.rho_hat < 1.0
         assert report.measured_rel_gap <= report.bound_value
@@ -350,22 +312,84 @@ class TestBoundDiagnostics:
             Layer(w1, b1, LayerSpec(2, h, Activation.RELU)),
             Layer(w2, np.zeros(3), LayerSpec(h, 3, Activation.LINEAR)),
         ])
-        tz = taps_for(net, [0.9, 0.1], 1)
-        tj = taps_for(net, [-0.3, 0.8], 2)
-        cos_out = np.dot(tz.output_grad, tj.output_grad) / (
-            np.linalg.norm(tz.output_grad) * np.linalg.norm(tj.output_grad))
-        cos_low = np.dot(tz.layer_grads[0], tj.layer_grads[0]) / (
-            np.linalg.norm(tz.layer_grads[0]) * np.linalg.norm(tj.layer_grads[0]))
+        tz = row_taps(net, ([0.9, 0.1], 1))
+        tj = row_taps(net, ([-0.3, 0.8], 2))
+        cos_out, cos_low = (
+            float(gz[0] @ gj[0]) / (np.linalg.norm(gz[0]) * np.linalg.norm(gj[0]))
+            for gz, gj in ((tz.grads[-1], tj.grads[-1]), (tz.grads[0], tj.grads[0])))
         assert cos_low > cos_out + 1e-6  # the constructed reversal is real
-        report = bound_diagnostics([(tz, tj)])
+        report = bound_diagnostics(tz, tj)
         assert not report.assumptions_hold
         assert report.bound_value >= 0.0  # still reported
 
     def test_zero_lai_reports_undefined_gap(self):
-        net = identity_net()
-        taps = manual_taps(net, [1.0, 0.0], [0.0, 0.0])
-        report = bound_diagnostics([(taps, taps)])
+        # a zero output gradient, as from a perfectly fit sample
+        taps = BatchTaps(acts=[np.array([[1.0, 0.0, 1.0]])], grads=[np.zeros((1, 2))],
+                         losses=np.zeros(1), logits=np.array([[1.0, 0.0]]))
+        report = bound_diagnostics(taps, taps)
         assert report.measured_rel_gap is None
+
+    def test_unpaired_or_partial_taps_rejected(self):
+        net = MLP.initialize([3, 4, 2], ["relu", "linear"], seed=2)
+        X, y = np.ones((2, 3)), np.array([0, 1])
+        full = batch_taps(net, X, y, backward=True)
+        with pytest.raises(ValueError, match="one j row per z row"):
+            bound_diagnostics(full, batch_taps(net, X[:1], y[:1], backward=True))
+        with pytest.raises(ValueError, match="full backward"):
+            bound_diagnostics(full, batch_taps(net, X, y, backward=False))
+
+
+def random_net_and_rows(data, rows):
+    """A seeded net of depth 1-3 (relu/tanh/linear hidden layers) and `rows` random samples."""
+    depth = data.draw(st.integers(1, 3), label="depth")
+    dims = data.draw(st.lists(st.integers(2, 5), min_size=depth + 1, max_size=depth + 1),
+                     label="dims")
+    acts = data.draw(st.lists(st.sampled_from(["relu", "tanh", "linear"]),
+                              min_size=depth - 1, max_size=depth - 1), label="acts")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    net = MLP.initialize(dims, acts + ["linear"], seed=seed)
+    rng = np.random.default_rng(seed)
+    samples = [Sample(id=i, features=rng.normal(size=dims[0]),
+                      label=int(rng.integers(dims[-1]))) for i in range(rows)]
+    return net, samples
+
+
+def assert_close(got, want):
+    """Equal within 1e-12 relative, or 1e-24 absolute for pure rounding noise."""
+    assert got == want or abs(got - want) <= max(1e-12 * abs(want), 1e-24), (got, want)
+
+
+class TestBatchedDiagnosticsMatchReference:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_bound_diagnostics(self, data):
+        pairs = data.draw(st.integers(1, 6), label="pairs")
+        net, samples = random_net_and_rows(data, 2 * pairs)
+        z_rows, j_rows = samples[:pairs], samples[pairs:]
+        got = bound_diagnostics(*(batch_taps(net, np.stack([s.features for s in rows]),
+                                             np.array([s.label for s in rows]), backward=True)
+                                  for rows in (z_rows, j_rows)))
+        want = reference.bound_diagnostics(
+            [(evaluate_sample(net, z.features, z.label), evaluate_sample(net, j.features, j.label))
+             for z, j in zip(z_rows, j_rows)])
+        for name in ("rho_hat", "ca_hat", "alpha_bar", "bound_value"):
+            assert_close(getattr(got, name), getattr(want, name))
+        assert (got.measured_rel_gap is None) == (want.measured_rel_gap is None)
+        if want.measured_rel_gap is not None:
+            assert_close(got.measured_rel_gap, want.measured_rel_gap)
+        assert got.assumptions_hold == want.assumptions_hold
+        assert got.depth == want.depth
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_variance_diagnostic(self, data):
+        pool_size = data.draw(st.integers(2, 10), label="pool")
+        net, samples = random_net_and_rows(data, pool_size + 1)
+        subset_size = data.draw(st.integers(1, pool_size), label="subset")
+        resamples = data.draw(st.integers(2, 20), label="resamples")
+        args = (net, (samples[1], samples[0]), samples[1:], resamples, subset_size, 7)
+        for got, want in zip(variance_diagnostic(*args), reference.variance_diagnostic(*args)):
+            assert_close(got, want)
 
 
 class TestVarianceDiagnostic:
@@ -432,7 +456,7 @@ class TestPairMatrix:
                 tz = evaluate_sample(net, Xz[z], int(yz[z]))
                 for j in range(5):
                     tj = evaluate_sample(net, Xj[j], int(yj[j]))
-                    want = -score(tz, tj, pair_similarities(tz, tj)).value
+                    want = -score(tz, tj, pair_similarities(tz, tj))
                     assert got[z, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_ghost_and_ip_need_full_backward(self):

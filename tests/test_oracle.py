@@ -16,7 +16,6 @@ from layerval.oracle import (
     loo_influence,
     shapley_exact,
     shapley_mc,
-    subset_utility,
 )
 
 
@@ -31,6 +30,13 @@ def toy_samples(net, n, seed, labels=None):
         label = labels[i] if labels else int(rng.integers(net.out_dim))
         out.append(Sample(id=i, features=rng.normal(size=net.in_dim), label=label))
     return out
+
+
+def subset_value(u, n, subset):
+    """v(S) for an index subset of the n-sample bound batch, through UtilityFn.utilities."""
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, list(subset)] = True
+    return float(u.utilities(mask)[0])
 
 
 class ReferenceGame:
@@ -101,7 +107,7 @@ class TestSubsetUtility:
         net = toy_net()
         u = UtilityFn(net, toy_samples(net, 4, seed=1), learning_rate=0.1)
         u.bind_batch(toy_samples(net, 3, seed=2))
-        assert subset_utility(u, set()) == 0.0
+        assert subset_value(u, 3, set()) == 0.0
 
     def test_tiny_learning_rate_vanishes(self):
         # eta -> 0 makes every subset worthless (the probe step goes nowhere)
@@ -110,7 +116,7 @@ class TestSubsetUtility:
         u = UtilityFn(net, toy_samples(net, 4, seed=1), learning_rate=1e-300)
         u.bind_batch(batch)
         for subset in ([0], [0, 1], [0, 1, 2]):
-            assert subset_utility(u, subset) == pytest.approx(0.0, abs=1e-12)
+            assert subset_value(u, len(batch), subset) == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton_matches_first_order_expansion(self):
         # v({j}) = eta * <grad_val, g_j> + O(eta^2)
@@ -127,7 +133,7 @@ class TestSubsetUtility:
                 g_j = param_grads(evaluate_sample(net, s.features, s.label)).flatten()
                 linear = eta * float(np.dot(g_val, g_j))
                 # curvature bound: generous constant times eta^2
-                assert subset_utility(u, [j]) == pytest.approx(
+                assert subset_value(u, len(batch), [j]) == pytest.approx(
                     linear, abs=50.0 * eta ** 2)
 
     def test_frozen_net_never_mutates(self):
@@ -136,8 +142,8 @@ class TestSubsetUtility:
         u = UtilityFn(net, toy_samples(net, 4, seed=7), learning_rate=0.5)
         batch = toy_samples(net, 3, seed=8)
         u.bind_batch(batch)
-        v1 = subset_utility(u, [0, 1])
-        v2 = subset_utility(u, [0, 1])
+        v1 = subset_value(u, len(batch), [0, 1])
+        v2 = subset_value(u, len(batch), [0, 1])
         assert v1 == v2
         for w, layer in zip(before, net.layers):
             assert np.array_equal(w, layer.weights)
@@ -307,7 +313,7 @@ class TestShapleyExact:
         est = shapley_exact(u, batch)
         u.bind_batch(batch)
         assert est.values.sum() == pytest.approx(
-            subset_utility(u, list(range(6))), abs=1e-9)
+            subset_value(u, len(batch), range(6)), abs=1e-9)
 
     def test_batch_too_large(self):
         net = toy_net()
@@ -417,7 +423,7 @@ class TestLeaveOneOut:
         u = UtilityFn(net, toy_samples(net, 4, seed=36), learning_rate=0.2)
         loo = loo_influence(u, batch)
         u.bind_batch(batch)
-        assert loo[0] == pytest.approx(subset_utility(u, [0]), abs=1e-15)
+        assert loo[0] == pytest.approx(subset_value(u, len(batch), [0]), abs=1e-15)
 
     def test_zero_gradient_member(self):
         net = MLP.initialize([2, 2], ["linear"], seed=0)
@@ -436,7 +442,7 @@ class TestLeaveOneOut:
         u = UtilityFn(net, toy_samples(net, 5, seed=39), learning_rate=0.25)
         loo = loo_influence(u, batch)
         u.bind_batch(batch)
-        full = subset_utility(u, list(range(5)))
+        full = subset_value(u, len(batch), range(5))
         for i in range(5):
             rest = [k for k in range(5) if k != i]
-            assert loo[i] == pytest.approx(full - subset_utility(u, rest), abs=1e-15)
+            assert loo[i] == pytest.approx(full - subset_value(u, len(batch), rest), abs=1e-15)
