@@ -242,11 +242,13 @@ def build_dataset(config: dict):
 
 
 def _check_csv_fits_model(d: Path, bundle, layer_dims: list[int]) -> None:
-    """Reject CSV splits whose feature dim or labels the model cannot take."""
+    """Reject CSV splits that are empty or whose feature dim or labels the model cannot take."""
     in_dim, out_dim = layer_dims[0], layer_dims[-1]
     for name, samples in (("train.csv", bundle.train), ("val.csv", bundle.validation),
                           ("test.csv", bundle.test)):
-        if samples and samples[0].features.shape[0] != in_dim:
+        if not samples:
+            raise ValueError(f"{d / name}: no rows")
+        if samples[0].features.shape[0] != in_dim:
             raise ValueError(f"{d / name}: feature dim {samples[0].features.shape[0]} "
                              f"!= model.layer_dims[0] = {in_dim}")
         for lineno, s in enumerate(samples, start=2):
@@ -334,10 +336,11 @@ def cmd_diagnose(config: dict) -> int:
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
     net = load_checkpoint(ckpt_path)
+    dims = [net.in_dim] + [layer.spec.out_dim for layer in net.layers]
+    if dims != config["model"]["layer_dims"]:
+        raise ValueError(f"{ckpt_path}: layer dims {dims} != model.layer_dims = "
+                         f"{config['model']['layer_dims']}")
     bundle = build_dataset(config)
-    for name, rows in (("train.csv", bundle.train), ("val.csv", bundle.validation)):
-        if not rows:  # only CSV splits can be empty: generated splits never are
-            raise ValueError(f"{Path(config['dataset']['dir']) / name}: no rows")
     n = min(d["pair_count"], len(bundle.train))
     val_rows = [bundle.validation[i % len(bundle.validation)] for i in range(n)]
     bound = bound_diagnostics(sample_taps(net, val_rows, backward=True),
@@ -368,13 +371,13 @@ def cmd_diagnose(config: dict) -> int:
         "subset_size": subset_size,
     }, out / "variance.json")
     cfg = build_trainer_config(config)
-    batch = bundle.train[:cfg.batch_size]
     k = math.ceil(cfg.val_fraction_per_batch * len(bundle.validation))
-    subset = bundle.validation[:k]
+    subset_taps = sample_taps(net, bundle.validation[:k], backward=True)
+    train_taps = sample_taps(net, bundle.train[:cfg.batch_size], backward=True)
     ledger = CostLedger()
     for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI):
-        cache = build_validation_cache(net, subset, est, step_id=0)
-        curate_batch(net, batch, cache, dataclasses.replace(cfg, estimator=est),
+        cache = build_validation_cache(net, subset_taps, est, step_id=0)
+        curate_batch(net, train_taps, cache, dataclasses.replace(cfg, estimator=est),
                      step_id=0, ledger=ledger)
     record = ledger_compare(ledger, [Estimator.GHOST, Estimator.LAI, Estimator.LLI])
     serialize.dump_json(record, out / "cost.json")

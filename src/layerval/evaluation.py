@@ -236,14 +236,13 @@ def emit_reports(records: list[FidelityRecord] | None,
         serialize.dump_json(doc, path)
         written.append(path)
         inc_path = out / "inclusion.csv"
-        inc_rows = []
-        for epoch, row in enumerate(report.inclusion):
-            for sid, kept in zip(report.sample_ids, row):
-                inc_rows.append([epoch, sid, int(kept)])
-        serialize.write_csv(inc_path, ["epoch", "sample_id", "kept"], inc_rows)
+        serialize.write_lines(inc_path, ["epoch", "sample_id", "kept"], [
+            f"{epoch},{sid},{int(kept)}" for epoch, row in enumerate(report.inclusion)
+            for sid, kept in zip(report.sample_ids, row)])
         written.append(inc_path)
         sc_path = out / "scores.csv"
-        serialize.write_csv(sc_path, ["step", "sample_id", "estimator", "benefit"],
-                            [list(r) for r in report.score_rows])
+        serialize.write_lines(sc_path, ["step", "sample_id", "estimator", "benefit"], [
+            f"{step},{sid},{est},{serialize.fmt17(benefit)}"
+            for step, sid, est, benefit in report.score_rows])
         written.append(sc_path)
     return written

@@ -112,7 +112,7 @@ def pair_similarities(taps_z: SampleTaps, taps_j: SampleTaps,
 def _flat_grads(taps: BatchTaps, l: int) -> np.ndarray:
     """Row-stacked flattened layer-l gradients [dW(l), db(l)] = g(l) [a(l-1), 1]^T."""
     g, a = taps.grads[l], taps.acts[l]
-    return (g[:, :, None] * a[:, None, :]).reshape(taps.size, -1)
+    return (g[:, :, None] * a[:, None, :]).reshape(len(taps), -1)
 
 
 def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
@@ -183,9 +183,9 @@ def bound_diagnostics(z_taps: BatchTaps, j_taps: BatchTaps) -> BoundReport:
     assumptions hold; assumptions_hold records whether they did here. The
     Ghost and LAI totals are the traces of pair_matrix.
     """
-    if z_taps.size == 0 or z_taps.size != j_taps.size:
+    if not len(z_taps) or len(z_taps) != len(j_taps):
         raise ValueError(f"need one j row per z row and at least one pair, "
-                         f"got {z_taps.size} and {j_taps.size}")
+                         f"got {len(z_taps)} and {len(j_taps)}")
     ghost_total = -float(np.trace(pair_matrix(Estimator.GHOST, z_taps, j_taps)))
     lai_total = -float(np.trace(pair_matrix(Estimator.LAI, z_taps, j_taps)))
     depth = len(z_taps.grads)

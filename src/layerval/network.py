@@ -5,9 +5,12 @@ Backward:  g(L) = softmax(logits) - onehot(label)
            g(l-1) = W(l)^T g(l) * act'(s(l-1))
 Grads:     dW(l) = g(l) a(l-1)^T,   db(l) = g(l)
 
+act' comes from a = act(s) (relu: a > 0, tanh: 1 - a^2, linear: 1): the same bits.
+
 batch_taps runs these passes for a whole batch at once and row-stacks every
 augmented activation [a(l-1), 1] and loss-to-pre-activation gradient g(l)
-in a BatchTaps; every command takes its taps from it. The per-sample
+in a BatchTaps; every command takes its taps from it. backward_chain
+finishes the backward pass of any rows of forward-only taps. The per-sample
 functions (forward, loss_and_output_grad, backward_taps, param_grads,
 evaluate_sample and their SampleTaps/ParamGrads records) are called by no
 command. They stay because the benchmark tracer (perfbench/job.py) binds
@@ -154,14 +157,13 @@ def _apply_activation(kind: Activation, s: np.ndarray,
     return out
 
 
-def _activation_derivative(kind: Activation, s: np.ndarray) -> np.ndarray:
+def _activation_derivative(kind: Activation, a: np.ndarray) -> np.ndarray:
     if kind is Activation.LINEAR:
-        return np.ones_like(s)
+        return np.ones_like(a)
     if kind is Activation.RELU:
         # derivative at exactly 0 is 0 (deterministic tie-break)
-        return (s > 0.0).astype(np.float64)
-    t = np.tanh(s)
-    return 1.0 - t * t
+        return (a > 0.0).astype(np.float64)
+    return 1.0 - a * a
 
 
 def forward(net: MLP, x: np.ndarray) -> tuple[np.ndarray, SampleTaps]:
@@ -214,8 +216,8 @@ def backward_taps(net: MLP, taps: SampleTaps, output_grad: np.ndarray) -> Sample
     grads = [g]
     for l in range(net.depth - 1, 0, -1):
         upstream = net.layers[l].weights.T @ grads[0]
-        s_prev = taps.pre_activations[l - 1]
-        grads.insert(0, upstream * _activation_derivative(net.layers[l - 1].spec.activation, s_prev))
+        grads.insert(0, upstream * _activation_derivative(
+            net.layers[l - 1].spec.activation, taps.activations[l]))
     taps.output_grad = g
     taps.layer_grads = grads
     return taps
@@ -252,13 +254,17 @@ class BatchTaps:
     losses: np.ndarray
     logits: np.ndarray
 
-    @property
-    def size(self) -> int:
+    def __len__(self) -> int:
         return self.losses.shape[0]
 
     @property
     def full(self) -> bool:
         return len(self.grads) == len(self.acts)
+
+    def rows(self, index) -> "BatchTaps":
+        """The taps of the rows a slice or an index array selects."""
+        return BatchTaps([a[index] for a in self.acts], [g[index] for g in self.grads],
+                         self.losses[index], self.logits[index])
 
 
 def batch_taps(net: MLP, X: np.ndarray, labels, backward: bool) -> BatchTaps:
@@ -282,14 +288,12 @@ def batch_taps(net: MLP, X: np.ndarray, labels, backward: bool) -> BatchTaps:
     rows = np.arange(X.shape[0])
     ones = np.ones((X.shape[0], 1))
     acts = []
-    pre_activations = []
     a = X
     for layer in net.layers:
         acts.append(np.hstack([a, ones]))
         s = a @ layer.weights.T + layer.bias
-        pre_activations.append(s)
         a = _apply_activation(layer.spec.activation, s)
-    logits = pre_activations[-1]
+    logits = s
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -298,13 +302,20 @@ def batch_taps(net: MLP, X: np.ndarray, labels, backward: bool) -> BatchTaps:
     losses = np.log(total) - shifted[rows, labels]
     g = exp / total[:, None]
     g[rows, labels] -= 1.0
-    grads = [g]
-    if backward:
-        for l in range(net.depth - 1, 0, -1):
-            upstream = grads[0] @ net.layers[l].weights
-            grads.insert(0, upstream * _activation_derivative(
-                net.layers[l - 1].spec.activation, pre_activations[l - 1]))
-    return BatchTaps(acts=acts, grads=grads, losses=losses, logits=logits)
+    taps = BatchTaps(acts=acts, grads=[g], losses=losses, logits=logits)
+    return backward_chain(net, taps) if backward else taps
+
+
+def backward_chain(net: MLP, taps: BatchTaps) -> BatchTaps:
+    """Forward-only taps completed with g(l) of every layer; full taps as they are."""
+    if taps.full:
+        return taps
+    grads = list(taps.grads)
+    for l in range(net.depth - 1, 0, -1):
+        upstream = grads[0] @ net.layers[l].weights
+        grads.insert(0, upstream * _activation_derivative(
+            net.layers[l - 1].spec.activation, taps.acts[l][:, :-1]))
+    return BatchTaps(acts=taps.acts, grads=grads, losses=taps.losses, logits=taps.logits)
 
 
 def save_checkpoint(net: MLP, path: str | Path) -> None:

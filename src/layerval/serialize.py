@@ -19,7 +19,7 @@ def fmt17(x: float) -> str:
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     s = format(float(x), ".17g")
     # bare integers like '-0' or '5' would re-parse as int; force a float token
-    if not any(c in s for c in ".eE"):
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
@@ -92,12 +92,15 @@ def load_json(path: str | Path) -> Any:
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:
-    """Write a CSV with LF endings; floats encoded via :func:`fmt17`."""
+    """Write a CSV with LF endings; floats encoded via :func:`fmt17`, fields unquoted."""
+    write_lines(path, header, [",".join(fmt17(v) if isinstance(v, float) else str(v)
+                                        for v in row) for row in rows])
+
+
+def write_lines(path: str | Path, header: list[str], lines: list[str]) -> None:
+    """Write a CSV of preformatted lines whose fields need no quoting, LF endings."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt17(v) if isinstance(v, float) else v for v in row])
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:

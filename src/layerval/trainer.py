@@ -3,10 +3,13 @@
 Each curated step scores the batch against a cached validation subsample
 (or against the rest of the batch in self-influence mode), drops members
 whose benefit score falls below the threshold, and applies the SGD update
-with the survivors. Every pass over a batch is one network.batch_taps call,
-and every score comes from influence.pair_matrix. A cost ledger tracks the
-multiply-accumulate work and cache footprint of the scoring pass per
-estimator.
+with the survivors. train stacks each split once and makes one
+network.batch_taps call per step, led by the validation subsample's rows at
+a cache refresh: the cache, the scores and the SGD step all read that pass,
+and where it stopped at g(L) (the LAI family) the step finishes the backward
+chain for the kept rows only. Every score comes from influence.pair_matrix.
+A cost ledger tracks the multiply-accumulate work and cache footprint of the
+scoring pass per estimator.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .data import DatasetBundle, Sample
 from .influence import Estimator, Preconditioner, pair_matrix, update_preconditioner
-from .network import MLP, BatchTaps, batch_taps
+from .network import MLP, BatchTaps, backward_chain, batch_taps
 
 
 class CurationMode(str, Enum):
@@ -220,10 +223,15 @@ def ledger_compare(ledger: CostLedger, methods: list[Estimator]) -> dict:
 # --- validation cache ------------------------------------------------------
 
 
+def stack_samples(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stacked features and int64 labels of a list of samples."""
+    return (np.stack([s.features for s in samples]),
+            np.array([s.label for s in samples], dtype=np.int64))
+
+
 def sample_taps(net: MLP, samples: list[Sample], backward: bool) -> BatchTaps:
     """One batched pass over a list of samples (see network.batch_taps)."""
-    return batch_taps(net, np.stack([s.features for s in samples]),
-                      np.array([s.label for s in samples], dtype=np.int64), backward)
+    return batch_taps(net, *stack_samples(samples), backward)
 
 
 def _needs_backward(estimator: Estimator) -> bool:
@@ -241,20 +249,21 @@ class ValidationCache:
 
     @property
     def sample_count(self) -> int:
-        return self.taps.size
+        return len(self.taps)
 
 
-def build_validation_cache(net: MLP, val_subset: list[Sample], estimator: Estimator,
+def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
                            step_id: int = 0) -> ValidationCache:
-    """Take the taps of the validation subsample once (with a full backward
-    pass for Ghost/IP only) for scoring batches against it."""
-    if not val_subset:
+    """Keep the taps of the validation subsample (from a full backward pass
+    for Ghost/IP) for scoring batches against it."""
+    if not len(val_taps):
         raise ValueError("validation subset must be nonempty")
     if estimator is Estimator.NONE:
         raise ValueError("cannot build a cache for estimator 'none'")
-    taps = sample_taps(net, val_subset, _needs_backward(estimator))
-    return ValidationCache(step_id=step_id, estimator=estimator, taps=taps,
-                           byte_size=taps.size * cache_reals_per_sample(net, estimator) * 8)
+    if _needs_backward(estimator) and not val_taps.full:
+        raise ValueError(f"a {estimator.value} cache needs taps from a full backward pass")
+    return ValidationCache(step_id=step_id, estimator=estimator, taps=val_taps,
+                           byte_size=len(val_taps) * cache_reals_per_sample(net, estimator) * 8)
 
 
 # --- curation --------------------------------------------------------------
@@ -267,15 +276,13 @@ class CurationDecision:
     estimator: Estimator
     step_id: int
     note: str = ""
-    losses: list[float] = field(default_factory=list)
-    output_grads: np.ndarray | None = None  # g(L), one row per batch member
 
 
-def curate_batch(net: MLP, batch: list[Sample], cache: ValidationCache,
+def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache,
                  cfg: TrainerConfig, step_id: int = 0,
                  ledger: CostLedger | None = None,
                  preconditioner: Preconditioner | None = None) -> CurationDecision:
-    """Score batch members against the cached validation subsample.
+    """Score the taps of a batch's members against the cached validation subsample.
 
     A member's benefit is its column sum of pair_matrix over the cache rows;
     it is kept when benefit >= cfg.threshold (inclusive boundary).
@@ -289,43 +296,37 @@ def curate_batch(net: MLP, batch: list[Sample], cache: ValidationCache,
         raise StaleCacheError(
             f"cache from step {cache.step_id} is stale at step {step_id} "
             f"(refresh every {cfg.cache_refresh_steps})")
-    taps = sample_taps(net, batch, _needs_backward(cfg.estimator))
     pair = pair_matrix(cfg.estimator, cache.taps, taps, preconditioner, cfg.layer_calibration)
     benefits = pair.sum(axis=0).tolist()
     kept = [b >= cfg.threshold for b in benefits]
+    n = len(taps)
     if ledger is not None:
-        macs = (len(batch) * cache.sample_count * pair_macs(net, cfg.estimator)
-                + len(batch) * per_sample_extra_macs(net, cfg.estimator))
+        macs = (n * cache.sample_count * pair_macs(net, cfg.estimator)
+                + n * per_sample_extra_macs(net, cfg.estimator))
         if cfg.estimator is Estimator.PRECOND_LAI:
             macs += cache.sample_count * net.out_dim  # rescaling cached gradients
         ledger.record(LedgerEntry(
             step=step_id, method=cfg.estimator.value, macs=macs,
-            cache_bytes=cache.byte_size, samples_scored=len(batch),
-            samples_kept=sum(kept),
-            config_key=(tuple([net.in_dim] + _grad_dims(net)), len(batch),
-                        cache.sample_count)))
+            cache_bytes=cache.byte_size, samples_scored=n, samples_kept=sum(kept),
+            config_key=(tuple([net.in_dim] + _grad_dims(net)), n, cache.sample_count)))
     return CurationDecision(kept_mask=kept, benefit_scores=benefits,
-                            estimator=cfg.estimator, step_id=step_id,
-                            losses=taps.losses.tolist(), output_grads=taps.grads[-1])
+                            estimator=cfg.estimator, step_id=step_id)
 
 
-def self_influence_curate(net: MLP, batch: list[Sample], cfg: TrainerConfig,
+def self_influence_curate(net: MLP, taps: BatchTaps, cfg: TrainerConfig,
                           step_id: int = 0, ledger: CostLedger | None = None,
                           preconditioner: Preconditioner | None = None) -> CurationDecision:
-    """Score each member against the rest of its own batch (self-pairs excluded)."""
+    """Score each member's taps against the rest of its own batch (self-pairs excluded)."""
     if cfg.estimator is Estimator.NONE:
         raise ValueError("estimator 'none' cannot curate; use mode 'off' instead")
     if cfg.estimator is Estimator.PRECOND_LAI and preconditioner is None:
         raise ValueError("preconditioned scoring needs a Preconditioner")
     est = cfg.estimator
-    taps = sample_taps(net, batch, _needs_backward(est))
-    losses = taps.losses.tolist()
-    n = len(batch)
+    n = len(taps)
     if n == 1:
         return CurationDecision(kept_mask=[True], benefit_scores=[0.0],
                                 estimator=est, step_id=step_id,
-                                note="degenerate batch of one: kept unconditionally",
-                                losses=losses, output_grads=taps.grads[-1])
+                                note="degenerate batch of one: kept unconditionally")
     pair = pair_matrix(est, taps, taps, preconditioner, cfg.layer_calibration)
     benefits = (pair.sum(axis=0) - np.diag(pair)).tolist()
     kept = [b >= cfg.threshold for b in benefits]
@@ -338,8 +339,7 @@ def self_influence_curate(net: MLP, batch: list[Sample], cfg: TrainerConfig,
             samples_scored=n, samples_kept=sum(kept),
             config_key=(tuple([net.in_dim] + _grad_dims(net)), n, n - 1)))
     return CurationDecision(kept_mask=kept, benefit_scores=benefits,
-                            estimator=est, step_id=step_id,
-                            losses=losses, output_grads=taps.grads[-1])
+                            estimator=est, step_id=step_id)
 
 
 # --- optimizer -------------------------------------------------------------
@@ -352,9 +352,10 @@ def init_momentum(net: MLP) -> MomentumState:
     return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
 
 
-def sgd_step(net: MLP, kept: list[Sample], cfg: TrainerConfig,
+def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
              state: MomentumState | None) -> tuple[MLP, MomentumState, float]:
-    """One momentum-SGD update with the mean gradient over the kept samples.
+    """One momentum-SGD update with the mean gradient over the kept samples'
+    taps (forward-only taps get their backward chain finished here).
 
     velocity <- momentum * velocity + grad;  theta <- theta - lr * velocity.
     Returns the updated net, state, and mean loss over the kept samples.
@@ -362,11 +363,11 @@ def sgd_step(net: MLP, kept: list[Sample], cfg: TrainerConfig,
     einsum: it adds the samples in order, as a per-sample loop would, and
     its bits do not depend on the BLAS thread count.
     """
-    if not kept:
+    if not len(kept):
         raise ValueError("sgd_step needs at least one sample")
     if state is None:
         state = init_momentum(net)
-    taps = sample_taps(net, kept, backward=True)
+    taps = backward_chain(net, kept)
     scale = 1.0 / len(kept)
     new_state: MomentumState = []
     for layer, (vw, vb), a, g in zip(net.layers, state, taps.acts, taps.grads):
@@ -384,11 +385,11 @@ def sgd_step(net: MLP, kept: list[Sample], cfg: TrainerConfig,
     return net, new_state, float(taps.losses.sum()) * scale
 
 
-def mean_loss_and_accuracy(net: MLP, samples: list[Sample]) -> tuple[float, float]:
+def mean_loss_and_accuracy(net: MLP, X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy (ties to the lowest index) of one batched pass."""
-    taps = sample_taps(net, samples, backward=False)
-    hits = int(np.count_nonzero(np.argmax(taps.logits, axis=1) == [s.label for s in samples]))
-    return float(taps.losses.mean()), hits / len(samples)
+    taps = batch_taps(net, X, labels, backward=False)
+    hits = int(np.count_nonzero(np.argmax(taps.logits, axis=1) == labels))
+    return float(taps.losses.mean()), hits / len(labels)
 
 
 # --- training loop ---------------------------------------------------------
@@ -455,6 +456,10 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     probe_ids = [s.id for s in data.train[:cfg.probe_sample_count]]
     probe_traces: dict[int, list[tuple[int, float]]] = {pid: [] for pid in probe_ids}
     n = len(data.train)
+    X, y = stack_samples(data.train + data.validation)  # validation rows from n on
+    ids = [s.id for s in data.train]
+    test_X, test_y = stack_samples(data.test) if data.test else (None, None)
+    backward = _needs_backward(cfg.estimator)
     epoch_stats: list[EpochStats] = []
     inclusion: list[list[bool]] = []
     score_rows: list[tuple[int, int, str, float]] = []
@@ -467,51 +472,57 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         epoch_losses: list[float] = []
         epoch_benefits: list[float] = []
         scored = 0
+        curating = (epoch >= cfg.warmup_epochs and cfg.mode is not CurationMode.OFF
+                    and cfg.estimator is not Estimator.NONE)
         for start in range(0, n, cfg.batch_size):
-            positions = order[start:start + cfg.batch_size].tolist()
-            batch = [data.train[p] for p in positions]
-            curating = (epoch >= cfg.warmup_epochs and cfg.mode is not CurationMode.OFF
-                        and cfg.estimator is not Estimator.NONE)
+            rows = order[start:start + cfg.batch_size]
+            positions = rows.tolist()
+            k = 0  # leading validation rows of this step's pass, at a cache refresh
+            if curating and cfg.mode is CurationMode.VALIDATION and (
+                    cache is None or step - cache.step_id >= cfg.cache_refresh_steps):
+                k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
+                idx = rng_val.choice(len(data.validation), size=k, replace=False)
+                rows = np.concatenate([n + np.sort(idx), rows])
+            taps = batch_taps(net, X[rows], y[rows], backward or not curating)
+            if k:
+                cache = build_validation_cache(net, taps.rows(slice(0, k)), cfg.estimator, step)
+                taps = taps.rows(slice(k, None))
             if curating:
                 if cfg.mode is CurationMode.VALIDATION:
-                    if cache is None or step - cache.step_id >= cfg.cache_refresh_steps:
-                        k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
-                        idx = rng_val.choice(len(data.validation), size=k, replace=False)
-                        subset = [data.validation[i] for i in sorted(idx.tolist())]
-                        cache = build_validation_cache(net, subset, cfg.estimator, step)
-                    decision = curate_batch(net, batch, cache, cfg, step, ledger, precond)
+                    decision = curate_batch(net, taps, cache, cfg, step, ledger, precond)
                 else:
-                    decision = self_influence_curate(net, batch, cfg, step, ledger, precond)
+                    decision = self_influence_curate(net, taps, cfg, step, ledger, precond)
                 if precond is not None:
-                    precond = update_preconditioner(precond, decision.output_grads)
-                epoch_losses.extend(decision.losses)
+                    precond = update_preconditioner(precond, taps.grads[-1])
+                epoch_losses.extend(taps.losses.tolist())
                 epoch_benefits.extend(decision.benefit_scores)
-                scored += len(batch)
-                for s, benefit in zip(batch, decision.benefit_scores):
-                    score_rows.append((step, s.id, cfg.estimator.value, benefit))
-                    if s.id in probe_traces:
-                        probe_traces[s.id].append((step, benefit))
+                scored += len(positions)
+                for p, benefit in zip(positions, decision.benefit_scores):
+                    score_rows.append((step, ids[p], cfg.estimator.value, benefit))
+                    if ids[p] in probe_traces:
+                        probe_traces[ids[p]].append((step, benefit))
                 kept_flags = list(decision.kept_mask)
                 if not any(kept_flags) and cfg.empty_batch_policy is EmptyBatchPolicy.KEEP_TOP1:
                     kept_flags[int(np.argmax(decision.benefit_scores))] = True
             else:
-                kept_flags = [True] * len(batch)
-            kept_samples = [s for s, keep in zip(batch, kept_flags) if keep]
+                kept_flags = [True] * len(positions)
             for p, keep in zip(positions, kept_flags):
                 row[p] = keep
-            if kept_samples:
-                net, state, mean_loss = sgd_step(net, kept_samples, cfg, state)
+            kept_rows = np.flatnonzero(kept_flags)
+            if kept_rows.size:
+                kept = taps if kept_rows.size == len(taps) else taps.rows(kept_rows)
+                net, state, mean_loss = sgd_step(net, kept, cfg, state)
                 if not curating:
                     # repeat so the epoch mean weights every sample equally
-                    epoch_losses.extend([mean_loss] * len(kept_samples))
+                    epoch_losses.extend([mean_loss] * kept_rows.size)
             step += 1
             if checkpoint_hook is not None and cfg.checkpoint_every > 0 \
                     and step % cfg.checkpoint_every == 0:
                 checkpoint_hook(step, net.copy())
                 checkpoints_fired += 1
         edges, counts = _histogram(epoch_benefits)
-        val_loss = mean_loss_and_accuracy(net, data.validation)[0] if data.validation else 0.0
-        test_accuracy = mean_loss_and_accuracy(net, data.test)[1] if data.test else 0.0
+        val_loss = mean_loss_and_accuracy(net, X[n:], y[n:])[0] if data.validation else 0.0
+        test_accuracy = mean_loss_and_accuracy(net, test_X, test_y)[1] if data.test else 0.0
         epoch_stats.append(EpochStats(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
@@ -528,7 +539,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         checkpoint_hook(step, net.copy())
     report = TrainingReport(
         epoch_stats=epoch_stats,
-        sample_ids=[s.id for s in data.train],
+        sample_ids=ids,
         inclusion=inclusion,
         score_rows=score_rows,
         probe_traces=probe_traces,

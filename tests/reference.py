@@ -4,6 +4,9 @@ Each function works on one pair of taps from network.evaluate_sample at a
 time and returns plain floats with the influence sign (leading minus:
 negative means beneficial). Tests compare the batched, shipped forms
 (influence.pair_matrix, bound_diagnostics, variance_diagnostic) against them.
+backward_from_pre_activations is the batched backward pass with act' taken
+from the pre-activations s(l), the form network.backward_chain (which takes
+it from the activations) must reproduce bit for bit.
 """
 
 import math
@@ -11,7 +14,29 @@ import math
 import numpy as np
 
 from layerval.influence import BoundReport, PairSimilarities, Preconditioner, pair_similarities
-from layerval.network import MLP, ParamGrads, SampleTaps, evaluate_sample
+from layerval.network import MLP, Activation, ParamGrads, SampleTaps, batch_taps, evaluate_sample
+
+
+def _act_and_derivative(kind: Activation, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """act(s) and act'(s), both from s."""
+    if kind is Activation.RELU:
+        return np.maximum(s, 0.0), (s > 0.0).astype(np.float64)
+    if kind is Activation.TANH:
+        t = np.tanh(s)
+        return t, 1.0 - t * t
+    return s, np.ones_like(s)
+
+
+def backward_from_pre_activations(net: MLP, X: np.ndarray, labels) -> list[np.ndarray]:
+    """g(l) of every layer for the rows of X, with act'(s) computed from s itself."""
+    a, derivs = np.asarray(X, dtype=np.float64), []
+    for layer in net.layers:
+        a, d = _act_and_derivative(layer.spec.activation, a @ layer.weights.T + layer.bias)
+        derivs.append(d)
+    grads = [batch_taps(net, X, labels, backward=False).grads[-1]]
+    for l in range(net.depth - 1, 0, -1):
+        grads.insert(0, (grads[0] @ net.layers[l].weights) * derivs[l - 1])
+    return grads
 
 
 def ip_influence(pg_z: ParamGrads, pg_j: ParamGrads) -> float:

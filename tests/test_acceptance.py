@@ -25,6 +25,7 @@ from layerval.trainer import (
     cache_reals_per_sample,
     curate_batch,
     pair_macs,
+    sample_taps,
     train,
 )
 
@@ -363,8 +364,9 @@ def test_criterion_10_threshold_monotonicity():
     warm = TrainerConfig(learning_rate=0.5, batch_size=16, epochs=120,
                          warmup_epochs=120, mode=CurationMode.OFF, seed=6)
     _, net = train(net, warm, bundle)
-    batch = bundle.train[:16]
-    cache = build_validation_cache(net, bundle.validation, Estimator.LAI)
+    batch = sample_taps(net, bundle.train[:16], backward=False)
+    cache = build_validation_cache(net, sample_taps(net, bundle.validation, backward=False),
+                                   Estimator.LAI)
     kept_sets = []
     for thr in (-0.1, 0.0, 0.1):
         cfg = TrainerConfig(learning_rate=0.5, batch_size=16, epochs=1,

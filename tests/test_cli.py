@@ -217,6 +217,16 @@ class TestCsvDataFitsModel:
         assert "test.csv" in message and "line 3" in message and "label 3" in message
 
 
+    @pytest.mark.parametrize("name", ["train.csv", "val.csv", "test.csv"])
+    def test_header_only_split_rejected(self, tmp_path, capsys, name):
+        def keep_header(ds_dir):
+            path = ds_dir / name
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+
+        message = self.run_on_dataset(tmp_path, capsys, keep_header)
+        assert message == f"{tmp_path / 'dataset' / name}: no rows"
+
+
 class TestThreadCountDeterminism:
     """`train` and `fidelity` write the same bytes under one and two OpenBLAS threads.
 
@@ -322,6 +332,18 @@ class TestDiagnose:
         bound = json.loads((tmp_path / "out" / "bound.json").read_text())
         assert bound["measured_rel_gap"] == 0.0
         assert bound["bound_value"] == 0.0
+
+    def test_checkpoint_dims_must_match_model(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint_final.json"
+        cfg = tiny_config(tmp_path / "other", diagnose={"checkpoint": str(ckpt)})
+        cfg["model"]["layer_dims"] = [4, 5, 3]
+        assert main(["diagnose", "--config", str(write_config(tmp_path, cfg, "d.json"))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "runtime"
+        assert err["message"] == (f"{ckpt}: layer dims [4, 6, 3] != "
+                                  f"model.layer_dims = [4, 5, 3]")
 
     @pytest.mark.parametrize("name", ["train.csv", "val.csv"])
     def test_empty_csv_split_is_runtime_error(self, tmp_path, capsys, name):

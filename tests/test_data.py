@@ -131,7 +131,7 @@ class TestGeneratorCalibration:
     def test_clean_blobs_are_learnable(self):
         # spread small relative to center separation: vanilla training
         # must exceed 95% test accuracy, otherwise the generator is miscalibrated
-        from layerval.trainer import mean_loss_and_accuracy
+        from layerval.trainer import mean_loss_and_accuracy, stack_samples
         from layerval.influence import Estimator
         from layerval.network import MLP
         from layerval.trainer import CurationMode, TrainerConfig, train
@@ -143,7 +143,7 @@ class TestGeneratorCalibration:
                             warmup_epochs=8, mode=CurationMode.OFF,
                             estimator=Estimator.LAI, seed=0)
         _, trained = train(net, cfg, bundle)
-        assert mean_loss_and_accuracy(trained, bundle.test)[1] > 0.95
+        assert mean_loss_and_accuracy(trained, *stack_samples(bundle.test))[1] > 0.95
 
 
 class TestCsv:

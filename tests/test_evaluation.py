@@ -20,7 +20,13 @@ from layerval.evaluation import (
 from layerval.influence import Estimator
 from layerval.network import MLP, Activation, Layer, LayerSpec
 from layerval.serialize import read_csv
-from layerval.trainer import CurationMode, TrainerConfig, mean_loss_and_accuracy, train
+from layerval.trainer import (
+    CurationMode,
+    TrainerConfig,
+    mean_loss_and_accuracy,
+    stack_samples,
+    train,
+)
 
 
 class TestPearson:
@@ -79,7 +85,7 @@ class TestSpearman:
 
 
 def accuracy(net, samples):
-    return mean_loss_and_accuracy(net, samples)[1]
+    return mean_loss_and_accuracy(net, *stack_samples(samples))[1]
 
 
 class TestAccuracy:

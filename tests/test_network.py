@@ -10,6 +10,7 @@ from layerval.network import (
     Activation,
     Layer,
     LayerSpec,
+    backward_chain,
     backward_taps,
     batch_taps,
     evaluate_sample,
@@ -19,6 +20,8 @@ from layerval.network import (
     param_grads,
     save_checkpoint,
 )
+
+from reference import backward_from_pre_activations
 
 ALL_ACTS = ["linear", "relu", "tanh"]
 
@@ -269,6 +272,30 @@ class TestBatchTaps:
             np.testing.assert_allclose(taps.logits[i], ref.pre_activations[-1],
                                        rtol=1e-12, atol=1e-15)
             assert taps.losses[i] == pytest.approx(ref.loss, rel=1e-12, abs=1e-15)
+
+    @given(st.integers(0, 2 ** 16), st.lists(st.sampled_from(ALL_ACTS), min_size=0, max_size=2),
+           st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_backward_chain_on_kept_rows_matches_full_pass(self, seed, hidden_acts, batch, data):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 7, size=len(hidden_acts) + 1)] + [3]
+        net = seeded_net(dims, hidden_acts + ["linear"], seed=seed)
+        X = rng.normal(size=(batch, dims[0]))
+        labels = rng.integers(3, size=batch)
+        forward_only = batch_taps(net, X, labels, backward=False)
+        full = batch_taps(net, X, labels, backward=True)
+        # act' from the activations gives the bits of act' from s(l)
+        for got, want in zip(full.grads, backward_from_pre_activations(net, X, labels)):
+            assert np.array_equal(got, want)
+        kept = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=batch,
+                                                 max_size=batch), label="kept"))
+        chained = backward_chain(net, forward_only.rows(kept))
+        assert chained.full and len(chained) == kept.size
+        for got, want in zip(chained.grads, full.grads):
+            np.testing.assert_allclose(got, want[kept], rtol=1e-12, atol=1e-15)
+        for got, want in zip(chained.acts, full.acts):
+            assert np.array_equal(got, want[kept])
+        assert backward_chain(net, full) is full
 
     @pytest.mark.parametrize("X, labels, match", [
         (np.array([[0.0, 1.0], [np.nan, 0.0]]), [0, 1], "non-finite input in row 1"),

@@ -12,9 +12,11 @@ from layerval.network import (
     Activation,
     Layer,
     LayerSpec,
+    batch_taps,
     evaluate_sample,
     param_grads,
 )
+from layerval import trainer
 from layerval.oracle import UtilityFn
 from layerval.trainer import (
     CostLedger,
@@ -28,6 +30,7 @@ from layerval.trainer import (
     curate_batch,
     ledger_compare,
     pair_macs,
+    sample_taps,
     self_influence_curate,
     sgd_step,
     train,
@@ -49,6 +52,15 @@ def toy_samples(net, n, seed):
     rng = np.random.default_rng(seed)
     return [Sample(id=i, features=rng.normal(size=net.in_dim),
                    label=int(rng.integers(net.out_dim))) for i in range(n)]
+
+
+def taps_of(net, samples, estimator=Estimator.LAI):
+    """One pass over samples, with a full backward pass where the estimator needs one."""
+    return sample_taps(net, samples, backward=estimator in (Estimator.GHOST, Estimator.IP))
+
+
+def no_taps(net):
+    return batch_taps(net, np.empty((0, net.in_dim)), np.empty(0, dtype=np.int64), False)
 
 
 def cfg_with(**kw):
@@ -88,7 +100,7 @@ class TestValidationCache:
         spec = LayerSpec(2, 2, Activation.LINEAR)
         net = MLP(layers=[Layer(np.eye(2), np.zeros(2), spec)])
         x = np.array([0.3, -0.7])
-        cache = build_validation_cache(net, [Sample(id=0, features=x, label=0)],
+        cache = build_validation_cache(net, taps_of(net, [Sample(id=0, features=x, label=0)]),
                                        Estimator.LAI)
         np.testing.assert_array_equal(cache.taps.acts[0][0], np.append(x, 1.0))
         from layerval.network import forward, loss_and_output_grad
@@ -100,8 +112,10 @@ class TestValidationCache:
     def test_rebuild_bit_identical(self):
         net = toy_net(seed=1)
         val = toy_samples(net, 5, seed=2)
-        a = build_validation_cache(net, val, Estimator.GHOST, step_id=3)
-        b = build_validation_cache(net, val, Estimator.GHOST, step_id=3)
+        a = build_validation_cache(net, taps_of(net, val, Estimator.GHOST), Estimator.GHOST,
+                                   step_id=3)
+        b = build_validation_cache(net, taps_of(net, val, Estimator.GHOST), Estimator.GHOST,
+                                   step_id=3)
         for xa, xb in zip(a.taps.acts + a.taps.grads, b.taps.acts + b.taps.grads):
             assert np.array_equal(xa, xb)
 
@@ -109,7 +123,7 @@ class TestValidationCache:
         net = toy_net(dims=(3, 5, 4, 2), acts=("relu", "tanh", "linear"), seed=4)
         z = toy_samples(net, 1, seed=5)[0]
         j = toy_samples(net, 1, seed=6)[0]
-        cache = build_validation_cache(net, [z], Estimator.LAI)
+        cache = build_validation_cache(net, taps_of(net, [z]), Estimator.LAI)
         taps_j = evaluate_sample(net, j.features, j.label)
         concat_j = np.concatenate([np.append(a, 1.0) for a in taps_j.activations])
         concat_z = np.concatenate([block[0] for block in cache.taps.acts])
@@ -120,7 +134,13 @@ class TestValidationCache:
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
-            build_validation_cache(toy_net(), [], Estimator.LAI)
+            build_validation_cache(toy_net(), no_taps(toy_net()), Estimator.LAI)
+
+    @pytest.mark.parametrize("estimator", [Estimator.GHOST, Estimator.IP])
+    def test_partial_taps_rejected_for_full_backward_estimators(self, estimator):
+        net = toy_net(seed=1)
+        with pytest.raises(ValueError, match="full backward"):
+            build_validation_cache(net, taps_of(net, toy_samples(net, 2, seed=2)), estimator)
 
 
 class TestCurateBatch:
@@ -131,8 +151,8 @@ class TestCurateBatch:
         center = np.array([0.5, -0.3, 0.8])
         batch = [Sample(id=i, features=center + 0.01 * rng.normal(size=3), label=1)
                  for i in range(4)]
-        cache = build_validation_cache(net, batch, Estimator.LAI)
-        decision = curate_batch(net, batch, cache, cfg_with(estimator=Estimator.LAI))
+        cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI)
+        decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(estimator=Estimator.LAI))
         assert all(b > 0 for b in decision.benefit_scores)
         assert all(decision.kept_mask)
 
@@ -143,8 +163,8 @@ class TestCurateBatch:
         net.layers[0].bias = np.zeros(2)
         null = Sample(id=0, features=np.array([2.0, 0.0]), label=0)
         others = [Sample(id=1, features=np.array([0.1, 0.5]), label=1)]
-        cache = build_validation_cache(net, others, Estimator.LAI)
-        decision = curate_batch(net, [null] + others, cache,
+        cache = build_validation_cache(net, taps_of(net, others), Estimator.LAI)
+        decision = curate_batch(net, taps_of(net, [null] + others), cache,
                                 cfg_with(batch_size=2, threshold=0.0))
         assert decision.benefit_scores[0] == 0.0
         assert decision.kept_mask[0]
@@ -160,8 +180,8 @@ class TestCurateBatch:
         flipped = Sample(id=999, features=clean.features.copy(),
                          label=1 - clean.label, noisy=True)
         batch = bundle.train[1:8] + [flipped]
-        cache = build_validation_cache(net, bundle.validation, Estimator.LAI)
-        decision = curate_batch(net, batch, cache, cfg_with(batch_size=8))
+        cache = build_validation_cache(net, taps_of(net, bundle.validation), Estimator.LAI)
+        decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(batch_size=8))
         assert decision.benefit_scores[-1] < 0.0
         assert not decision.kept_mask[-1]
         u = UtilityFn(net, bundle.validation, learning_rate=1e-3)
@@ -177,9 +197,9 @@ class TestCurateBatch:
         val = toy_samples(net, 4, seed=13)
         precond = Preconditioner(np.array([1.5, 0.5, 2.0])) \
             if estimator is Estimator.PRECOND_LAI else None
-        cache = build_validation_cache(net, val, estimator)
-        decision = curate_batch(net, batch, cache, cfg_with(estimator=estimator),
-                                preconditioner=precond)
+        cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
+        decision = curate_batch(net, taps_of(net, batch, estimator), cache,
+                                cfg_with(estimator=estimator), preconditioner=precond)
         for got, s in zip(decision.benefit_scores, batch):
             want = benefit_by_pairwise_ops(net, s, val, estimator, precond)
             assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
@@ -187,27 +207,28 @@ class TestCurateBatch:
     def test_stale_cache_rejected(self):
         net = toy_net(seed=14)
         batch = toy_samples(net, 2, seed=15)
-        cache = build_validation_cache(net, batch, Estimator.LAI, step_id=0)
+        cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI, step_id=0)
         with pytest.raises(StaleCacheError):
-            curate_batch(net, batch, cache, cfg_with(cache_refresh_steps=1), step_id=1)
+            curate_batch(net, taps_of(net, batch), cache, cfg_with(cache_refresh_steps=1),
+                         step_id=1)
 
     def test_estimator_none_rejected(self):
         net = toy_net(seed=14)
         batch = toy_samples(net, 2, seed=15)
-        cache = build_validation_cache(net, batch, Estimator.LAI, step_id=0)
+        cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI, step_id=0)
         cfg = cfg_with(mode=CurationMode.OFF)
         cfg.estimator = Estimator.NONE
         with pytest.raises(ValueError):
-            curate_batch(net, batch, cache, cfg)
+            curate_batch(net, taps_of(net, batch), cache, cfg)
 
     def test_threshold_monotonicity_nested_kept_sets(self):
         net = toy_net(seed=16)
         batch = toy_samples(net, 8, seed=17)
         val = toy_samples(net, 5, seed=18)
-        cache = build_validation_cache(net, val, Estimator.LAI)
+        cache = build_validation_cache(net, taps_of(net, val), Estimator.LAI)
         kept_sets = []
         for thr in (-0.1, 0.0, 0.1):
-            decision = curate_batch(net, batch, cache, cfg_with(threshold=thr))
+            decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(threshold=thr))
             kept_sets.append({i for i, k in enumerate(decision.kept_mask) if k})
         assert kept_sets[0] >= kept_sets[1] >= kept_sets[2]
 
@@ -224,8 +245,8 @@ class TestLayerCalibration:
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=50)
         batch = toy_samples(net, 4, seed=51)
         val = toy_samples(net, 5, seed=52)
-        cache = build_validation_cache(net, val, estimator)
-        decision = curate_batch(net, batch, cache,
+        cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
+        decision = curate_batch(net, taps_of(net, batch, estimator), cache,
                                 cfg_with(estimator=estimator, layer_calibration=True),
                                 preconditioner=self.PRECOND)
         for got, s in zip(decision.benefit_scores, batch):
@@ -239,8 +260,8 @@ class TestLayerCalibration:
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=53)
         batch = toy_samples(net, 5, seed=54)
         decision = self_influence_curate(
-            net, batch, cfg_with(estimator=estimator, mode=CurationMode.SELF,
-                                 layer_calibration=True),
+            net, taps_of(net, batch, estimator),
+            cfg_with(estimator=estimator, mode=CurationMode.SELF, layer_calibration=True),
             preconditioner=self.PRECOND)
         for i, s in enumerate(batch):
             rest = batch[:i] + batch[i + 1:]
@@ -252,13 +273,15 @@ class TestLayerCalibration:
     def test_ghost_and_ip_ignore_calibration(self, estimator):
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=55)
         batch = toy_samples(net, 4, seed=56)
-        cache = build_validation_cache(net, toy_samples(net, 5, seed=57), estimator)
+        cache = build_validation_cache(net, taps_of(net, toy_samples(net, 5, seed=57), estimator),
+                                       estimator)
+        taps = taps_of(net, batch, estimator)
         for mode in (CurationMode.VALIDATION, CurationMode.SELF):
             scores = []
             for calibrate in (False, True):
                 cfg = cfg_with(estimator=estimator, mode=mode, layer_calibration=calibrate)
-                decision = curate_batch(net, batch, cache, cfg) \
-                    if mode is CurationMode.VALIDATION else self_influence_curate(net, batch, cfg)
+                decision = curate_batch(net, taps, cache, cfg) \
+                    if mode is CurationMode.VALIDATION else self_influence_curate(net, taps, cfg)
                 scores.append(decision.benefit_scores)
             assert scores[0] == scores[1]
 
@@ -268,7 +291,8 @@ class TestSelfInfluence:
         net = toy_net(seed=19)
         x = np.array([0.4, -0.2, 0.9])
         batch = [Sample(id=i, features=x.copy(), label=1) for i in range(4)]
-        decision = self_influence_curate(net, batch, cfg_with(mode=CurationMode.SELF))
+        decision = self_influence_curate(net, taps_of(net, batch),
+                                         cfg_with(mode=CurationMode.SELF))
         assert all(decision.kept_mask)
         assert all(b == pytest.approx(decision.benefit_scores[0], rel=1e-12)
                    for b in decision.benefit_scores)
@@ -276,7 +300,7 @@ class TestSelfInfluence:
 
     def test_batch_of_one_kept_with_note(self):
         net = toy_net(seed=20)
-        decision = self_influence_curate(net, toy_samples(net, 1, seed=21),
+        decision = self_influence_curate(net, taps_of(net, toy_samples(net, 1, seed=21)),
                                          cfg_with(mode=CurationMode.SELF))
         assert decision.kept_mask == [True]
         assert "degenerate" in decision.note
@@ -292,7 +316,7 @@ class TestSelfInfluence:
         majority = [Sample(id=2 + i, features=np.array([0.5, 0.9]), label=0)
                     for i in range(3)]
         batch = [twin_pos, twin_neg] + majority
-        decision = self_influence_curate(net, batch,
+        decision = self_influence_curate(net, taps_of(net, batch),
                                          cfg_with(mode=CurationMode.SELF, batch_size=5))
         b_pos, b_neg = decision.benefit_scores[0], decision.benefit_scores[1]
         # mutual twin term is identical for both; the rest is exactly antisymmetric
@@ -313,7 +337,8 @@ class TestSelfInfluence:
                  for s in bundle.train[:16]]
         batch[5] = Sample(id=batch[5].id, features=batch[5].features,
                           label=1 - batch[5].label, noisy=True)
-        decision = self_influence_curate(net, batch, cfg_with(mode=CurationMode.SELF))
+        decision = self_influence_curate(net, taps_of(net, batch),
+                                         cfg_with(mode=CurationMode.SELF))
         assert int(np.argmin(decision.benefit_scores)) == 5
         # exhaustive pairwise recomputation through the per-pair ops
         taps = [evaluate_sample(net, s.features, s.label) for s in batch]
@@ -332,7 +357,7 @@ class TestSgdStep:
         w_before = net.layers[0].weights.copy()
         b_before = net.layers[0].bias.copy()
         cfg = cfg_with(learning_rate=0.1, momentum=0.0)
-        net, _, _ = sgd_step(net, [sample], cfg, None)
+        net, _, _ = sgd_step(net, taps_of(net, [sample]), cfg, None)
         np.testing.assert_allclose(net.layers[0].weights,
                                    w_before - 0.1 * pg.weight_grads[0], atol=1e-15)
         np.testing.assert_allclose(net.layers[0].bias,
@@ -344,7 +369,7 @@ class TestSgdStep:
         net.layers[0].bias = np.zeros(2)
         null = Sample(id=0, features=np.array([2.0, 0.0]), label=0)
         w = net.layers[0].weights.copy()
-        net, _, _ = sgd_step(net, [null], cfg_with(), None)
+        net, _, _ = sgd_step(net, taps_of(net, [null]), cfg_with(), None)
         assert np.array_equal(net.layers[0].weights, w)
 
     def test_two_steps_match_velocity_recursion(self):
@@ -354,7 +379,7 @@ class TestSgdStep:
         cfg = cfg_with(learning_rate=0.2, momentum=0.9)
         state = None
         for _ in range(2):
-            net, state, _ = sgd_step(net, [sample], cfg, state)
+            net, state, _ = sgd_step(net, taps_of(net, [sample]), cfg, state)
         # closed-form recursion recomputed by hand on the reference copy
         g1 = param_grads(evaluate_sample(reference, sample.features, sample.label))
         v1w, v1b = g1.weight_grads[0], g1.bias_grads[0]
@@ -372,13 +397,115 @@ class TestSgdStep:
 
     def test_empty_kept_rejected(self):
         with pytest.raises(ValueError):
-            sgd_step(toy_net(), [], cfg_with(), None)
+            sgd_step(toy_net(), no_taps(toy_net()), cfg_with(), None)
+
+
+class TestReusedTaps:
+    """A curated step makes one pass: the cache takes its first rows, the
+    scorer the rest, and the SGD step the kept rows, where the step used to
+    re-run a full pass over the kept samples."""
+
+    ESTIMATORS = [Estimator.IP, Estimator.GHOST, Estimator.LAI, Estimator.LLI,
+                  Estimator.PRECOND_LAI]
+
+    @pytest.mark.parametrize("mode", [CurationMode.VALIDATION, CurationMode.SELF])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_step_on_kept_rows_matches_rerun_step(self, estimator, mode):
+        net = toy_net(dims=(3, 6, 4, 3), acts=("tanh", "relu", "linear"), seed=60)
+        batch = toy_samples(net, 10, seed=61)
+        val = toy_samples(net, 5, seed=62)
+        cfg = cfg_with(estimator=estimator, mode=mode, momentum=0.5, batch_size=10)
+        precond = Preconditioner(np.array([1.5, 0.5, 2.0])) \
+            if estimator is Estimator.PRECOND_LAI else None
+        if mode is CurationMode.VALIDATION:
+            taps = taps_of(net, val + batch, estimator)
+            cache = build_validation_cache(net, taps.rows(slice(0, len(val))), estimator)
+            taps = taps.rows(slice(len(val), None))
+            decision = curate_batch(net, taps, cache, cfg, preconditioner=precond)
+        else:
+            taps = taps_of(net, batch, estimator)
+            decision = self_influence_curate(net, taps, cfg, preconditioner=precond)
+        kept = np.flatnonzero(decision.kept_mask)
+        assert 0 < kept.size < len(batch)
+        rng = np.random.default_rng(63)
+        state = [(rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape))
+                 for l in net.layers]
+        reused, state_a, loss_a = sgd_step(net.copy(), taps.rows(kept), cfg, state)
+        rerun, state_b, loss_b = sgd_step(
+            net.copy(), sample_taps(net, [batch[i] for i in kept], backward=True), cfg, state)
+        for a, b, (va, ba), (vb, bb) in zip(reused.layers, rerun.layers, state_a, state_b):
+            np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(a.bias, b.bias, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(va, vb, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(ba, bb, rtol=1e-12, atol=1e-15)
+        assert loss_a == pytest.approx(loss_b, rel=1e-12)
+
+    @pytest.mark.parametrize("refresh", [1, 3])
+    def test_cache_scorer_and_step_get_their_own_rows(self, monkeypatch, refresh):
+        seen = []
+        for name in ("build_validation_cache", "curate_batch", "sgd_step"):
+            def spy(*args, _f=getattr(trainer, name), _name=name, **kwargs):
+                out = _f(*args, **kwargs)
+                seen.append((_name, args, out))
+                return out
+            monkeypatch.setattr(trainer, name, spy)
+        data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
+                                      fractions=(0.7, 0.15, 0.15), seed=65)
+        cfg = cfg_with(epochs=3, warmup_epochs=1, batch_size=8, cache_refresh_steps=refresh)
+        report, _ = train(toy_net(dims=(4, 8, 3), seed=65), cfg, data)
+        features = {s.id: s.features for s in data.train}
+        val_rows = {s.features.tobytes() for s in data.validation}
+
+        def inputs(taps):
+            return taps.acts[0][:, :-1]
+
+        ids_by_step: dict[int, list[int]] = {}
+        for step, sid, _, _ in report.score_rows:
+            ids_by_step.setdefault(step, []).append(sid)
+        k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
+        decision = None
+        for name, args, out in seen:
+            if name == "build_validation_cache":
+                assert len(args[1]) == k
+                assert all(row.tobytes() in val_rows for row in inputs(args[1]))
+            elif name == "curate_batch":
+                step, decision = args[4], out
+                want = np.stack([features[sid] for sid in ids_by_step[step]])
+                assert np.array_equal(inputs(args[1]), want)
+            elif decision is not None:  # a curated step trains on its kept rows
+                assert np.array_equal(inputs(args[1]), want[decision.kept_mask])
+        assert sum(name == "curate_batch" for name, _, _ in seen) == len(ids_by_step)
+
+    @pytest.mark.parametrize("mode, refresh", [(CurationMode.VALIDATION, 1),
+                                               (CurationMode.VALIDATION, 3),
+                                               (CurationMode.SELF, 1)])
+    def test_one_pass_per_step_plus_two_per_epoch(self, monkeypatch, mode, refresh):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return batch_taps(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "batch_taps", counting)
+        data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
+                                      fractions=(0.7, 0.15, 0.15), seed=64)
+        cfg = cfg_with(mode=mode, epochs=4, warmup_epochs=1, batch_size=8,
+                       cache_refresh_steps=refresh)
+        report, _ = train(toy_net(dims=(4, 8, 3), seed=64), cfg, data)
+        assert len(calls) == report.steps_total + 2 * cfg.epochs
+        k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
+        batches = math.ceil(len(data.train) / cfg.batch_size)
+        refreshes = math.ceil(batches * (cfg.epochs - 1) / refresh) \
+            if mode is CurationMode.VALIDATION else 0
+        assert sum(calls) == cfg.epochs * (len(data.train) + len(data.validation)
+                                           + len(data.test)) + refreshes * k
 
 
 class TestLedger:
     def run_method(self, net, batch, val, estimator, ledger):
-        cache = build_validation_cache(net, val, estimator)
-        curate_batch(net, batch, cache, cfg_with(estimator=estimator, batch_size=len(batch)),
+        cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
+        curate_batch(net, taps_of(net, batch, estimator), cache,
+                     cfg_with(estimator=estimator, batch_size=len(batch)),
                      step_id=0, ledger=ledger)
 
     def test_hand_mac_count_depth_three(self):
