@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+from enum import Enum
 from pathlib import Path
 
 from . import serialize
@@ -23,6 +24,7 @@ from .influence import Estimator, bound_diagnostics, variance_diagnostic
 from .network import MLP, load_checkpoint, save_checkpoint
 from .oracle import EXHAUSTIVE_MAX
 from .trainer import (
+    ConfigError,
     CostLedger,
     TrainerConfig,
     build_validation_cache,
@@ -31,13 +33,6 @@ from .trainer import (
     sample_taps,
     train,
 )
-
-
-class ConfigError(ValueError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
 
 
 def _is_num(v) -> bool:
@@ -61,24 +56,8 @@ DEFAULT_CONFIG = {
         "layer_dims": [8, 16, 3],
         "activations": ["relu", "linear"],
     },
-    "trainer": {
-        "learning_rate": 0.05,
-        "momentum": 0.0,
-        "batch_size": 16,
-        "epochs": 10,
-        "warmup_epochs": 3,
-        "estimator": "lai",
-        "mode": "validation",
-        "threshold": 0.0,
-        "val_fraction_per_batch": 0.1,
-        "cache_refresh_steps": 1,
-        "empty_batch_policy": "skip",
-        "checkpoint_every": 0,
-        "probe_sample_count": 3,
-        "layer_calibration": False,
-        "precond_decay": 0.9,
-        "precond_floor": 1e-8,
-    },
+    "trainer": {f.name: f.default.value if isinstance(f.default, Enum) else f.default
+                for f in dataclasses.fields(TrainerConfig) if f.name != "seed"},
     "fidelity": {
         "probe_batch_size": 16,
         "checkpoint_every": 15,
@@ -95,7 +74,7 @@ DEFAULT_CONFIG = {
 }
 
 _VALIDATORS = {
-    "seed": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "seed": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
     "output_dir": lambda v: isinstance(v, str) and v,
     "dataset.kind": lambda v: v in ("blobs", "csv"),
     "dataset.num_classes": lambda v: isinstance(v, int) and v >= 2,
@@ -111,22 +90,6 @@ _VALIDATORS = {
                                    and all(isinstance(d, int) and d >= 1 for d in v)),
     "model.activations": lambda v: (isinstance(v, list)
                                     and all(a in ("linear", "relu", "tanh") for a in v)),
-    "trainer.learning_rate": lambda v: _is_num(v) and v > 0,
-    "trainer.momentum": lambda v: _is_num(v) and 0 <= v < 1,
-    "trainer.batch_size": lambda v: isinstance(v, int) and v >= 1,
-    "trainer.epochs": lambda v: isinstance(v, int) and v >= 0,
-    "trainer.warmup_epochs": lambda v: isinstance(v, int) and v >= 0,
-    "trainer.estimator": lambda v: v in [e.value for e in Estimator],
-    "trainer.mode": lambda v: v in ("validation", "self", "off"),
-    "trainer.threshold": lambda v: _is_num(v) and math.isfinite(v),
-    "trainer.val_fraction_per_batch": lambda v: _is_num(v) and 0 < v <= 1,
-    "trainer.cache_refresh_steps": lambda v: isinstance(v, int) and v >= 1,
-    "trainer.empty_batch_policy": lambda v: v in ("skip", "keep_top1"),
-    "trainer.checkpoint_every": lambda v: isinstance(v, int) and v >= 0,
-    "trainer.probe_sample_count": lambda v: isinstance(v, int) and v >= 0,
-    "trainer.layer_calibration": lambda v: isinstance(v, bool),
-    "trainer.precond_decay": lambda v: _is_num(v) and 0 < v < 1,
-    "trainer.precond_floor": lambda v: _is_num(v) and v > 0,
     "fidelity.probe_batch_size": lambda v: isinstance(v, int) and v >= 2,
     "fidelity.checkpoint_every": lambda v: isinstance(v, int) and v >= 1,
     "fidelity.permutations": lambda v: isinstance(v, int) and v >= 1,
@@ -162,13 +125,12 @@ def resolve_config(raw: dict) -> dict:
         value = resolved[parts[0]] if len(parts) == 1 else resolved[parts[0]][parts[1]]
         if not check(value):
             raise ConfigError(path, f"invalid value {value!r}")
+    build_trainer_config(resolved)
     model = resolved["model"]
     if len(model["activations"]) != len(model["layer_dims"]) - 1:
         raise ConfigError("model.activations", "need one activation per layer")
     if model["activations"][-1] != "linear":
         raise ConfigError("model.activations", "final layer activation must be linear")
-    if resolved["trainer"]["warmup_epochs"] > resolved["trainer"]["epochs"]:
-        raise ConfigError("trainer.warmup_epochs", "cannot exceed trainer.epochs")
     if resolved["dataset"]["kind"] == "blobs" \
             and model["layer_dims"][0] != resolved["dataset"]["feature_dim"]:
         raise ConfigError("model.layer_dims", "first dim must match dataset.feature_dim")
@@ -263,21 +225,7 @@ def build_net(config: dict) -> MLP:
 
 
 def build_trainer_config(config: dict) -> TrainerConfig:
-    t = config["trainer"]
-    return TrainerConfig(
-        learning_rate=float(t["learning_rate"]), momentum=float(t["momentum"]),
-        batch_size=t["batch_size"], epochs=t["epochs"],
-        warmup_epochs=t["warmup_epochs"], estimator=Estimator(t["estimator"]),
-        mode=t["mode"], threshold=float(t["threshold"]),
-        val_fraction_per_batch=float(t["val_fraction_per_batch"]),
-        cache_refresh_steps=t["cache_refresh_steps"], seed=config["seed"],
-        empty_batch_policy=t["empty_batch_policy"],
-        checkpoint_every=t["checkpoint_every"],
-        probe_sample_count=t["probe_sample_count"],
-        layer_calibration=t["layer_calibration"],
-        precond_decay=float(t["precond_decay"]),
-        precond_floor=float(t["precond_floor"]),
-    )
+    return TrainerConfig(**config["trainer"], seed=config["seed"])
 
 
 def _prepare_out(config: dict) -> Path:

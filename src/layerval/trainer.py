@@ -15,7 +15,9 @@ scoring pass per estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable
 
@@ -45,44 +47,65 @@ class NonFiniteGradientError(RuntimeError):
     pass
 
 
+class ConfigError(ValueError):
+    """A rejected config value, named by its dotted path (e.g. trainer.momentum)."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+
+def _setting(default, check: Callable[[object], bool]):
+    """A TrainerConfig field with its default and its range check."""
+    return field(default=default, metadata={"check": check})
+
+
 @dataclass
 class TrainerConfig:
-    learning_rate: float = 0.05
-    momentum: float = 0.0
-    batch_size: int = 16
-    epochs: int = 10
-    warmup_epochs: int = 3
+    """Settings of one training run; also the schema of the CLI's `trainer`
+    section, whose defaults are these (enums as their values, seed aside).
+
+    Each field takes the type of its default: a real takes any finite int or
+    float and is stored as a float, a count an int, a flag a bool, and an enum
+    field a member or its value. A value of another type, outside the field's
+    range, or warmup_epochs > epochs raises ConfigError("trainer.<field>").
+    """
+
+    learning_rate: float = _setting(0.05, lambda v: v > 0)
+    momentum: float = _setting(0.0, lambda v: 0 <= v < 1)
+    batch_size: int = _setting(16, lambda v: v >= 1)
+    epochs: int = _setting(10, lambda v: v >= 0)
+    warmup_epochs: int = _setting(3, lambda v: v >= 0)
     estimator: Estimator = Estimator.LAI
     mode: CurationMode = CurationMode.VALIDATION
     threshold: float = 0.0  # benefit sign: keep when benefit >= threshold
-    val_fraction_per_batch: float = 0.1
-    cache_refresh_steps: int = 1
-    seed: int = 0
+    val_fraction_per_batch: float = _setting(0.1, lambda v: 0 < v <= 1)
+    cache_refresh_steps: int = _setting(1, lambda v: v >= 1)
+    seed: int = _setting(0, lambda v: v >= 0)  # numpy's SeedSequence takes no negative seed
     empty_batch_policy: EmptyBatchPolicy = EmptyBatchPolicy.SKIP_STEP
-    checkpoint_every: int = 0  # steps between checkpoint hooks; 0 disables
-    probe_sample_count: int = 3
+    checkpoint_every: int = _setting(0, lambda v: v >= 0)  # steps between hooks; 0 disables
+    probe_sample_count: int = _setting(3, lambda v: v >= 0)
     layer_calibration: bool = False  # divide alpha(l) by dim(a~(l-1)) when scoring
-    precond_decay: float = 0.9
-    precond_floor: float = 1e-8
+    precond_decay: float = _setting(0.9, lambda v: 0 < v < 1)
+    precond_floor: float = _setting(1e-8, lambda v: v > 0)
 
     def __post_init__(self):
-        self.estimator = Estimator(self.estimator)
-        self.mode = CurationMode(self.mode)
-        self.empty_batch_policy = EmptyBatchPolicy(self.empty_batch_policy)
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0 or self.warmup_epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epoch counts nonnegative")
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if kind is bool or isinstance(value, bool):  # a bool is an int, but no count
+                ok = kind is bool and isinstance(value, bool)
+            elif issubclass(kind, Enum):
+                ok = value in [m.value for m in kind]  # str enums: a member equals its value
+            elif kind is float:  # finite; an int only within the float range
+                ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+            else:
+                ok = isinstance(value, numbers.Integral)
+            if not ok or not f.metadata.get("check", lambda v: True)(value):
+                raise ConfigError(f"trainer.{f.name}", f"invalid value {value!r}")
+            setattr(self, f.name, kind(value))
         if self.warmup_epochs > self.epochs:
-            raise ValueError("warmup_epochs cannot exceed epochs")
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
-        if not 0.0 < self.val_fraction_per_batch <= 1.0:
-            raise ValueError("val_fraction_per_batch must lie in (0, 1]")
-        if self.cache_refresh_steps < 1:
-            raise ValueError("cache_refresh_steps must be >= 1")
+            raise ConfigError("trainer.warmup_epochs", "cannot exceed trainer.epochs")
 
 
 # --- cost accounting -------------------------------------------------------
@@ -273,8 +296,6 @@ def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
 class CurationDecision:
     kept_mask: list[bool]
     benefit_scores: list[float]
-    estimator: Estimator
-    step_id: int
     note: str = ""
 
 
@@ -309,8 +330,7 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache,
             step=step_id, method=cfg.estimator.value, macs=macs,
             cache_bytes=cache.byte_size, samples_scored=n, samples_kept=sum(kept),
             config_key=(tuple([net.in_dim] + _grad_dims(net)), n, cache.sample_count)))
-    return CurationDecision(kept_mask=kept, benefit_scores=benefits,
-                            estimator=cfg.estimator, step_id=step_id)
+    return CurationDecision(kept_mask=kept, benefit_scores=benefits)
 
 
 def self_influence_curate(net: MLP, taps: BatchTaps, cfg: TrainerConfig,
@@ -325,7 +345,6 @@ def self_influence_curate(net: MLP, taps: BatchTaps, cfg: TrainerConfig,
     n = len(taps)
     if n == 1:
         return CurationDecision(kept_mask=[True], benefit_scores=[0.0],
-                                estimator=est, step_id=step_id,
                                 note="degenerate batch of one: kept unconditionally")
     pair = pair_matrix(est, taps, taps, preconditioner, cfg.layer_calibration)
     benefits = (pair.sum(axis=0) - np.diag(pair)).tolist()
@@ -338,8 +357,7 @@ def self_influence_curate(net: MLP, taps: BatchTaps, cfg: TrainerConfig,
             cache_bytes=n * cache_reals_per_sample(net, est) * 8,
             samples_scored=n, samples_kept=sum(kept),
             config_key=(tuple([net.in_dim] + _grad_dims(net)), n, n - 1)))
-    return CurationDecision(kept_mask=kept, benefit_scores=benefits,
-                            estimator=est, step_id=step_id)
+    return CurationDecision(kept_mask=kept, benefit_scores=benefits)
 
 
 # --- optimizer -------------------------------------------------------------
@@ -437,13 +455,13 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     curated epochs each refresh draws a fresh validation subsample of size
     ceil(val_fraction_per_batch * |validation|) without replacement, builds
     the estimator cache against the current parameters, and batches are
-    filtered by benefit threshold before the SGD step.
+    filtered by benefit threshold before the SGD step. Every split must be
+    nonempty: each epoch reports the validation loss and the test accuracy.
     """
-    if not data.train:
-        raise ValueError("empty training split")
-    if cfg.mode is CurationMode.VALIDATION and cfg.estimator is not Estimator.NONE \
-            and cfg.warmup_epochs < cfg.epochs and not data.validation:
-        raise ValueError("validation-influence curation needs a validation split")
+    for name, split in (("training", data.train), ("validation", data.validation),
+                        ("test", data.test)):
+        if not split:
+            raise ValueError(f"empty {name} split")
     net = net.copy()
     seed_seq = np.random.SeedSequence(cfg.seed)
     shuffle_ss, val_ss = seed_seq.spawn(2)
@@ -458,7 +476,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     n = len(data.train)
     X, y = stack_samples(data.train + data.validation)  # validation rows from n on
     ids = [s.id for s in data.train]
-    test_X, test_y = stack_samples(data.test) if data.test else (None, None)
+    test_X, test_y = stack_samples(data.test)
     backward = _needs_backward(cfg.estimator)
     epoch_stats: list[EpochStats] = []
     inclusion: list[list[bool]] = []
@@ -521,13 +539,11 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                 checkpoint_hook(step, net.copy())
                 checkpoints_fired += 1
         edges, counts = _histogram(epoch_benefits)
-        val_loss = mean_loss_and_accuracy(net, X[n:], y[n:])[0] if data.validation else 0.0
-        test_accuracy = mean_loss_and_accuracy(net, test_X, test_y)[1] if data.test else 0.0
         epoch_stats.append(EpochStats(
             epoch=epoch,
-            train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-            val_loss=val_loss,
-            test_accuracy=test_accuracy,
+            train_loss=float(np.mean(epoch_losses)),
+            val_loss=mean_loss_and_accuracy(net, X[n:], y[n:])[0],
+            test_accuracy=mean_loss_and_accuracy(net, test_X, test_y)[1],
             kept_count=sum(row),
             scored_count=scored,
             histogram_edges=edges,

@@ -1,6 +1,8 @@
 """Config resolution, subcommands, exit codes, and byte-level determinism."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +17,8 @@ from layerval.cli import (
     main,
     resolve_config,
 )
+from layerval.serialize import dumps
+from layerval.trainer import TrainerConfig
 
 
 def tiny_config(out_dir, **extra):
@@ -41,6 +45,36 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+# At least one rejected value for every field of the `trainer` section.
+BAD_TRAINER_VALUES = [
+    ("probe_sample_count", -1),
+    ("precond_decay", 1.5),
+    ("precond_floor", 0.0),
+    ("checkpoint_every", -2),
+    ("layer_calibration", "no"),
+    ("learning_rate", 0),
+    ("learning_rate", math.inf),
+    ("learning_rate", True),
+    ("momentum", 1.0),
+    ("momentum", "0.5"),
+    ("batch_size", 0),
+    ("batch_size", 4.0),
+    ("epochs", -1),
+    ("warmup_epochs", -1),
+    ("warmup_epochs", 11),  # exceeds the default 10 epochs
+    ("estimator", "bogus"),
+    ("mode", "curate"),
+    ("threshold", math.nan),
+    ("threshold", -math.inf),
+    ("val_fraction_per_batch", 0),
+    ("val_fraction_per_batch", 1.5),
+    ("cache_refresh_steps", 0),
+    ("empty_batch_policy", "drop"),
+    ("layer_calibration", 1),
+    ("precond_floor", math.inf),
+]
+
+
 class TestConfigResolution:
     def test_defaults_fill_in(self):
         resolved = resolve_config({})
@@ -61,6 +95,48 @@ class TestConfigResolution:
         with pytest.raises(ConfigError) as err:
             resolve_config({"trainer": {"learning_rate": -1}})
         assert err.value.path == "trainer.learning_rate"
+
+    @pytest.mark.parametrize("field,bad", BAD_TRAINER_VALUES)
+    def test_bad_trainer_value_rejected_by_both_entries(self, field, bad):
+        with pytest.raises(ConfigError) as lib_err:
+            TrainerConfig(**{field: bad})
+        with pytest.raises(ConfigError) as cli_err:
+            resolve_config({"trainer": {field: bad}})
+        assert lib_err.value.path == cli_err.value.path == f"trainer.{field}"
+
+    def test_bad_values_cover_every_trainer_field(self):
+        assert {field for field, _ in BAD_TRAINER_VALUES} == set(resolve_config({})["trainer"])
+        assert {f.name for f in dataclasses.fields(TrainerConfig)} - \
+            set(resolve_config({})["trainer"]) == {"seed"}
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"seed": -1})
+        assert err.value.path == "seed"
+        with pytest.raises(ConfigError) as err:
+            TrainerConfig(seed=-1)
+        assert err.value.path == "trainer.seed"
+
+    def test_trainer_defaults_pinned(self):
+        # resolved_config.json spells these out; a dataclass edit must not move them
+        assert dumps(resolve_config({})["trainer"]) == dumps({
+            "learning_rate": 0.05,
+            "momentum": 0.0,
+            "batch_size": 16,
+            "epochs": 10,
+            "warmup_epochs": 3,
+            "estimator": "lai",
+            "mode": "validation",
+            "threshold": 0.0,
+            "val_fraction_per_batch": 0.1,
+            "cache_refresh_steps": 1,
+            "empty_batch_policy": "skip",
+            "checkpoint_every": 0,
+            "probe_sample_count": 3,
+            "layer_calibration": False,
+            "precond_decay": 0.9,
+            "precond_floor": 1e-8,
+        })
 
     def test_mismatched_model_and_dataset(self):
         with pytest.raises(ConfigError) as err:
@@ -152,6 +228,18 @@ class TestTrain:
         b = json.loads((tmp_path / "off" / "training_report.json").read_text())
         assert a["seed"] == b["seed"]
         assert a["mode"] != b["mode"]
+
+    def test_int_and_float_learning_rate_train_alike(self, tmp_path):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "unused"))
+        for name, value in (("int", "1"), ("float", "1.0")):
+            assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / name),
+                         "--set", f"trainer.learning_rate={value}"]) == 0
+        names = sorted(p.name for p in (tmp_path / "int").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "float").iterdir())
+        for name in names:
+            if name != "resolved_config.json":
+                assert (tmp_path / "int" / name).read_bytes() == \
+                    (tmp_path / "float" / name).read_bytes(), name
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "out")

@@ -1,5 +1,6 @@
 """Validation cache, curation decisions, SGD, cost ledger, and the train loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -618,6 +619,14 @@ class TestTrainLoop:
         for pid, trace in report.probe_traces.items():
             assert all(sid == pid for sid, _ in
                        [(pid, v) for _, v in trace])  # trace belongs to its probe
+
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_empty_split_rejected(self, split):
+        # with mode 'off' nothing is curated, but each epoch still reports
+        # val_loss and test_accuracy, which an empty split cannot give
+        data = dataclasses.replace(self.bundle(), **{split: []})
+        with pytest.raises(ValueError, match=f"empty {split} split"):
+            train(self.net(), cfg_with(mode=CurationMode.OFF), data)
 
     def test_empty_batch_policies(self):
         data = self.bundle()
