@@ -28,6 +28,7 @@ from .trainer import (
     CostLedger,
     TrainerConfig,
     build_validation_cache,
+    check_setting,
     curate_batch,
     ledger_compare,
     sample_taps,
@@ -35,71 +36,57 @@ from .trainer import (
 )
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_TRAINER = {f.name: (f.default, f.metadata.get("check")) for f in dataclasses.fields(TrainerConfig)}
 
-
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "output_dir": "runs/default",
+# Every config field once, as (default, range check), each typed by its default
+# under trainer.check_setting's rule; the trainer section is TrainerConfig's.
+SCHEMA = {
+    "seed": _TRAINER["seed"],
+    "output_dir": ("runs/default", lambda v: v != ""),
     "dataset": {
-        "kind": "blobs",
-        "num_classes": 3,
-        "per_class": 200,
-        "feature_dim": 8,
-        "spread": 0.35,
-        "flip_rate": 0.4,
-        "fractions": [0.8, 0.1, 0.1],
-        "dir": None,
+        "kind": ("blobs", lambda v: v in ("blobs", "csv")),
+        "num_classes": (3, lambda v: v >= 2),
+        "per_class": (200, lambda v: v >= 1),
+        "feature_dim": (8, lambda v: v >= 1),
+        "spread": (0.35, lambda v: v >= 0),
+        "flip_rate": (0.4, lambda v: 0 <= v <= 1),
+        "fractions": ([0.8, 0.1, 0.1],
+                      lambda v: len(v) == 3 and min(v) > 0 and abs(sum(v) - 1.0) < 1e-9),
+        "dir": (None, None),
     },
     "model": {
-        "layer_dims": [8, 16, 3],
-        "activations": ["relu", "linear"],
+        "layer_dims": ([8, 16, 3], lambda v: len(v) >= 2 and min(v) >= 1),
+        "activations": (["relu", "linear"], lambda v: set(v) <= {"linear", "relu", "tanh"}),
     },
-    "trainer": {f.name: f.default.value if isinstance(f.default, Enum) else f.default
-                for f in dataclasses.fields(TrainerConfig) if f.name != "seed"},
+    "trainer": {name: spec for name, spec in _TRAINER.items() if name != "seed"},
     "fidelity": {
-        "probe_batch_size": 16,
-        "checkpoint_every": 15,
-        "permutations": 1000,
-        "exhaustive": False,
-        "floor": 0.5,
+        "probe_batch_size": (16, lambda v: v >= 2),
+        "checkpoint_every": (15, lambda v: v >= 1),
+        "permutations": (1000, lambda v: v >= 1),
+        "exhaustive": (False, None),
+        "floor": (0.5, lambda v: -1 <= v <= 1),
     },
     "diagnose": {
-        "checkpoint": None,
-        "pair_count": 8,
-        "resamples": 100,
-        "subset_size": 8,
+        "checkpoint": (None, None),
+        "pair_count": (8, lambda v: v >= 1),
+        "resamples": (100, lambda v: v >= 2),
+        "subset_size": (8, lambda v: v >= 1),
     },
 }
 
-_VALIDATORS = {
-    "seed": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-    "output_dir": lambda v: isinstance(v, str) and v,
-    "dataset.kind": lambda v: v in ("blobs", "csv"),
-    "dataset.num_classes": lambda v: isinstance(v, int) and v >= 2,
-    "dataset.per_class": lambda v: isinstance(v, int) and v >= 1,
-    "dataset.feature_dim": lambda v: isinstance(v, int) and v >= 1,
-    "dataset.spread": lambda v: _is_num(v) and v >= 0,
-    "dataset.flip_rate": lambda v: _is_num(v) and 0 <= v <= 1,
-    "dataset.fractions": lambda v: (isinstance(v, list) and len(v) == 3
-                                    and all(_is_num(f) and f > 0 for f in v)
-                                    and abs(sum(v) - 1.0) < 1e-9),
-    "dataset.dir": lambda v: v is None or isinstance(v, str),
-    "model.layer_dims": lambda v: (isinstance(v, list) and len(v) >= 2
-                                   and all(isinstance(d, int) and d >= 1 for d in v)),
-    "model.activations": lambda v: (isinstance(v, list)
-                                    and all(a in ("linear", "relu", "tanh") for a in v)),
-    "fidelity.probe_batch_size": lambda v: isinstance(v, int) and v >= 2,
-    "fidelity.checkpoint_every": lambda v: isinstance(v, int) and v >= 1,
-    "fidelity.permutations": lambda v: isinstance(v, int) and v >= 1,
-    "fidelity.exhaustive": lambda v: isinstance(v, bool),
-    "fidelity.floor": lambda v: _is_num(v) and -1 <= v <= 1,
-    "diagnose.checkpoint": lambda v: v is None or isinstance(v, str),
-    "diagnose.pair_count": lambda v: isinstance(v, int) and v >= 1,
-    "diagnose.resamples": lambda v: isinstance(v, int) and v >= 2,
-    "diagnose.subset_size": lambda v: isinstance(v, int) and v >= 1,
-}
+
+def _plain(default):
+    return default.value if isinstance(default, Enum) else default
+
+
+DEFAULT_CONFIG = {key: {sub: _plain(d) for sub, (d, _) in spec.items()}
+                  if isinstance(spec, dict) else _plain(spec[0])
+                  for key, spec in SCHEMA.items()}
+
+
+def _reads_csv(dataset: dict) -> bool:
+    """Whether a run reads CSV splits from dataset.dir: set dir, or kind 'csv'."""
+    return dataset["kind"] == "csv" or bool(dataset["dir"])
 
 
 def resolve_config(raw: dict) -> dict:
@@ -120,22 +107,25 @@ def resolve_config(raw: dict) -> dict:
                 resolved[key][sub] = subval
         else:
             resolved[key] = value
-    for path, check in _VALIDATORS.items():
-        parts = path.split(".")
-        value = resolved[parts[0]] if len(parts) == 1 else resolved[parts[0]][parts[1]]
-        if not check(value):
-            raise ConfigError(path, f"invalid value {value!r}")
-    build_trainer_config(resolved)
-    model = resolved["model"]
+    for key, spec in SCHEMA.items():
+        if isinstance(spec, dict):
+            for sub, (default, check) in spec.items():
+                check_setting(f"{key}.{sub}", default, check, resolved[key][sub])
+        else:
+            check_setting(key, *spec, resolved[key])
+    build_trainer_config(resolved)  # the cross-field trainer checks
+    model, ds = resolved["model"], resolved["dataset"]
     if len(model["activations"]) != len(model["layer_dims"]) - 1:
         raise ConfigError("model.activations", "need one activation per layer")
     if model["activations"][-1] != "linear":
         raise ConfigError("model.activations", "final layer activation must be linear")
-    if resolved["dataset"]["kind"] == "blobs" \
-            and model["layer_dims"][0] != resolved["dataset"]["feature_dim"]:
+    if _reads_csv(ds):  # build_dataset checks the files against the model
+        if not ds["dir"]:
+            raise ConfigError("dataset.dir", "required when dataset.kind is 'csv'")
+    elif model["layer_dims"][0] != ds["feature_dim"]:
         raise ConfigError("model.layer_dims", "first dim must match dataset.feature_dim")
-    if resolved["dataset"]["kind"] == "csv" and not resolved["dataset"]["dir"]:
-        raise ConfigError("dataset.dir", "required when dataset.kind is 'csv'")
+    elif model["layer_dims"][-1] < ds["num_classes"]:
+        raise ConfigError("model.layer_dims", "last dim must be at least dataset.num_classes")
     if resolved["fidelity"]["exhaustive"] \
             and resolved["fidelity"]["probe_batch_size"] > EXHAUSTIVE_MAX:
         raise ConfigError("fidelity.exhaustive",
@@ -184,7 +174,7 @@ def load_config(path: str | None) -> dict:
 
 def build_dataset(config: dict):
     ds = config["dataset"]
-    if ds["kind"] == "csv" or ds["dir"]:
+    if _reads_csv(ds):
         d = Path(ds["dir"])
         for name in ("train.csv", "val.csv", "test.csv"):
             if not (d / name).exists():

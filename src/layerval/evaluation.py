@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -195,13 +195,7 @@ def emit_reports(records: list[FidelityRecord] | None,
             "checkpoints_total": summary.checkpoints_total,
             "floor": summary.floor,
             "exhaustive": summary.exhaustive,
-            "estimators": {
-                name: {
-                    "mean": s.mean, "std": s.std, "min": s.min, "max": s.max,
-                    "checkpoints": s.checkpoints, "below_floor": s.below_floor,
-                    "degenerate": s.degenerate,
-                } for name, s in summary.per_estimator.items()
-            },
+            "estimators": {name: asdict(s) for name, s in summary.per_estimator.items()},
         }
         serialize.dump_json(doc, path)
         written.append(path)
@@ -212,18 +206,7 @@ def emit_reports(records: list[FidelityRecord] | None,
             "mode": report.mode,
             "estimator": report.estimator,
             "steps_total": report.steps_total,
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "train_loss": e.train_loss,
-                    "val_loss": e.val_loss,
-                    "test_accuracy": e.test_accuracy,
-                    "kept_count": e.kept_count,
-                    "scored_count": e.scored_count,
-                    "histogram_edges": e.histogram_edges,
-                    "histogram_counts": e.histogram_counts,
-                } for e in report.epoch_stats
-            ],
+            "epochs": [asdict(e) for e in report.epoch_stats],
             "probe_traces": {
                 str(pid): [[step, val] for step, val in trace]
                 for pid, trace in report.probe_traces.items()

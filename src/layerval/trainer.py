@@ -61,15 +61,44 @@ def _setting(default, check: Callable[[object], bool]):
     return field(default=default, metadata={"check": check})
 
 
+def _typed(default, value) -> bool:
+    kind = type(default)
+    if kind is bool or isinstance(value, bool):  # a bool is an int, but no count
+        return kind is bool and isinstance(value, bool)
+    if issubclass(kind, Enum):
+        return value in [m.value for m in kind]  # str enums: a member equals its value
+    if kind is float:  # finite; an int only within the float range
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is list:
+        return isinstance(value, list) and all(_typed(default[0], v) for v in value)
+    if default is None:  # an optional path
+        return value is None or isinstance(value, str)
+    return isinstance(value, kind)  # a string
+
+
+def check_setting(path: str, default, check: Callable[[object], bool] | None, value):
+    """The one type rule of every config field: `value` must have the type of
+    `default` and pass `check`, else ConfigError(path). A real takes any finite
+    int or float, a count an int, a flag a bool, an enum a member or its value,
+    a None default None or a path string, and a list default a list whose
+    elements follow the rule for its first element (`check` sees the whole
+    list). Returns a scalar as the default's type, enums as members.
+    """
+    if not _typed(default, value) or (check is not None and not check(value)):
+        raise ConfigError(path, f"invalid value {value!r}")
+    return value if default is None else type(default)(value)
+
+
 @dataclass
 class TrainerConfig:
     """Settings of one training run; also the schema of the CLI's `trainer`
     section, whose defaults are these (enums as their values, seed aside).
 
-    Each field takes the type of its default: a real takes any finite int or
-    float and is stored as a float, a count an int, a flag a bool, and an enum
-    field a member or its value. A value of another type, outside the field's
-    range, or warmup_epochs > epochs raises ConfigError("trainer.<field>").
+    Each field is checked by check_setting and stored as its default's type:
+    a value of another type, outside the field's range, or
+    warmup_epochs > epochs raises ConfigError("trainer.<field>").
     """
 
     learning_rate: float = _setting(0.05, lambda v: v > 0)
@@ -92,18 +121,8 @@ class TrainerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            kind, value = type(f.default), getattr(self, f.name)
-            if kind is bool or isinstance(value, bool):  # a bool is an int, but no count
-                ok = kind is bool and isinstance(value, bool)
-            elif issubclass(kind, Enum):
-                ok = value in [m.value for m in kind]  # str enums: a member equals its value
-            elif kind is float:  # finite; an int only within the float range
-                ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-            else:
-                ok = isinstance(value, numbers.Integral)
-            if not ok or not f.metadata.get("check", lambda v: True)(value):
-                raise ConfigError(f"trainer.{f.name}", f"invalid value {value!r}")
-            setattr(self, f.name, kind(value))
+            setattr(self, f.name, check_setting(f"trainer.{f.name}", f.default,
+                                                f.metadata.get("check"), getattr(self, f.name)))
         if self.warmup_epochs > self.epochs:
             raise ConfigError("trainer.warmup_epochs", "cannot exceed trainer.epochs")
 

@@ -75,6 +75,51 @@ BAD_TRAINER_VALUES = [
 ]
 
 
+# At least one rejected value for every field outside the `trainer` section.
+BAD_SECTION_VALUES = [
+    ("seed", 1.5),
+    ("output_dir", ""),
+    ("output_dir", 3),
+    ("dataset.kind", "parquet"),
+    ("dataset.num_classes", 1),
+    ("dataset.per_class", 0),
+    ("dataset.per_class", True),
+    ("dataset.feature_dim", 8.0),
+    ("dataset.spread", math.inf),
+    ("dataset.spread", -0.1),
+    ("dataset.flip_rate", 1.5),
+    ("dataset.flip_rate", "0.4"),
+    ("dataset.fractions", [0.5, 0.5]),
+    ("dataset.fractions", [0.8, 0.1, "0.1"]),
+    ("dataset.fractions", [1.0, 0.0, 0.0]),
+    ("dataset.dir", 3),
+    ("model.layer_dims", [8, True, 3]),
+    ("model.layer_dims", [8]),
+    ("model.layer_dims", [8, 0, 3]),
+    ("model.activations", ["relu", "softmax"]),
+    ("model.activations", "linear"),
+    ("fidelity.probe_batch_size", 1),
+    ("fidelity.checkpoint_every", 0),
+    ("fidelity.permutations", 0),
+    ("fidelity.exhaustive", 1),
+    ("fidelity.floor", math.nan),
+    ("fidelity.floor", 1.5),
+    ("diagnose.checkpoint", 5),
+    ("diagnose.pair_count", True),
+    ("diagnose.resamples", 1),
+    ("diagnose.subset_size", 0),
+]
+
+
+def nest(path, value):
+    """{"a": {"b": value}} for path "a.b"; {"a": value} for path "a"."""
+    *sections, key = path.split(".")
+    doc = {key: value}
+    for section in reversed(sections):
+        doc = {section: doc}
+    return doc
+
+
 class TestConfigResolution:
     def test_defaults_fill_in(self):
         resolved = resolve_config({})
@@ -109,6 +154,24 @@ class TestConfigResolution:
         assert {f.name for f in dataclasses.fields(TrainerConfig)} - \
             set(resolve_config({})["trainer"]) == {"seed"}
 
+    @pytest.mark.parametrize("path,bad", BAD_SECTION_VALUES)
+    def test_bad_section_value_rejected(self, path, bad, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            resolve_config(nest(path, bad))
+        assert err.value.path == path
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["train", "--config", str(cfg_path),
+                     "--set", f"{path}={json.dumps(bad)}"]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["path"] == path
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_values_cover_every_section_field(self):
+        resolved = resolve_config({})
+        paths = {f"{key}.{sub}" if isinstance(value, dict) else key
+                 for key, value in resolved.items() if key != "trainer"
+                 for sub in (value if isinstance(value, dict) else [None])}
+        assert {path for path, _ in BAD_SECTION_VALUES} == paths
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError) as err:
             resolve_config({"seed": -1})
@@ -138,10 +201,75 @@ class TestConfigResolution:
             "precond_floor": 1e-8,
         })
 
+    def test_resolved_document_pinned(self):
+        # resolved_config.json of an empty config: every section, key order and spelling
+        assert dumps(resolve_config({})) == dumps({
+            "seed": 0,
+            "output_dir": "runs/default",
+            "dataset": {
+                "kind": "blobs",
+                "num_classes": 3,
+                "per_class": 200,
+                "feature_dim": 8,
+                "spread": 0.35,
+                "flip_rate": 0.4,
+                "fractions": [0.8, 0.1, 0.1],
+                "dir": None,
+            },
+            "model": {
+                "layer_dims": [8, 16, 3],
+                "activations": ["relu", "linear"],
+            },
+            "trainer": {
+                "learning_rate": 0.05,
+                "momentum": 0.0,
+                "batch_size": 16,
+                "epochs": 10,
+                "warmup_epochs": 3,
+                "estimator": "lai",
+                "mode": "validation",
+                "threshold": 0.0,
+                "val_fraction_per_batch": 0.1,
+                "cache_refresh_steps": 1,
+                "empty_batch_policy": "skip",
+                "checkpoint_every": 0,
+                "probe_sample_count": 3,
+                "layer_calibration": False,
+                "precond_decay": 0.9,
+                "precond_floor": 1e-8,
+            },
+            "fidelity": {
+                "probe_batch_size": 16,
+                "checkpoint_every": 15,
+                "permutations": 1000,
+                "exhaustive": False,
+                "floor": 0.5,
+            },
+            "diagnose": {
+                "checkpoint": None,
+                "pair_count": 8,
+                "resamples": 100,
+                "subset_size": 8,
+            },
+        })
+
     def test_mismatched_model_and_dataset(self):
         with pytest.raises(ConfigError) as err:
             resolve_config({"dataset": {"feature_dim": 5}})
         assert err.value.path == "model.layer_dims"
+
+    def test_blob_classes_need_output_width(self):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"dataset": {"num_classes": 4}})
+        assert err.value.path == "model.layer_dims"
+        assert resolve_config({"dataset": {"num_classes": 4},
+                               "model": {"layer_dims": [8, 16, 4]}})
+        assert resolve_config({"model": {"layer_dims": [8, 16, 5]}})
+
+    def test_dir_reads_csv_whatever_kind_says(self):
+        # a CSV source is checked against the model by build_dataset, not by the blob fields
+        raw = {"dataset": {"dir": "data", "feature_dim": 5, "num_classes": 9}}
+        assert resolve_config(raw)["dataset"]["kind"] == "blobs"
 
     def test_exhaustive_needs_small_probe(self):
         with pytest.raises(ConfigError) as err:
@@ -267,6 +395,20 @@ class TestTrain:
         cfg["dataset"]["dir"] = str(ds_dir)
         cfg_path2 = write_config(tmp_path, cfg, "train.json")
         assert main(["train", "--config", str(cfg_path2)]) == 0
+        assert (tmp_path / "run" / "training_report.json").exists()
+
+    def test_wider_output_than_blob_classes_trains(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", model={"layer_dims": [4, 6, 5]})
+        assert main(["train", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+    def test_train_from_dir_alone(self, tmp_path):
+        # only dataset.dir set: the blob fields keep their defaults (feature_dim 8)
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        cfg = tiny_config(tmp_path / "run")
+        cfg["dataset"] = {"dir": str(ds_dir)}
+        assert main(["train", "--config", str(write_config(tmp_path, cfg, "train.json"))]) == 0
         assert (tmp_path / "run" / "training_report.json").exists()
 
 
