@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 from .data import DatasetBundle, Sample
 from .influence import Estimator, pair_matrix
 from .network import MLP
-from .oracle import UtilityFn, shapley_mc
+from .oracle import EXHAUSTIVE_MAX, UtilityFn, shapley_mc
 from .trainer import (
     CurationMode,
     TrainerConfig,
@@ -97,6 +98,36 @@ def _benefit_scores(net: MLP, probe: list[Sample], val: list[Sample]) -> dict[st
             for est in FIDELITY_ESTIMATORS}
 
 
+def _worker_count() -> int:
+    """Worker processes for the fidelity checkpoints: one per usable CPU beside the caller's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _checkpoint_record(k: int, step: int, snap: MLP, probe: list[Sample],
+                       val: list[Sample], cfg: TrainerConfig, permutations: int,
+                       exhaustive: bool) -> FidelityRecord:
+    """Correlate each estimator's probe scores at checkpoint k with its Shapley values."""
+    scores = _benefit_scores(snap, probe, val)
+    utility = UtilityFn(snap, val, cfg.learning_rate)
+    mc_seed = cfg.seed * 1_000_003 + 7919 * (k + 1)
+    est = shapley_mc(utility, probe, permutations, seed=mc_seed, exhaustive=exhaustive)
+    shap = est.values.tolist()
+    pearsons: dict[str, float | None] = {}
+    spearmans: dict[str, float | None] = {}
+    for name, vec in scores.items():
+        try:
+            pearsons[name] = pearson(vec, shap)
+            spearmans[name] = spearman(vec, shap)
+        except DegenerateInputError:
+            pearsons[name] = None
+            spearmans[name] = None
+    return FidelityRecord(step=step, scores=scores, shapley=shap,
+                          shapley_stderr=est.stderr.tolist(),
+                          pearson=pearsons, spearman=spearmans)
+
+
 def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                  probe_batch_size: int, checkpoint_every: int, permutations: int,
                  exhaustive: bool = False, floor: float = 0.5
@@ -106,38 +137,59 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
 
     Checkpoints with a constant score vector (either side) are flagged with
     None correlations and excluded from the summary means.
+
+    The checkpoints are valued on CPUs - 1 worker processes started with
+    `spawn` (none on one CPU, at most one per checkpoint), each holding ~40 MB.
+    Each checkpoint is queued as training reaches it; after training the
+    caller values, last first, every checkpoint no worker has taken. Each
+    checkpoint keeps its own seed, so the records are the same bytes at any
+    worker count. A run too short to hide a worker's start-up waits for at
+    most one. Spawned workers re-import the caller's main module, so a script
+    that calls this must keep its top-level work under
+    `if __name__ == "__main__":`. A worker's exception is raised here, and no
+    worker outlives the call, whether it returns or raises.
     """
     if probe_batch_size > len(data.train):
         raise ValueError("probe batch exceeds the training split")
     if probe_batch_size < 2:
         raise ValueError("probe batch needs at least two samples")
+    if exhaustive and probe_batch_size > EXHAUSTIVE_MAX:
+        raise ValueError(f"exhaustive permutations limited to {EXHAUSTIVE_MAX} samples, "
+                         f"got a probe batch of {probe_batch_size}")
+    if not exhaustive and permutations < 1:
+        raise ValueError("need at least one permutation")
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint interval must be at least one step")
     if not data.validation:
         raise ValueError("fidelity needs a validation split")
-    snapshots: list[tuple[int, MLP]] = []
-    vanilla = replace(cfg, mode=CurationMode.OFF, checkpoint_every=checkpoint_every)
-    train(net, vanilla, data, checkpoint_hook=lambda step, snap: snapshots.append((step, snap)))
     probe_rng = np.random.default_rng([cfg.seed, 0x9E3])
     probe_idx = probe_rng.choice(len(data.train), size=probe_batch_size, replace=False)
     probe = [data.train[i] for i in sorted(probe_idx.tolist())]
-    records: list[FidelityRecord] = []
-    for k, (step, snap) in enumerate(snapshots):
-        scores = _benefit_scores(snap, probe, data.validation)
-        utility = UtilityFn(snap, data.validation, cfg.learning_rate)
-        mc_seed = cfg.seed * 1_000_003 + 7919 * (k + 1)
-        est = shapley_mc(utility, probe, permutations, seed=mc_seed, exhaustive=exhaustive)
-        shap = est.values.tolist()
-        pearsons: dict[str, float | None] = {}
-        spearmans: dict[str, float | None] = {}
-        for name, vec in scores.items():
-            try:
-                pearsons[name] = pearson(vec, shap)
-                spearmans[name] = spearman(vec, shap)
-            except DegenerateInputError:
-                pearsons[name] = None
-                spearmans[name] = None
-        records.append(FidelityRecord(step=step, scores=scores, shapley=shap,
-                                      shapley_stderr=est.stderr.tolist(),
-                                      pearson=pearsons, spearman=spearmans))
+    vanilla = replace(cfg, mode=CurationMode.OFF, checkpoint_every=checkpoint_every)
+    workers = _worker_count()
+    pool = None
+    if workers > 0:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    jobs: list[tuple] = []  # (_checkpoint_record's arguments, future or None) per checkpoint
+
+    def queue(step: int, snap: MLP) -> None:
+        args = (len(jobs), step, snap, probe, data.validation, cfg, permutations, exhaustive)
+        jobs.append((args, None if pool is None else pool.submit(_checkpoint_record, *args)))
+
+    try:
+        train(net, vanilla, data, checkpoint_hook=queue)
+        # workers take the queue from its head; the caller values its tail meanwhile
+        mine = {k: _checkpoint_record(*args)
+                for k, (args, future) in reversed(list(enumerate(jobs)))
+                if future is None or future.cancel()}
+        records = [mine[k] if k in mine else future.result()
+                   for k, (_, future) in enumerate(jobs)]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     summary = summarize_fidelity(records, floor=floor, exhaustive=exhaustive)
     return records, summary
 

@@ -186,13 +186,19 @@ def shapley_mc(u: UtilityFn, batch: list[Sample], permutations: int, seed: int,
     else:
         orders = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
     draws = orders.shape[0]
-    # prefixes[r, k] is the coalition of the first k + 1 members of ordering r
-    prefixes = np.zeros((draws, n, n), dtype=bool)
-    np.put_along_axis(prefixes, orders[:, :, None], True, axis=2)
-    prefixes = np.logical_or.accumulate(prefixes, axis=1).reshape(draws * n, n)
-    keys = np.packbits(prefixes, axis=1).view(np.dtype((np.void, (n + 7) // 8))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    v = u.utilities(prefixes[first])[inverse].reshape(draws, n)
+    # codes[r, k] is the bitmask of the first k + 1 members of ordering r in
+    # ceil(n / 64) uint64 words (member i is bit i % 64 of word i // 64); the
+    # distinct codes unpack to membership rows read as little-endian bytes
+    words = -(-n // 64)
+    member = np.arange(n)
+    onebit = np.zeros((n, words), dtype=np.uint64)
+    onebit[member, member // 64] = np.uint64(1) << (member % 64).astype(np.uint64)
+    codes = np.bitwise_or.accumulate(onebit[orders], axis=1).reshape(draws * n, words)
+    keys = codes[:, 0] if words == 1 else codes.view(np.dtype((np.void, 8 * words)))[:, 0]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    masks = np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), 8 * words),
+                          axis=1, count=n, bitorder="little").view(bool)
+    v = u.utilities(masks)[inverse].reshape(draws, n)
     marginals = np.zeros((draws, n))
     np.put_along_axis(marginals, orders, np.diff(v, axis=1, prepend=0.0), axis=1)
     values = marginals.mean(axis=0)

@@ -6,15 +6,20 @@ negative means beneficial). Tests compare the batched, shipped forms
 (influence.pair_matrix, bound_diagnostics, variance_diagnostic) against them.
 backward_from_pre_activations is the batched backward pass with act' taken
 from the pre-activations s(l), the form network.backward_chain (which takes
-it from the activations) must reproduce bit for bit.
+it from the activations) must reproduce bit for bit. shapley_mc is the
+Monte-Carlo Shapley estimate with its prefixes deduplicated as a bool
+(draws, n, n) tensor keyed by packbits, which oracle.shapley_mc's bitmask
+codes must reproduce bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from layerval.influence import BoundReport, PairSimilarities, Preconditioner, pair_similarities
 from layerval.network import MLP, Activation, ParamGrads, SampleTaps, batch_taps, evaluate_sample
+from layerval.oracle import ShapleyEstimate, UtilityFn
 
 
 def _act_and_derivative(kind: Activation, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,3 +168,29 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
         ghost_draws[r] = ghost_anchor + float(ghost_pool[idx].sum())
         lai_draws[r] = lai_anchor + float(lai_pool[idx].sum())
     return float(np.var(ghost_draws, ddof=1)), float(np.var(lai_draws, ddof=1))
+
+
+def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
+               exhaustive: bool = False) -> ShapleyEstimate:
+    """oracle.shapley_mc with each ordering's prefixes held as bool rows."""
+    n = len(batch)
+    u._ensure_batch(batch)
+    rng = np.random.default_rng(seed)
+    if exhaustive:
+        orders = np.array(list(itertools.permutations(range(n))))
+    else:
+        orders = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
+    draws = orders.shape[0]
+    # prefixes[r, k] is the coalition of the first k + 1 members of ordering r
+    prefixes = np.zeros((draws, n, n), dtype=bool)
+    np.put_along_axis(prefixes, orders[:, :, None], True, axis=2)
+    prefixes = np.logical_or.accumulate(prefixes, axis=1).reshape(draws * n, n)
+    keys = np.packbits(prefixes, axis=1).view(np.dtype((np.void, (n + 7) // 8))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    v = u.utilities(prefixes[first])[inverse].reshape(draws, n)
+    marginals = np.zeros((draws, n))
+    np.put_along_axis(marginals, orders, np.diff(v, axis=1, prepend=0.0), axis=1)
+    values = marginals.mean(axis=0)
+    stderr = marginals.std(axis=0, ddof=1) / math.sqrt(draws) if draws >= 2 else np.zeros(n)
+    return ShapleyEstimate(values=values, stderr=stderr,
+                           permutations_used=draws, seed=seed)

@@ -1,10 +1,15 @@
 """Correlation statistics, the fidelity protocol, and report file round trips."""
 
+import multiprocessing
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerval import evaluation
 from layerval.data import Sample, make_noisy_blob_bundle
 from layerval.evaluation import (
     DegenerateInputError,
@@ -19,6 +24,7 @@ from layerval.evaluation import (
 )
 from layerval.influence import Estimator
 from layerval.network import MLP, Activation, Layer, LayerSpec
+from layerval.oracle import EXHAUSTIVE_MAX
 from layerval.serialize import read_csv
 from layerval.trainer import (
     CurationMode,
@@ -177,6 +183,106 @@ class TestRunFidelity:
             for d in (r.pearson, r.spearman):
                 for v in d.values():
                     assert v is None or -1.0 - 1e-12 <= v <= 1.0 + 1e-12
+
+
+def within(seconds, fn):
+    """fn() on a daemon thread, failing the test instead of hanging if it never returns."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed back to the test's thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestFidelityArguments:
+    """Arguments no run can use are rejected before any training step."""
+
+    @pytest.mark.parametrize("override, message", [
+        ({"permutations": 0}, "at least one permutation"),
+        ({"checkpoint_every": 0}, "checkpoint interval"),
+        ({"exhaustive": True, "probe_batch_size": EXHAUSTIVE_MAX + 1},
+         f"limited to {EXHAUSTIVE_MAX} samples"),
+    ])
+    def test_rejected_before_training(self, monkeypatch, override, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(evaluation, "train", unreachable)
+        bundle = tiny_bundle(seed=7)
+        net = MLP.initialize([4, 6, 3], ["relu", "linear"], seed=7)
+        cfg = TrainerConfig(learning_rate=0.05, batch_size=6, epochs=1,
+                            warmup_epochs=0, mode=CurationMode.OFF, seed=7)
+        args = {"probe_batch_size": 3, "checkpoint_every": 2, "permutations": 6,
+                **override}
+        with pytest.raises(ValueError, match=message):
+            run_fidelity(net, cfg, bundle, **args)
+
+
+class TestFidelityWorkers:
+    """The checkpoints are valued on spawned workers without changing a byte."""
+
+    def fidelity_run(self):
+        bundle = tiny_bundle(seed=8)
+        net = MLP.initialize([4, 6, 3], ["tanh", "linear"], seed=8)
+        cfg = TrainerConfig(learning_rate=0.05, batch_size=3, epochs=2,
+                            warmup_epochs=0, mode=CurationMode.OFF, seed=8)
+        # 14 steps, so 7 checkpoints: the worker takes the queue's head
+        return lambda: run_fidelity(net, cfg, bundle, probe_batch_size=4,
+                                    checkpoint_every=2, permutations=20)
+
+    def test_records_and_files_identical_at_zero_and_one_worker(self, monkeypatch, tmp_path):
+        run = self.fidelity_run()
+        cancelled = set()  # shutdown may cancel a cancelled future again
+        cancel = Future.cancel
+
+        def counted_cancel(future):
+            if not cancel(future):
+                return False
+            cancelled.add(future)
+            return True
+
+        monkeypatch.setattr(Future, "cancel", counted_cancel)
+        outputs = {}
+        for workers in (0, 1):
+            monkeypatch.setattr(evaluation, "_worker_count", lambda: workers)
+            records, summary = within(120, run)
+            emit_reports(records, summary, None, tmp_path / str(workers))
+            outputs[workers] = records
+        assert len(outputs[0]) == 7
+        assert outputs[1] == outputs[0]
+        # the caller took some checkpoints back from the queue, the worker valued the rest
+        assert 0 < len(cancelled) < len(outputs[1])
+        for name in ("fidelity.csv", "fidelity_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+
+    def test_no_worker_outlives_a_return_or_a_raise(self, monkeypatch):
+        run = self.fidelity_run()
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 1)
+        within(120, run)
+        assert multiprocessing.active_children() == []
+
+        alive_while_failing = []
+
+        def fail_here(*args):
+            alive_while_failing.append(len(multiprocessing.active_children()))
+            raise RuntimeError("scoring failed in the caller")
+
+        # workers import their own evaluation module, so only the caller's scoring fails
+        monkeypatch.setattr(evaluation, "_benefit_scores", fail_here)
+        with pytest.raises(RuntimeError, match="scoring failed in the caller"):
+            within(120, run)
+        assert alive_while_failing == [1]
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitReports:

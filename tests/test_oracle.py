@@ -17,6 +17,7 @@ from layerval.oracle import (
     shapley_exact,
     shapley_mc,
 )
+import reference
 
 
 def toy_net(seed=0, dims=(3, 4, 2), acts=("relu", "linear")):
@@ -399,6 +400,18 @@ class TestShapleyMC:
                 prev = cur
         assert np.array_equal(est.values, marginals.mean(axis=0))
         assert np.array_equal(est.stderr, marginals.std(axis=0, ddof=1) / math.sqrt(40))
+
+    @pytest.mark.parametrize("n, exhaustive", [(16, False), (70, False), (5, True)])
+    def test_bitmask_dedupe_equals_packbits_reference(self, n, exhaustive):
+        # past 64 members a prefix code spans two words
+        net = toy_net(seed=68, dims=(8, 16, 3))
+        batch = toy_samples(net, n, seed=69)
+        u = UtilityFn(net, toy_samples(net, 30, seed=70), learning_rate=0.05)
+        got = shapley_mc(u, batch, permutations=25, seed=71, exhaustive=exhaustive)
+        want = reference.shapley_mc(u, batch, permutations=25, seed=71, exhaustive=exhaustive)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.stderr.tobytes() == want.stderr.tobytes()
+        assert got.permutations_used == want.permutations_used
 
     def test_seed_determinism(self):
         net = toy_net(seed=30)
