@@ -5,7 +5,7 @@ layer-aware LAI, last-layer LLI), a Monte-Carlo Shapley reference for
 fidelity checks, and batch-curation training policies.
 """
 
-from .data import DatasetBundle, Sample
+from .data import DatasetBundle, Sample, Split
 from .influence import (
     Estimator,
     PairSimilarities,
@@ -27,7 +27,7 @@ from .network import (
     loss_and_output_grad,
     param_grads,
 )
-from .oracle import ShapleyEstimate, UtilityFn, loo_influence, shapley_exact, shapley_mc
+from .oracle import ShapleyEstimate, UtilityFn, shapley_mc
 from .trainer import (
     CostLedger,
     CurationDecision,

@@ -17,11 +17,13 @@ import sys
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from . import serialize
-from .data import load_bundle, make_noisy_blob_bundle
+from .data import load_bundle, make_noisy_blob_bundle, write_bundle
 from .evaluation import emit_reports, run_fidelity
 from .influence import Estimator, bound_diagnostics, variance_diagnostic
-from .network import MLP, load_checkpoint, save_checkpoint
+from .network import MLP, batch_taps, load_checkpoint, save_checkpoint
 from .oracle import EXHAUSTIVE_MAX
 from .trainer import (
     ConfigError,
@@ -31,7 +33,6 @@ from .trainer import (
     check_setting,
     curate_batch,
     ledger_compare,
-    sample_taps,
     train,
 )
 
@@ -196,17 +197,17 @@ def build_dataset(config: dict):
 def _check_csv_fits_model(d: Path, bundle, layer_dims: list[int]) -> None:
     """Reject CSV splits that are empty or whose feature dim or labels the model cannot take."""
     in_dim, out_dim = layer_dims[0], layer_dims[-1]
-    for name, samples in (("train.csv", bundle.train), ("val.csv", bundle.validation),
-                          ("test.csv", bundle.test)):
-        if not samples:
+    for name, rows in (("train.csv", bundle.train), ("val.csv", bundle.validation),
+                       ("test.csv", bundle.test)):
+        if not rows:
             raise ValueError(f"{d / name}: no rows")
-        if samples[0].features.shape[0] != in_dim:
-            raise ValueError(f"{d / name}: feature dim {samples[0].features.shape[0]} "
+        if rows.features.shape[1] != in_dim:
+            raise ValueError(f"{d / name}: feature dim {rows.features.shape[1]} "
                              f"!= model.layer_dims[0] = {in_dim}")
-        for lineno, s in enumerate(samples, start=2):
-            if s.label >= out_dim:
-                raise ValueError(f"{d / name}: line {lineno}: label {s.label} "
-                                 f">= model.layer_dims[-1] = {out_dim}")
+        if rows.labels.max() >= out_dim:
+            row = int(np.argmax(rows.labels >= out_dim))
+            raise ValueError(f"{d / name}: line {row + 2}: label {rows.labels[row]} "
+                             f">= model.layer_dims[-1] = {out_dim}")
 
 
 def build_net(config: dict) -> MLP:
@@ -228,8 +229,6 @@ def _prepare_out(config: dict) -> Path:
 def cmd_generate(config: dict) -> int:
     out = _prepare_out(config)
     bundle = build_dataset(config)
-    from .data import write_bundle
-
     write_bundle(bundle, out, fractions=tuple(config["dataset"]["fractions"]))
     return 0
 
@@ -279,10 +278,13 @@ def cmd_diagnose(config: dict) -> int:
         raise ValueError(f"{ckpt_path}: layer dims {dims} != model.layer_dims = "
                          f"{config['model']['layer_dims']}")
     bundle = build_dataset(config)
+
+    def taps(rows):
+        return batch_taps(net, rows.features, rows.labels, backward=True)
+
     n = min(d["pair_count"], len(bundle.train))
-    val_rows = [bundle.validation[i % len(bundle.validation)] for i in range(n)]
-    bound = bound_diagnostics(sample_taps(net, val_rows, backward=True),
-                              sample_taps(net, bundle.train[:n], backward=True))
+    bound = bound_diagnostics(taps(bundle.validation[np.arange(n) % len(bundle.validation)]),
+                              taps(bundle.train[:n]))
     serialize.dump_json({
         "depth": bound.depth,
         "rho_hat": bound.rho_hat,
@@ -310,8 +312,7 @@ def cmd_diagnose(config: dict) -> int:
     }, out / "variance.json")
     cfg = build_trainer_config(config)
     k = math.ceil(cfg.val_fraction_per_batch * len(bundle.validation))
-    subset_taps = sample_taps(net, bundle.validation[:k], backward=True)
-    train_taps = sample_taps(net, bundle.train[:cfg.batch_size], backward=True)
+    subset_taps, train_taps = taps(bundle.validation[:k]), taps(bundle.train[:cfg.batch_size])
     ledger = CostLedger()
     for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI):
         cache = build_validation_cache(net, subset_taps, est, step_id=0)

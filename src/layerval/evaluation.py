@@ -8,15 +8,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetBundle, Sample
+from .data import DatasetBundle, Split
 from .influence import Estimator, pair_matrix
-from .network import MLP
+from .network import MLP, batch_taps
 from .oracle import EXHAUSTIVE_MAX, UtilityFn, shapley_mc
 from .trainer import (
     CurationMode,
     TrainerConfig,
     TrainingReport,
-    sample_taps,
     train,
 )
 from . import serialize
@@ -90,10 +89,10 @@ class FidelitySummary:
     exhaustive: bool = False
 
 
-def _benefit_scores(net: MLP, probe: list[Sample], val: list[Sample]) -> dict[str, list[float]]:
+def _benefit_scores(net: MLP, probe: Split, val: Split) -> dict[str, list[float]]:
     """Aggregated benefit scores of each probe sample for the four estimators."""
-    val_taps = sample_taps(net, val, backward=True)
-    probe_taps = sample_taps(net, probe, backward=True)
+    val_taps = batch_taps(net, val.features, val.labels, backward=True)
+    probe_taps = batch_taps(net, probe.features, probe.labels, backward=True)
     return {est.value: pair_matrix(est, val_taps, probe_taps).sum(axis=0).tolist()
             for est in FIDELITY_ESTIMATORS}
 
@@ -105,9 +104,8 @@ def _worker_count() -> int:
     return (os.cpu_count() or 1) - 1
 
 
-def _checkpoint_record(k: int, step: int, snap: MLP, probe: list[Sample],
-                       val: list[Sample], cfg: TrainerConfig, permutations: int,
-                       exhaustive: bool) -> FidelityRecord:
+def _checkpoint_record(k: int, step: int, snap: MLP, probe: Split, val: Split,
+                       cfg: TrainerConfig, permutations: int, exhaustive: bool) -> FidelityRecord:
     """Correlate each estimator's probe scores at checkpoint k with its Shapley values."""
     scores = _benefit_scores(snap, probe, val)
     utility = UtilityFn(snap, val, cfg.learning_rate)
@@ -160,11 +158,9 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         raise ValueError("need at least one permutation")
     if checkpoint_every < 1:
         raise ValueError("checkpoint interval must be at least one step")
-    if not data.validation:
-        raise ValueError("fidelity needs a validation split")
     probe_rng = np.random.default_rng([cfg.seed, 0x9E3])
     probe_idx = probe_rng.choice(len(data.train), size=probe_batch_size, replace=False)
-    probe = [data.train[i] for i in sorted(probe_idx.tolist())]
+    probe = data.train[np.sort(probe_idx)]
     vanilla = replace(cfg, mode=CurationMode.OFF, checkpoint_every=checkpoint_every)
     workers = _worker_count()
     pool = None

@@ -52,10 +52,6 @@ class PairSimilarities:
     alpha: np.ndarray  # (L,) embedding similarities, bias-augmented
     beta: np.ndarray  # (L,) gradient similarities
 
-    @property
-    def depth(self) -> int:
-        return self.alpha.shape[0]
-
 
 @dataclass
 class Preconditioner:
@@ -167,8 +163,6 @@ def update_preconditioner(precond: Preconditioner, output_grads) -> Precondition
     return Preconditioner(np.maximum(diag, precond.floor), precond.decay, precond.floor)
 
 
-
-
 def bound_diagnostics(z_taps: BatchTaps, j_taps: BatchTaps) -> BoundReport:
     """Measure the Ghost-vs-LAI gap against its geometric depth bound over the
     pairs (row i of z_taps, row i of j_taps), taken from full backward passes.
@@ -247,9 +241,8 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
     if not val_pool:
         raise ValueError("empty validation pool")
     anchor, probe = probe_pair
-    rows = [anchor, *val_pool]
-    z_taps = batch_taps(net, np.stack([s.features for s in rows]),
-                        np.array([s.label for s in rows]), backward=True)
+    z_taps = batch_taps(net, np.vstack([anchor.features, val_pool.features]),
+                        np.append(anchor.label, val_pool.labels), backward=True)
     j_taps = batch_taps(net, probe.features[None, :], np.array([probe.label]), backward=True)
     # influence sign: column 0 holds every row's score against the probe
     ghost = -pair_matrix(Estimator.GHOST, z_taps, j_taps)[:, 0]

@@ -9,13 +9,14 @@ act' comes from a = act(s) (relu: a > 0, tanh: 1 - a^2, linear: 1): the same bit
 
 batch_taps runs these passes for a whole batch at once and row-stacks every
 augmented activation [a(l-1), 1] and loss-to-pre-activation gradient g(l)
-in a BatchTaps; every command takes its taps from it. backward_chain
-finishes the backward pass of any rows of forward-only taps. The per-sample
-functions (forward, loss_and_output_grad, backward_taps, param_grads,
-evaluate_sample and their SampleTaps/ParamGrads records) are called by no
-command. They stay because the benchmark tracer (perfbench/job.py) binds
-them by name, and the tests check batch_taps against them. All arithmetic
-is float64.
+in a BatchTaps; every command takes its taps from it. It is check_rows
+(rows must fit the net) then _taps, the check-free pass that the trainer
+runs on rows it checked once. backward_chain finishes the backward pass of
+any rows of forward-only taps. The per-sample functions (forward,
+loss_and_output_grad, backward_taps, param_grads, evaluate_sample and their
+SampleTaps/ParamGrads records) are called by no command. They stay because
+the benchmark tracer (perfbench/job.py) binds them by name, and the tests
+check batch_taps against them. All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -270,7 +271,14 @@ class BatchTaps:
 def batch_taps(net: MLP, X: np.ndarray, labels, backward: bool) -> BatchTaps:
     """Forward, loss and output gradient for every row of X; with backward=True
     also g(l) of every layer. Row i of each block matches evaluate_sample on
-    (X[i], labels[i]) up to rounding."""
+    (X[i], labels[i]) up to rounding. Bad rows raise (see check_rows)."""
+    return _taps(net, *check_rows(net, X, labels), backward)
+
+
+def check_rows(net: MLP, X, labels) -> tuple[np.ndarray, np.ndarray]:
+    """X as float64 and labels as an array, once X is (batch, in_dim) of finite
+    rows with one integer label in [0, out_dim) per row; else ValueError
+    naming the first bad row."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[1] != net.in_dim:
@@ -285,6 +293,11 @@ def batch_taps(net: MLP, X: np.ndarray, labels, backward: bool) -> BatchTaps:
         row = int(np.argmax(bad))
         raise ValueError(f"label {labels[row]} in row {row} out of range "
                          f"for {net.out_dim} logits")
+    return X, labels
+
+
+def _taps(net: MLP, X: np.ndarray, labels: np.ndarray, backward: bool) -> BatchTaps:
+    """batch_taps without check_rows, for float64 rows that passed it."""
     rows = np.arange(X.shape[0])
     ones = np.ones((X.shape[0], 1))
     acts = []

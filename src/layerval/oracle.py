@@ -1,4 +1,4 @@
-"""Ground-truth valuation references: one-step utilities, Shapley values, leave-one-out.
+"""Ground-truth valuation reference: one-step utilities and Monte-Carlo Shapley values.
 
 The value of a subset S of a batch is the validation-loss decrease produced
 by one SGD step from the frozen checkpoint along the subset's summed gradient:
@@ -9,8 +9,9 @@ The step is additive in subset members, so a zero-gradient sample is a null
 player exactly: it leaves every coalition's step unchanged.
 
 Shapley values of this game are the fidelity reference the influence
-estimators are correlated against. Exact enumeration covers batches up to
-10; Monte-Carlo permutation sampling scales beyond that.
+estimators are correlated against, estimated by Monte-Carlo permutation
+sampling (exhaustive over every ordering up to EXHAUSTIVE_MAX members). A
+batch and the validation rows are data.Split records.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
+from .data import Split
 from .network import MLP, _apply_activation, batch_taps
 
 
@@ -57,42 +58,37 @@ class UtilityFn:
     # 128 -> 0.72, 256 -> 0.79
     BLOCK = 64
 
-    def __init__(self, net: MLP, val_samples: list[Sample], learning_rate: float):
+    def __init__(self, net: MLP, val: Split, learning_rate: float):
         if learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
-        if not val_samples:
+        if not val:
             raise ValueError("validation set must be nonempty")
         self.net = net.copy()
         self.learning_rate = learning_rate
-        self.val_x = np.stack([s.features for s in val_samples])
-        self.val_y = np.array([s.label for s in val_samples], dtype=np.int64)
-        self._base_loss = float(batch_taps(self.net, self.val_x, self.val_y,
+        self.val = val
+        self._base_loss = float(batch_taps(self.net, val.features, val.labels,
                                            backward=False).losses.mean())
         # [X^T; 1]: the first layer's bias rides in its matmul
-        self._val_a = np.vstack([self.val_x.T, np.ones((1, len(self.val_y)))])
-        self._onehot = (np.arange(self.net.out_dim)[:, None] == self.val_y).astype(np.float64)
-        self._batch: list[Sample] | None = None
+        self._val_a = np.vstack([val.features.T, np.ones((1, len(val)))])
+        self._onehot = (np.arange(self.net.out_dim)[:, None] == val.labels).astype(np.float64)
+        self._batch: Split | None = None
         self._weight_rows: list[np.ndarray] | None = None
 
-    def bind_batch(self, batch: list[Sample]) -> None:
+    def bind_batch(self, batch: Split) -> None:
         """Take the batch's taps (one full batched pass) and weight rows E_l for subset queries."""
         if not batch:
             raise ValueError("empty batch")
-        taps = batch_taps(self.net, np.stack([s.features for s in batch]),
-                          np.array([s.label for s in batch], dtype=np.int64),
-                          backward=True)
+        taps = batch_taps(self.net, batch.features, batch.labels, backward=True)
         eta = self.learning_rate
         self._weight_rows = [
             np.vstack([np.hstack([l.weights, l.bias[:, None]]).ravel(),
                        -eta * (G[:, :, None] * A[:, None, :]).reshape(len(batch), -1)])
             for l, A, G in zip(self.net.layers, taps.acts, taps.grads)]
-        self._batch = list(batch)
+        self._batch = batch
 
-    def _ensure_batch(self, batch: list[Sample] | None = None) -> list[Sample]:
-        if batch is not None:
-            if self._batch is None or len(self._batch) != len(batch) or any(
-                    a is not b for a, b in zip(self._batch, batch)):
-                self.bind_batch(batch)
+    def _ensure_batch(self, batch: Split | None = None) -> Split:
+        if batch is not None and batch is not self._batch:
+            self.bind_batch(batch)
         if self._batch is None:
             raise ValueError("no batch bound to the utility; call bind_batch first")
         return self._batch
@@ -104,7 +100,7 @@ class UtilityFn:
         if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
             raise ValueError(f"need an (m, {n}) boolean membership matrix, "
                              f"got {masks.dtype} {masks.shape}")
-        V = len(self.val_y)
+        V = len(self.val)
         b = min(self.BLOCK, len(masks))
         values = np.zeros(len(masks))
         member = np.ones((b, n + 1))  # [1, M]: column 0 picks the frozen weights
@@ -145,26 +141,7 @@ class UtilityFn:
         return float(self.utilities(np.array([[mask >> i & 1 for i in range(n)]], dtype=bool))[0])
 
 
-def shapley_exact(u: UtilityFn, batch: list[Sample]) -> ShapleyEstimate:
-    """Exact Shapley values by 2^n subset enumeration (n <= 10)."""
-    n = len(batch)
-    if n > 10:
-        raise ValueError(f"exact enumeration limited to 10 samples, got {n}")
-    u._ensure_batch(batch)
-    codes = np.arange(1 << n)
-    masks = (codes[:, None] >> np.arange(n) & 1).astype(bool)
-    v = u.utilities(masks)
-    sizes = masks.sum(axis=1)
-    weight = np.array([math.factorial(k) * math.factorial(n - k - 1) / math.factorial(n)
-                       for k in range(n)])
-    values = np.zeros(n)
-    for i in range(n):
-        without = codes[~masks[:, i]]
-        values[i] = weight[sizes[without]] @ (v[without | 1 << i] - v[without])
-    return ShapleyEstimate(values=values, stderr=np.zeros(n), permutations_used=0, seed=0)
-
-
-def shapley_mc(u: UtilityFn, batch: list[Sample], permutations: int, seed: int,
+def shapley_mc(u: UtilityFn, batch: Split, permutations: int, seed: int,
                exhaustive: bool = False) -> ShapleyEstimate:
     """Monte-Carlo permutation Shapley; stderr = std(marginals)/sqrt(draws).
 
@@ -205,10 +182,3 @@ def shapley_mc(u: UtilityFn, batch: list[Sample], permutations: int, seed: int,
     stderr = marginals.std(axis=0, ddof=1) / math.sqrt(draws) if draws >= 2 else np.zeros(n)
     return ShapleyEstimate(values=values, stderr=stderr,
                            permutations_used=draws, seed=seed)
-
-
-def loo_influence(u: UtilityFn, batch: list[Sample]) -> np.ndarray:
-    """One-step leave-one-out: v(B) - v(B without i) per member."""
-    n = len(u._ensure_batch(batch))
-    v = u.utilities(np.vstack([np.ones((1, n), dtype=bool), ~np.eye(n, dtype=bool)]))
-    return v[0] - v[1:]

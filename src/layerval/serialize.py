@@ -8,6 +8,7 @@ The stdlib ``json`` module offers no control over float formatting, so
 from __future__ import annotations
 
 import csv
+import json
 import math
 from pathlib import Path
 from typing import Any
@@ -44,9 +45,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
     elif isinstance(obj, int):
         out.append(repr(obj))
     elif isinstance(obj, str):
-        import json as _json
-
-        out.append(_json.dumps(obj))
+        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -55,9 +54,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {type(k)!r}")
-            import json as _json
-
-            out.append(pad + _json.dumps(k) + ": ")
+            out.append(pad + json.dumps(k) + ": ")
             _emit(v, out, indent, depth + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
@@ -86,9 +83,7 @@ def dump_json(obj: Any, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> Any:
-    import json as _json
-
-    return _json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:

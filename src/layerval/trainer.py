@@ -3,11 +3,12 @@
 Each curated step scores the batch against a cached validation subsample
 (or against the rest of the batch in self-influence mode), drops members
 whose benefit score falls below the threshold, and applies the SGD update
-with the survivors. train stacks each split once and makes one
-network.batch_taps call per step, led by the validation subsample's rows at
-a cache refresh: the cache, the scores and the SGD step all read that pass,
-and where it stopped at g(L) (the LAI family) the step finishes the backward
-chain for the kept rows only. Every score comes from influence.pair_matrix.
+with the survivors. train checks the splits against the net once, stacks
+them, and makes one check-free network._taps pass per step, led by the
+validation subsample's rows at a cache refresh: the cache, the scores and
+the SGD step all read that pass, and where it stopped at g(L) (the LAI
+family) the step finishes the backward chain for the kept rows only. Every
+score comes from influence.pair_matrix.
 A cost ledger tracks the multiply-accumulate work and cache footprint of the
 scoring pass per estimator.
 """
@@ -23,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DatasetBundle, Sample
+from .data import DatasetBundle, Split
 from .influence import Estimator, Preconditioner, pair_matrix, update_preconditioner
-from .network import MLP, BatchTaps, backward_chain, batch_taps
+from .network import MLP, BatchTaps, _taps, backward_chain, check_rows
 
 
 class CurationMode(str, Enum):
@@ -265,17 +266,6 @@ def ledger_compare(ledger: CostLedger, methods: list[Estimator]) -> dict:
 # --- validation cache ------------------------------------------------------
 
 
-def stack_samples(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stacked features and int64 labels of a list of samples."""
-    return (np.stack([s.features for s in samples]),
-            np.array([s.label for s in samples], dtype=np.int64))
-
-
-def sample_taps(net: MLP, samples: list[Sample], backward: bool) -> BatchTaps:
-    """One batched pass over a list of samples (see network.batch_taps)."""
-    return batch_taps(net, *stack_samples(samples), backward)
-
-
 def _needs_backward(estimator: Estimator) -> bool:
     return estimator in (Estimator.GHOST, Estimator.IP)
 
@@ -422,11 +412,11 @@ def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
     return net, new_state, float(taps.losses.sum()) * scale
 
 
-def mean_loss_and_accuracy(net: MLP, X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean cross-entropy and argmax accuracy (ties to the lowest index) of one batched pass."""
-    taps = batch_taps(net, X, labels, backward=False)
-    hits = int(np.count_nonzero(np.argmax(taps.logits, axis=1) == labels))
-    return float(taps.losses.mean()), hits / len(labels)
+def mean_loss_and_accuracy(net: MLP, rows: Split) -> tuple[float, float]:
+    """Mean cross-entropy and argmax accuracy (ties to the lowest index), check-free."""
+    taps = _taps(net, rows.features, rows.labels, backward=False)
+    hits = int(np.count_nonzero(np.argmax(taps.logits, axis=1) == rows.labels))
+    return float(taps.losses.mean()), hits / len(rows)
 
 
 # --- training loop ---------------------------------------------------------
@@ -475,12 +465,17 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     ceil(val_fraction_per_batch * |validation|) without replacement, builds
     the estimator cache against the current parameters, and batches are
     filtered by benefit threshold before the SGD step. Every split must be
-    nonempty: each epoch reports the validation loss and the test accuracy.
+    nonempty (each epoch reports the validation loss and the test accuracy)
+    and fit the net, checked once (network.check_rows): the steps run check-free.
     """
-    for name, split in (("training", data.train), ("validation", data.validation),
-                        ("test", data.test)):
-        if not split:
+    for name, rows in (("training", data.train), ("validation", data.validation),
+                       ("test", data.test)):
+        if not rows:
             raise ValueError(f"empty {name} split")
+        try:
+            check_rows(net, rows.features, rows.labels)
+        except ValueError as exc:
+            raise ValueError(f"{name} split: {exc}") from exc
     net = net.copy()
     seed_seq = np.random.SeedSequence(cfg.seed)
     shuffle_ss, val_ss = seed_seq.spawn(2)
@@ -490,12 +485,11 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     ledger = CostLedger()
     precond = (Preconditioner.identity(net.out_dim, cfg.precond_decay, cfg.precond_floor)
                if cfg.estimator is Estimator.PRECOND_LAI else None)
-    probe_ids = [s.id for s in data.train[:cfg.probe_sample_count]]
-    probe_traces: dict[int, list[tuple[int, float]]] = {pid: [] for pid in probe_ids}
-    n = len(data.train)
-    X, y = stack_samples(data.train + data.validation)  # validation rows from n on
-    ids = [s.id for s in data.train]
-    test_X, test_y = stack_samples(data.test)
+    probe_traces: dict[int, list[tuple[int, float]]] = {
+        pid: [] for pid in data.train.ids[:cfg.probe_sample_count].tolist()}
+    n, ids = len(data.train), data.train.ids
+    X = np.concatenate([data.train.features, data.validation.features])  # validation from n on
+    y = np.concatenate([data.train.labels, data.validation.labels])
     backward = _needs_backward(cfg.estimator)
     epoch_stats: list[EpochStats] = []
     inclusion: list[list[bool]] = []
@@ -505,22 +499,21 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     checkpoints_fired = 0
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
-        row = [False] * n
+        row = np.zeros(n, dtype=bool)  # kept this epoch, by train position
         epoch_losses: list[float] = []
         epoch_benefits: list[float] = []
         scored = 0
         curating = (epoch >= cfg.warmup_epochs and cfg.mode is not CurationMode.OFF
                     and cfg.estimator is not Estimator.NONE)
         for start in range(0, n, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            positions = rows.tolist()
+            rows = batch = order[start:start + cfg.batch_size]
             k = 0  # leading validation rows of this step's pass, at a cache refresh
             if curating and cfg.mode is CurationMode.VALIDATION and (
                     cache is None or step - cache.step_id >= cfg.cache_refresh_steps):
                 k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
                 idx = rng_val.choice(len(data.validation), size=k, replace=False)
                 rows = np.concatenate([n + np.sort(idx), rows])
-            taps = batch_taps(net, X[rows], y[rows], backward or not curating)
+            taps = _taps(net, X[rows], y[rows], backward or not curating)
             if k:
                 cache = build_validation_cache(net, taps.rows(slice(0, k)), cfg.estimator, step)
                 taps = taps.rows(slice(k, None))
@@ -533,18 +526,17 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                     precond = update_preconditioner(precond, taps.grads[-1])
                 epoch_losses.extend(taps.losses.tolist())
                 epoch_benefits.extend(decision.benefit_scores)
-                scored += len(positions)
-                for p, benefit in zip(positions, decision.benefit_scores):
-                    score_rows.append((step, ids[p], cfg.estimator.value, benefit))
-                    if ids[p] in probe_traces:
-                        probe_traces[ids[p]].append((step, benefit))
-                kept_flags = list(decision.kept_mask)
-                if not any(kept_flags) and cfg.empty_batch_policy is EmptyBatchPolicy.KEEP_TOP1:
+                scored += len(batch)
+                for sid, benefit in zip(ids[batch].tolist(), decision.benefit_scores):
+                    score_rows.append((step, sid, cfg.estimator.value, benefit))
+                    if sid in probe_traces:
+                        probe_traces[sid].append((step, benefit))
+                kept_flags = np.array(decision.kept_mask)
+                if not kept_flags.any() and cfg.empty_batch_policy is EmptyBatchPolicy.KEEP_TOP1:
                     kept_flags[int(np.argmax(decision.benefit_scores))] = True
             else:
-                kept_flags = [True] * len(positions)
-            for p, keep in zip(positions, kept_flags):
-                row[p] = keep
+                kept_flags = np.ones(len(batch), dtype=bool)
+            row[batch] = kept_flags
             kept_rows = np.flatnonzero(kept_flags)
             if kept_rows.size:
                 kept = taps if kept_rows.size == len(taps) else taps.rows(kept_rows)
@@ -561,20 +553,20 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         epoch_stats.append(EpochStats(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)),
-            val_loss=mean_loss_and_accuracy(net, X[n:], y[n:])[0],
-            test_accuracy=mean_loss_and_accuracy(net, test_X, test_y)[1],
-            kept_count=sum(row),
+            val_loss=mean_loss_and_accuracy(net, data.validation)[0],
+            test_accuracy=mean_loss_and_accuracy(net, data.test)[1],
+            kept_count=int(np.count_nonzero(row)),
             scored_count=scored,
             histogram_edges=edges,
             histogram_counts=counts,
         ))
-        inclusion.append(row)
+        inclusion.append(row.tolist())
     if checkpoint_hook is not None and cfg.checkpoint_every > 0 and checkpoints_fired == 0 \
             and step > 0:
         checkpoint_hook(step, net.copy())
     report = TrainingReport(
         epoch_stats=epoch_stats,
-        sample_ids=ids,
+        sample_ids=ids.tolist(),
         inclusion=inclusion,
         score_rows=score_rows,
         probe_traces=probe_traces,

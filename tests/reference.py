@@ -9,7 +9,11 @@ from the pre-activations s(l), the form network.backward_chain (which takes
 it from the activations) must reproduce bit for bit. shapley_mc is the
 Monte-Carlo Shapley estimate with its prefixes deduplicated as a bool
 (draws, n, n) tensor keyed by packbits, which oracle.shapley_mc's bitmask
-codes must reproduce bit for bit.
+codes must reproduce bit for bit. generate_blobs and inject_label_noise
+are the data generator one sample at a time, whose columns data's block
+draws must reproduce bit for bit. shapley_exact (2^n subset enumeration) and
+loo_influence (one-step leave-one-out) are exact references of the one-step
+game that no command needs.
 """
 
 import itertools
@@ -17,9 +21,39 @@ import math
 
 import numpy as np
 
+from layerval.data import Sample
 from layerval.influence import BoundReport, PairSimilarities, Preconditioner, pair_similarities
 from layerval.network import MLP, Activation, ParamGrads, SampleTaps, batch_taps, evaluate_sample
 from layerval.oracle import ShapleyEstimate, UtilityFn
+
+
+def generate_blobs(num_classes: int, per_class: int, feature_dim: int,
+                   spread: float, seed: int) -> list[Sample]:
+    """data.generate_blobs, one normal draw per sample."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(num_classes, feature_dim))
+    samples = []
+    for c in range(num_classes):
+        for _ in range(per_class):
+            x = centers[c] + spread * rng.normal(0.0, 1.0, size=feature_dim)
+            samples.append(Sample(id=len(samples), features=x, label=c))
+    return samples
+
+
+def inject_label_noise(samples: list[Sample], flip_rate: float, num_classes: int,
+                       seed: int) -> list[Sample]:
+    """data.inject_label_noise, one offset draw per flipped sample in row order."""
+    rng = np.random.default_rng(seed)
+    n_flip = int(math.floor(flip_rate * len(samples)))
+    flip_idx = set(rng.choice(len(samples), size=n_flip, replace=False).tolist()) if n_flip else set()
+    out = []
+    for i, s in enumerate(samples):
+        if i in flip_idx:
+            offset = int(rng.integers(1, num_classes))
+            out.append(Sample(s.id, s.features, (s.label + offset) % num_classes, noisy=True))
+        else:
+            out.append(Sample(s.id, s.features, s.label, noisy=False))
+    return out
 
 
 def _act_and_derivative(kind: Activation, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,3 +228,30 @@ def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
     stderr = marginals.std(axis=0, ddof=1) / math.sqrt(draws) if draws >= 2 else np.zeros(n)
     return ShapleyEstimate(values=values, stderr=stderr,
                            permutations_used=draws, seed=seed)
+
+
+def shapley_exact(u: UtilityFn, batch) -> ShapleyEstimate:
+    """Exact Shapley values by 2^n subset enumeration (n <= 10): the exact
+    reference of oracle.shapley_mc."""
+    n = len(batch)
+    if n > 10:
+        raise ValueError(f"exact enumeration limited to 10 samples, got {n}")
+    u._ensure_batch(batch)
+    codes = np.arange(1 << n)
+    masks = (codes[:, None] >> np.arange(n) & 1).astype(bool)
+    v = u.utilities(masks)
+    sizes = masks.sum(axis=1)
+    weight = np.array([math.factorial(k) * math.factorial(n - k - 1) / math.factorial(n)
+                       for k in range(n)])
+    values = np.zeros(n)
+    for i in range(n):
+        without = codes[~masks[:, i]]
+        values[i] = weight[sizes[without]] @ (v[without | 1 << i] - v[without])
+    return ShapleyEstimate(values=values, stderr=np.zeros(n), permutations_used=0, seed=0)
+
+
+def loo_influence(u: UtilityFn, batch) -> np.ndarray:
+    """One-step leave-one-out: v(B) - v(B without i) per member."""
+    n = len(u._ensure_batch(batch))
+    v = u.utilities(np.vstack([np.ones((1, n), dtype=bool), ~np.eye(n, dtype=bool)]))
+    return v[0] - v[1:]

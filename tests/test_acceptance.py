@@ -16,7 +16,7 @@ from layerval.data import Sample, make_noisy_blob_bundle
 from layerval.evaluation import run_fidelity
 from layerval.influence import Estimator, bound_diagnostics, pair_matrix
 from layerval.network import MLP, Activation, Layer, LayerSpec, batch_taps
-from layerval.oracle import UtilityFn, shapley_exact, shapley_mc
+from layerval.oracle import UtilityFn, shapley_mc
 from layerval.trainer import (
     CostLedger,
     CurationMode,
@@ -25,9 +25,10 @@ from layerval.trainer import (
     cache_reals_per_sample,
     curate_batch,
     pair_macs,
-    sample_taps,
     train,
 )
+from helpers import from_samples
+from reference import shapley_exact
 
 ACTS = [Activation.LINEAR, Activation.RELU, Activation.TANH]
 
@@ -177,10 +178,10 @@ def test_criterion_4_shapley_efficiency_and_mc():
     for seed in range(3):
         rng = np.random.default_rng(3000 + seed)
         net = MLP.initialize([4, 6, 3], ["relu", "linear"], seed=seed)
-        batch = [Sample(id=i, features=rng.normal(size=4), label=int(rng.integers(3)))
-                 for i in range(8)]
-        val = [Sample(id=100 + i, features=rng.normal(size=4), label=int(rng.integers(3)))
-               for i in range(6)]
+        batch = from_samples([Sample(id=i, features=rng.normal(size=4),
+                                     label=int(rng.integers(3))) for i in range(8)])
+        val = from_samples([Sample(id=100 + i, features=rng.normal(size=4),
+                                   label=int(rng.integers(3))) for i in range(6)])
         u = UtilityFn(net, val, learning_rate=0.1)
         est = shapley_exact(u, batch)
         u.bind_batch(batch)
@@ -190,10 +191,10 @@ def test_criterion_4_shapley_efficiency_and_mc():
     for seed in range(5):
         rng = np.random.default_rng(4000 + seed)
         net = MLP.initialize([4, 6, 3], ["relu", "linear"], seed=seed)
-        batch = [Sample(id=i, features=rng.normal(size=4), label=int(rng.integers(3)))
-                 for i in range(6)]
-        val = [Sample(id=100 + i, features=rng.normal(size=4), label=int(rng.integers(3)))
-               for i in range(6)]
+        batch = from_samples([Sample(id=i, features=rng.normal(size=4),
+                                     label=int(rng.integers(3))) for i in range(6)])
+        val = from_samples([Sample(id=100 + i, features=rng.normal(size=4),
+                                   label=int(rng.integers(3))) for i in range(6)])
         u = UtilityFn(net, val, learning_rate=0.1)
         exact = shapley_exact(u, batch)
         spread = float(exact.values.max() - exact.values.min())
@@ -364,8 +365,10 @@ def test_criterion_10_threshold_monotonicity():
     warm = TrainerConfig(learning_rate=0.5, batch_size=16, epochs=120,
                          warmup_epochs=120, mode=CurationMode.OFF, seed=6)
     _, net = train(net, warm, bundle)
-    batch = sample_taps(net, bundle.train[:16], backward=False)
-    cache = build_validation_cache(net, sample_taps(net, bundle.validation, backward=False),
+    rows = bundle.train[:16]
+    batch = batch_taps(net, rows.features, rows.labels, backward=False)
+    cache = build_validation_cache(net, batch_taps(net, bundle.validation.features,
+                                                   bundle.validation.labels, backward=False),
                                    Estimator.LAI)
     kept_sets = []
     for thr in (-0.1, 0.0, 0.1):

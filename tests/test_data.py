@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerval.data import (
     CsvFormatError,
     Sample,
+    Split,
+    SplitError,
     generate_blobs,
     inject_label_noise,
     load_bundle,
@@ -15,6 +19,8 @@ from layerval.data import (
     split,
     write_bundle,
 )
+from helpers import rows
+import reference
 
 
 class TestGenerateBlobs:
@@ -41,9 +47,29 @@ class TestGenerateBlobs:
             generate_blobs(0, 1, 1, 0.1, seed=0)
 
 
+class TestColumnsMatchPerSampleReference:
+    @settings(max_examples=60, deadline=None)
+    @given(classes=st.integers(1, 6), per_class=st.integers(1, 40), dim=st.integers(1, 9),
+           spread=st.floats(0.0, 5.0), flip_rate=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_draws_equal_per_sample_draws(self, classes, per_class, dim, spread,
+                                                flip_rate, seed):
+        if classes < 2:
+            flip_rate = 0.0
+        got = inject_label_noise(generate_blobs(classes, per_class, dim, spread, seed),
+                                 flip_rate, classes, seed + 1)
+        want = reference.inject_label_noise(
+            reference.generate_blobs(classes, per_class, dim, spread, seed),
+            flip_rate, classes, seed + 1)
+        assert got.ids.tolist() == [s.id for s in want]
+        assert np.array_equal(got.features, np.stack([s.features for s in want]))
+        assert got.labels.tolist() == [s.label for s in want]
+        assert got.noisy.tolist() == [s.noisy for s in want]
+
+
 class TestInjectNoise:
     def base(self, n=10):
-        return [Sample(id=i, features=np.array([float(i)]), label=i % 3) for i in range(n)]
+        return rows(np.arange(n, dtype=float)[:, None], np.arange(n) % 3)
 
     def test_zero_rate_unchanged(self):
         out = inject_label_noise(self.base(), 0.0, 3, seed=0)
@@ -58,7 +84,7 @@ class TestInjectNoise:
         assert all(0 <= s.label < 3 for s in out)
 
     def test_exact_flip_count(self):
-        base = [Sample(id=i, features=np.zeros(1), label=0) for i in range(1000)]
+        base = rows(np.zeros((1000, 1)), np.zeros(1000, dtype=np.int64))
         out = inject_label_noise(base, 0.4, 4, seed=7)
         flagged = [s for s in out if s.noisy]
         assert len(flagged) == 400  # floor(0.4 * 1000) exactly
@@ -79,8 +105,8 @@ class TestInjectNoise:
 
 class TestSplit:
     def samples(self, n=20):
-        return [Sample(id=i, features=np.array([float(i), -float(i)]), label=i % 2)
-                for i in range(n)]
+        i = np.arange(n)
+        return rows(np.column_stack([i, -i]), i % 2)
 
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +157,7 @@ class TestGeneratorCalibration:
     def test_clean_blobs_are_learnable(self):
         # spread small relative to center separation: vanilla training
         # must exceed 95% test accuracy, otherwise the generator is miscalibrated
-        from layerval.trainer import mean_loss_and_accuracy, stack_samples
+        from layerval.trainer import mean_loss_and_accuracy
         from layerval.influence import Estimator
         from layerval.network import MLP
         from layerval.trainer import CurationMode, TrainerConfig, train
@@ -143,7 +169,59 @@ class TestGeneratorCalibration:
                             warmup_epochs=8, mode=CurationMode.OFF,
                             estimator=Estimator.LAI, seed=0)
         _, trained = train(net, cfg, bundle)
-        assert mean_loss_and_accuracy(trained, *stack_samples(bundle.test))[1] > 0.95
+        assert mean_loss_and_accuracy(trained, bundle.test)[1] > 0.95
+
+
+class TestSplitRecord:
+    def test_rows_and_columns(self):
+        split_ = Split(ids=[7, 8, 9], features=np.arange(6.0).reshape(3, 2),
+                       labels=[2, 0, 1], noisy=[False, True, False])
+        assert len(split_) == 3
+        row = split_[1]
+        assert isinstance(row, Sample)
+        assert (row.id, row.label, row.noisy) == (8, 0, True)
+        assert np.array_equal(row.features, [2.0, 3.0])
+        assert [s.id for s in split_] == [7, 8, 9]
+        part = split_[np.array([2, 0])]
+        assert isinstance(part, Split) and part.ids.tolist() == [9, 7]
+        assert split_[1:].labels.tolist() == [0, 1]
+        assert split_.ids.dtype == np.int64 and split_.labels.dtype == np.int64
+        assert split_.noisy.dtype == bool and split_.features.dtype == np.float64
+
+    def test_noisy_defaults_to_false(self):
+        assert rows(np.zeros((2, 1)), [0, 1]).noisy.tolist() == [False, False]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_row(self, value):
+        features = np.zeros((4, 2))
+        features[2, 1] = value
+        features[3, 0] = value
+        with pytest.raises(SplitError, match="row 2: non-finite feature") as err:
+            rows(features, [0, 0, 0, 0])
+        assert err.value.kind == "non_finite" and err.value.row == 2
+
+    def test_negative_label_names_row(self):
+        with pytest.raises(SplitError, match="row 1: negative label -1") as err:
+            rows(np.zeros((3, 1)), [0, -1, -2])
+        assert err.value.kind == "negative_label"
+
+    def test_float_label_rejected(self):
+        with pytest.raises(SplitError, match="row 0: labels of dtype float64") as err:
+            rows(np.zeros((2, 1)), [0.0, 1.5])
+        assert err.value.kind == "dtype"
+
+    @pytest.mark.parametrize("column", ["ids", "labels", "noisy"])
+    def test_columns_of_different_lengths_name_first_missing_row(self, column):
+        cols = {"ids": np.arange(3), "features": np.zeros((3, 2)),
+                "labels": np.zeros(3, dtype=np.int64), "noisy": np.zeros(3, dtype=bool)}
+        cols[column] = cols[column][:2]
+        with pytest.raises(SplitError, match="row 2: columns of different lengths") as err:
+            Split(**cols)
+        assert err.value.kind == "ragged"
+
+    def test_features_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="features must be an"):
+            Split(ids=[0, 1], features=np.zeros(2), labels=[0, 1])
 
 
 class TestCsv:
@@ -158,7 +236,8 @@ class TestCsv:
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,f1,label\n")
-        assert load_csv(path) == []
+        loaded = load_csv(path)
+        assert len(loaded) == 0 and loaded.features.shape == (0, 1)
 
     def test_bit_exact_round_trip(self, tmp_path):
         samples = generate_blobs(2, 10, 5, np.pi, seed=3)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerval import evaluation
-from layerval.data import Sample, make_noisy_blob_bundle
+from layerval.data import make_noisy_blob_bundle
 from layerval.evaluation import (
     DegenerateInputError,
     FidelityRecord,
@@ -30,9 +30,9 @@ from layerval.trainer import (
     CurationMode,
     TrainerConfig,
     mean_loss_and_accuracy,
-    stack_samples,
     train,
 )
+from helpers import rows
 
 
 class TestPearson:
@@ -90,8 +90,8 @@ class TestSpearman:
         assert average_ranks(xs).tolist() == want
 
 
-def accuracy(net, samples):
-    return mean_loss_and_accuracy(net, *stack_samples(samples))[1]
+def accuracy(net, features, labels):
+    return mean_loss_and_accuracy(net, rows(features, labels))[1]
 
 
 class TestAccuracy:
@@ -101,30 +101,21 @@ class TestAccuracy:
 
     def test_all_correct(self):
         net = self.identity_net()
-        samples = [Sample(id=0, features=np.array([3.0, 0.0]), label=0),
-                   Sample(id=1, features=np.array([0.0, 3.0]), label=1)]
-        assert accuracy(net, samples) == 1.0
+        assert accuracy(net, [[3.0, 0.0], [0.0, 3.0]], [0, 1]) == 1.0
 
     def test_adversarial_labels(self):
         net = self.identity_net()
-        samples = [Sample(id=0, features=np.array([3.0, 0.0]), label=1),
-                   Sample(id=1, features=np.array([0.0, 3.0]), label=0)]
-        assert accuracy(net, samples) == 0.0
+        assert accuracy(net, [[3.0, 0.0], [0.0, 3.0]], [1, 0]) == 0.0
 
     def test_hand_built_three_quarters(self):
         net = self.identity_net()
-        samples = [Sample(id=0, features=np.array([2.0, 1.0]), label=0),
-                   Sample(id=1, features=np.array([1.0, 3.0]), label=1),
-                   Sample(id=2, features=np.array([0.0, 5.0]), label=0),
-                   Sample(id=3, features=np.array([4.0, 0.0]), label=0)]
-        assert accuracy(net, samples) == 0.75
+        features = [[2.0, 1.0], [1.0, 3.0], [0.0, 5.0], [4.0, 0.0]]
+        assert accuracy(net, features, [0, 1, 0, 0]) == 0.75
 
     def test_argmax_tie_goes_to_lowest_index(self):
         net = self.identity_net()
-        tied = [Sample(id=0, features=np.array([2.0, 2.0]), label=0)]
-        assert accuracy(net, tied) == 1.0
-        tied_wrong = [Sample(id=0, features=np.array([2.0, 2.0]), label=1)]
-        assert accuracy(net, tied_wrong) == 0.0
+        assert accuracy(net, [[2.0, 2.0]], [0]) == 1.0
+        assert accuracy(net, [[2.0, 2.0]], [1]) == 0.0
 
 
 def tiny_bundle(seed=0, classes=3, feature_dim=4):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerval.data import Sample
 from layerval.influence import (
     Estimator,
     Preconditioner,
@@ -27,6 +26,7 @@ from layerval.network import (
     forward,
     param_grads,
 )
+from helpers import toy_split
 import reference
 from reference import (
     ghost_influence,
@@ -348,10 +348,7 @@ def random_net_and_rows(data, rows):
                               min_size=depth - 1, max_size=depth - 1), label="acts")
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
     net = MLP.initialize(dims, acts + ["linear"], seed=seed)
-    rng = np.random.default_rng(seed)
-    samples = [Sample(id=i, features=rng.normal(size=dims[0]),
-                      label=int(rng.integers(dims[-1]))) for i in range(rows)]
-    return net, samples
+    return net, toy_split(net, rows, seed)
 
 
 def assert_close(got, want):
@@ -366,8 +363,7 @@ class TestBatchedDiagnosticsMatchReference:
         pairs = data.draw(st.integers(1, 6), label="pairs")
         net, samples = random_net_and_rows(data, 2 * pairs)
         z_rows, j_rows = samples[:pairs], samples[pairs:]
-        got = bound_diagnostics(*(batch_taps(net, np.stack([s.features for s in rows]),
-                                             np.array([s.label for s in rows]), backward=True)
+        got = bound_diagnostics(*(batch_taps(net, rows.features, rows.labels, backward=True)
                                   for rows in (z_rows, j_rows)))
         want = reference.bound_diagnostics(
             [(evaluate_sample(net, z.features, z.label), evaluate_sample(net, j.features, j.label))
@@ -394,9 +390,7 @@ class TestBatchedDiagnosticsMatchReference:
 
 class TestVarianceDiagnostic:
     def pool(self, net, n, seed):
-        rng = np.random.default_rng(seed)
-        return [Sample(id=i, features=rng.normal(size=net.in_dim),
-                       label=int(rng.integers(net.out_dim))) for i in range(n)]
+        return toy_split(net, n, seed)
 
     def test_full_pool_subsets_give_zero_variance(self):
         net = MLP.initialize([2, 3, 2], ["relu", "linear"], seed=0)

@@ -8,29 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerval.data import Sample
 from layerval.network import MLP, Activation, evaluate_sample, param_grads
 from layerval.oracle import (
     ShapleyEstimate,
     UtilityFn,
-    loo_influence,
-    shapley_exact,
     shapley_mc,
 )
+from helpers import rows, toy_split
 import reference
+from reference import loo_influence, shapley_exact
 
 
 def toy_net(seed=0, dims=(3, 4, 2), acts=("relu", "linear")):
     return MLP.initialize(list(dims), list(acts), seed=seed)
-
-
-def toy_samples(net, n, seed, labels=None):
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        label = labels[i] if labels else int(rng.integers(net.out_dim))
-        out.append(Sample(id=i, features=rng.normal(size=net.in_dim), label=label))
-    return out
 
 
 def subset_value(u, n, subset):
@@ -46,11 +36,11 @@ class ReferenceGame:
     its own over theta. UtilityFn's batched coalitions are checked against it.
     """
 
-    def __init__(self, net, val_samples, batch, learning_rate):
+    def __init__(self, net, val, batch, learning_rate):
         self.net = net
         self.learning_rate = learning_rate
-        self.val_x = np.stack([s.features for s in val_samples])
-        self.val_y = np.array([s.label for s in val_samples], dtype=np.int64)
+        self.val_x = val.features
+        self.val_y = val.labels
         self.theta = np.concatenate(
             [np.concatenate([l.weights.ravel(), l.bias]) for l in net.layers])
         self.grads = np.stack([param_grads(evaluate_sample(net, s.features, s.label)).flatten()
@@ -106,15 +96,15 @@ def permutation_average_shapley(u, batch):
 class TestSubsetUtility:
     def test_empty_subset_is_zero(self):
         net = toy_net()
-        u = UtilityFn(net, toy_samples(net, 4, seed=1), learning_rate=0.1)
-        u.bind_batch(toy_samples(net, 3, seed=2))
+        u = UtilityFn(net, toy_split(net, 4, seed=1), learning_rate=0.1)
+        u.bind_batch(toy_split(net, 3, seed=2))
         assert subset_value(u, 3, set()) == 0.0
 
     def test_tiny_learning_rate_vanishes(self):
         # eta -> 0 makes every subset worthless (the probe step goes nowhere)
         net = toy_net()
-        batch = toy_samples(net, 3, seed=2)
-        u = UtilityFn(net, toy_samples(net, 4, seed=1), learning_rate=1e-300)
+        batch = toy_split(net, 3, seed=2)
+        u = UtilityFn(net, toy_split(net, 4, seed=1), learning_rate=1e-300)
         u.bind_batch(batch)
         for subset in ([0], [0, 1], [0, 1, 2]):
             assert subset_value(u, len(batch), subset) == pytest.approx(0.0, abs=1e-12)
@@ -122,8 +112,8 @@ class TestSubsetUtility:
     def test_singleton_matches_first_order_expansion(self):
         # v({j}) = eta * <grad_val, g_j> + O(eta^2)
         net = toy_net(seed=3)
-        val = toy_samples(net, 5, seed=4)
-        batch = toy_samples(net, 3, seed=5)
+        val = toy_split(net, 5, seed=4)
+        batch = toy_split(net, 3, seed=5)
         g_val = np.mean(
             [param_grads(evaluate_sample(net, s.features, s.label)).flatten() for s in val],
             axis=0)
@@ -140,8 +130,8 @@ class TestSubsetUtility:
     def test_frozen_net_never_mutates(self):
         net = toy_net(seed=6)
         before = [l.weights.copy() for l in net.layers]
-        u = UtilityFn(net, toy_samples(net, 4, seed=7), learning_rate=0.5)
-        batch = toy_samples(net, 3, seed=8)
+        u = UtilityFn(net, toy_split(net, 4, seed=7), learning_rate=0.5)
+        batch = toy_split(net, 3, seed=8)
         u.bind_batch(batch)
         v1 = subset_value(u, len(batch), [0, 1])
         v2 = subset_value(u, len(batch), [0, 1])
@@ -161,8 +151,8 @@ class TestBatchedUtilities:
         net = MLP.initialize(dims, hidden_acts + ["linear"], seed=seed)
         for layer in net.layers:
             layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
-        val = toy_samples(net, int(rng.integers(1, 7)), seed=seed + 1)
-        batch = toy_samples(net, n, seed=seed + 2)
+        val = toy_split(net, int(rng.integers(1, 7)), seed=seed + 1)
+        batch = toy_split(net, n, seed=seed + 2)
         masks = rng.random((m, n)) < 0.5
         u = UtilityFn(net, val, learning_rate=eta)
         u.bind_batch(batch)
@@ -172,8 +162,8 @@ class TestBatchedUtilities:
 
     def test_blocks_equal_one_mask_at_a_time(self):
         net = toy_net(seed=40, dims=(3, 5, 4, 3), acts=("tanh", "relu", "linear"))
-        batch = toy_samples(net, 9, seed=41)
-        u = UtilityFn(net, toy_samples(net, 6, seed=42), learning_rate=0.3)
+        batch = toy_split(net, 9, seed=41)
+        u = UtilityFn(net, toy_split(net, 6, seed=42), learning_rate=0.3)
         u.bind_batch(batch)
         codes = np.random.default_rng(43).choice(1 << 9, size=2 * UtilityFn.BLOCK + 37,
                                                  replace=False)
@@ -183,8 +173,8 @@ class TestBatchedUtilities:
 
     def test_any_block_size_gives_identical_values(self, monkeypatch):
         net = toy_net(seed=47, dims=(3, 5, 4, 3), acts=("tanh", "relu", "linear"))
-        u = UtilityFn(net, toy_samples(net, 6, seed=48), learning_rate=0.3)
-        u.bind_batch(toy_samples(net, 9, seed=49))
+        u = UtilityFn(net, toy_split(net, 6, seed=48), learning_rate=0.3)
+        u.bind_batch(toy_split(net, 9, seed=49))
         masks = np.random.default_rng(50).random((2 * 64 + 37, 9)) < 0.5
         got = []
         for block in (1, 5, 64):
@@ -200,8 +190,8 @@ class TestBatchedUtilities:
         rng = np.random.default_rng(52)
         for layer in net.layers:
             layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
-        val = toy_samples(net, 60, seed=53)
-        batch = toy_samples(net, 16, seed=54)
+        val = toy_split(net, 60, seed=53)
+        batch = toy_split(net, 16, seed=54)
         masks = np.vstack([np.ones((1, 16), dtype=bool), rng.random((150, 16)) < 0.5])
         u = UtilityFn(net, val, learning_rate=0.05)
         u.bind_batch(batch)
@@ -214,8 +204,8 @@ class TestBatchedUtilities:
     def test_row_placement_invariant(self, dims, acts):
         # a coalition's value is the same bits wherever its row sits in the matrix
         net = toy_net(seed=55, dims=dims, acts=acts)
-        u = UtilityFn(net, toy_samples(net, 60, seed=56), learning_rate=0.05)
-        u.bind_batch(toy_samples(net, 16, seed=57))
+        u = UtilityFn(net, toy_split(net, 60, seed=56), learning_rate=0.05)
+        u.bind_batch(toy_split(net, 16, seed=57))
         rng = np.random.default_rng(58)
         masks = rng.random((3 * UtilityFn.BLOCK + 29, 16)) < 0.5
         p = rng.permutation(len(masks))
@@ -223,27 +213,32 @@ class TestBatchedUtilities:
 
     def test_empty_coalition_exactly_zero(self):
         net = toy_net(seed=44)
-        u = UtilityFn(net, toy_samples(net, 4, seed=45), learning_rate=0.5)
-        u.bind_batch(toy_samples(net, 3, seed=46))
+        u = UtilityFn(net, toy_split(net, 4, seed=45), learning_rate=0.5)
+        u.bind_batch(toy_split(net, 3, seed=46))
         masks = np.array([[False] * 3, [True] * 3, [False] * 3])
         v = u.utilities(masks)
         assert v[0] == 0.0 and v[2] == 0.0 and v[1] != 0.0
 
 
 class TestBoundary:
-    def val_with(self, net, **fields):
-        val = toy_samples(net, 3, seed=50)
-        val[1] = Sample(**{"id": 1, "features": val[1].features, "label": 0, **fields})
-        return val
+    def val_with(self, net, features=None, label=0):
+        """Three validation rows whose row 1 has the given features and label."""
+        val = toy_split(net, 3, seed=50)
+        X, y = val.features.copy(), val.labels.copy()
+        if features is not None:
+            X[1] = features
+        y[1] = label
+        return rows(X, y)
 
+    # a negative label or a non-finite feature stops at the Split, before the utility
     def test_val_label_minus_one_rejected(self):
         net = toy_net()
-        with pytest.raises(ValueError, match="label -1 in row 1"):
+        with pytest.raises(ValueError, match="row 1: negative label -1"):
             UtilityFn(net, self.val_with(net, label=-1), learning_rate=0.1)
 
     def test_val_nan_feature_rejected(self):
         net = toy_net()
-        with pytest.raises(ValueError, match="non-finite input in row 1"):
+        with pytest.raises(ValueError, match="row 1: non-finite feature"):
             UtilityFn(net, self.val_with(net, features=np.array([0.0, np.nan, 1.0])),
                       learning_rate=0.1)
 
@@ -254,22 +249,22 @@ class TestBoundary:
 
     def test_bad_batch_sample_rejected(self):
         net = toy_net()
-        u = UtilityFn(net, toy_samples(net, 3, seed=51), learning_rate=0.1)
+        u = UtilityFn(net, toy_split(net, 3, seed=51), learning_rate=0.1)
         with pytest.raises(ValueError, match="label 5 in row 0"):
-            u.bind_batch([Sample(id=0, features=np.zeros(3), label=5)])
+            u.bind_batch(rows(np.zeros((1, 3)), [5]))
 
     def test_mask_bits_outside_batch_rejected(self):
         net = toy_net()
-        u = UtilityFn(net, toy_samples(net, 3, seed=52), learning_rate=0.1)
-        u.bind_batch(toy_samples(net, 1, seed=53))
+        u = UtilityFn(net, toy_split(net, 3, seed=52), learning_rate=0.1)
+        u.bind_batch(toy_split(net, 1, seed=53))
         for mask in (0b11, 0b10, -1):
             with pytest.raises(ValueError, match="outside the 1-sample batch"):
                 u.utility_of_mask(mask)
 
     def test_membership_matrix_shape_and_dtype_checked(self):
         net = toy_net()
-        u = UtilityFn(net, toy_samples(net, 3, seed=54), learning_rate=0.1)
-        u.bind_batch(toy_samples(net, 1, seed=55))
+        u = UtilityFn(net, toy_split(net, 3, seed=54), learning_rate=0.1)
+        u.bind_batch(toy_split(net, 1, seed=55))
         for masks in (np.ones((2, 2), dtype=bool), np.ones(1, dtype=bool), np.ones((2, 1))):
             with pytest.raises(ValueError, match="boolean membership matrix"):
                 u.utilities(masks)
@@ -280,10 +275,8 @@ class TestShapleyExact:
         net = toy_net(seed=9)
         rng = np.random.default_rng(10)
         x = rng.normal(size=net.in_dim)
-        batch = [Sample(id=0, features=x.copy(), label=1),
-                 Sample(id=1, features=x.copy(), label=1),
-                 Sample(id=2, features=rng.normal(size=net.in_dim), label=0)]
-        u = UtilityFn(net, toy_samples(net, 5, seed=11), learning_rate=0.1)
+        batch = rows([x, x, rng.normal(size=net.in_dim)], [1, 1, 0])
+        u = UtilityFn(net, toy_split(net, 5, seed=11), learning_rate=0.1)
         est = shapley_exact(u, batch)
         assert est.values[0] == pytest.approx(est.values[1], abs=1e-12)
 
@@ -292,25 +285,24 @@ class TestShapleyExact:
         net = MLP.initialize([2, 2], ["linear"], seed=0)
         net.layers[0].weights = np.array([[20.0, 0.0], [-20.0, 0.0]])
         net.layers[0].bias = np.zeros(2)
-        null = Sample(id=0, features=np.array([2.0, 0.0]), label=0)  # margin 80
-        others = [Sample(id=1, features=np.array([0.05, 0.2]), label=1),
-                  Sample(id=2, features=np.array([-0.1, 0.4]), label=0)]
-        u = UtilityFn(net, others, learning_rate=1e-3)
-        est = shapley_exact(u, [null] + others)
+        # row 0 is the null player: margin 80
+        batch = rows([[2.0, 0.0], [0.05, 0.2], [-0.1, 0.4]], [0, 1, 0])
+        u = UtilityFn(net, batch[1:], learning_rate=1e-3)
+        est = shapley_exact(u, batch)
         assert abs(est.values[0]) < 1e-6
 
     def test_matches_permutation_enumeration_oracle(self):
         net = toy_net(seed=12)
-        batch = toy_samples(net, 4, seed=13)
-        u = UtilityFn(net, toy_samples(net, 6, seed=14), learning_rate=0.2)
+        batch = toy_split(net, 4, seed=13)
+        u = UtilityFn(net, toy_split(net, 6, seed=14), learning_rate=0.2)
         est = shapley_exact(u, batch)
         oracle = permutation_average_shapley(u, batch)
         np.testing.assert_allclose(est.values, oracle, atol=1e-9)
 
     def test_efficiency_axiom(self):
         net = toy_net(seed=15)
-        batch = toy_samples(net, 6, seed=16)
-        u = UtilityFn(net, toy_samples(net, 5, seed=17), learning_rate=0.3)
+        batch = toy_split(net, 6, seed=16)
+        u = UtilityFn(net, toy_split(net, 5, seed=17), learning_rate=0.3)
         est = shapley_exact(u, batch)
         u.bind_batch(batch)
         assert est.values.sum() == pytest.approx(
@@ -318,16 +310,16 @@ class TestShapleyExact:
 
     def test_batch_too_large(self):
         net = toy_net()
-        u = UtilityFn(net, toy_samples(net, 3, seed=0), learning_rate=0.1)
+        u = UtilityFn(net, toy_split(net, 3, seed=0), learning_rate=0.1)
         with pytest.raises(ValueError):
-            shapley_exact(u, toy_samples(net, 11, seed=1))
+            shapley_exact(u, toy_split(net, 11, seed=1))
 
 
 class TestShapleyMC:
     def test_exhaustive_equals_exact(self):
         net = toy_net(seed=18)
-        batch = toy_samples(net, 3, seed=19)
-        u = UtilityFn(net, toy_samples(net, 5, seed=20), learning_rate=0.2)
+        batch = toy_split(net, 3, seed=19)
+        u = UtilityFn(net, toy_split(net, 5, seed=20), learning_rate=0.2)
         exact = shapley_exact(u, batch)
         mc = shapley_mc(u, batch, permutations=6, seed=0, exhaustive=True)
         np.testing.assert_allclose(mc.values, exact.values, atol=1e-9)
@@ -339,9 +331,9 @@ class TestShapleyMC:
 
         monkeypatch.setattr(itertools, "permutations", unreachable)
         net = toy_net()
-        u = UtilityFn(net, toy_samples(net, 3, seed=0), learning_rate=0.1)
+        u = UtilityFn(net, toy_split(net, 3, seed=0), learning_rate=0.1)
         with pytest.raises(ValueError, match="limited to 8 samples, got 9"):
-            shapley_mc(u, toy_samples(net, 9, seed=1), permutations=1, seed=0,
+            shapley_mc(u, toy_split(net, 9, seed=1), permutations=1, seed=0,
                        exhaustive=True)
         assert u._batch is None
 
@@ -349,17 +341,26 @@ class TestShapleyMC:
         net = toy_net(seed=21)
         rng = np.random.default_rng(22)
         x = rng.normal(size=net.in_dim)
-        batch = [Sample(id=0, features=x.copy(), label=0),
-                 Sample(id=1, features=x.copy(), label=0)] + toy_samples(net, 3, seed=23)
-        u = UtilityFn(net, toy_samples(net, 5, seed=24), learning_rate=0.2)
+        rest = toy_split(net, 3, seed=23)
+        batch = rows(np.vstack([x, x, rest.features]), np.append([0, 0], rest.labels))
+        u = UtilityFn(net, toy_split(net, 5, seed=24), learning_rate=0.2)
         est = shapley_mc(u, batch, permutations=400, seed=25)
         gap = abs(est.values[0] - est.values[1])
         assert gap <= 3.0 * (est.stderr[0] + est.stderr[1]) + 1e-12
 
     def test_mc_close_to_exact_on_batch_six(self):
+        # the rows this tolerance was set on, drawn a label and then the
+        # features at a time: their Shapley spread is ~220 MC stderrs, where
+        # toy_split's block draw at these seeds gives a game of ~18
+        def drawn_per_sample(n, seed):
+            rng = np.random.default_rng(seed)
+            labels, features = zip(*[(rng.integers(net.out_dim), rng.normal(size=net.in_dim))
+                                     for _ in range(n)])
+            return rows(features, labels)
+
         net = toy_net(seed=26)
-        batch = toy_samples(net, 6, seed=27)
-        u = UtilityFn(net, toy_samples(net, 6, seed=28), learning_rate=0.2)
+        batch = drawn_per_sample(6, seed=27)
+        u = UtilityFn(net, drawn_per_sample(6, seed=28), learning_rate=0.2)
         exact = shapley_exact(u, batch)
         spread = exact.values.max() - exact.values.min()
         mc = shapley_mc(u, batch, permutations=1000, seed=29)
@@ -368,8 +369,8 @@ class TestShapleyMC:
     def test_equals_one_permutation_at_a_time(self):
         # the deduplicated prefix evaluation reproduces the sequential walk bit for bit
         net = toy_net(seed=60)
-        batch = toy_samples(net, 5, seed=61)
-        u = UtilityFn(net, toy_samples(net, 4, seed=62), learning_rate=0.3)
+        batch = toy_split(net, 5, seed=61)
+        u = UtilityFn(net, toy_split(net, 4, seed=62), learning_rate=0.3)
         est = shapley_mc(u, batch, permutations=30, seed=63)
         rng = np.random.default_rng(63)
         marginals = np.zeros((30, 5))
@@ -386,8 +387,8 @@ class TestShapleyMC:
     def test_equals_one_permutation_at_a_time_sixteen(self):
         # the same walk at the shipped probe size, where prefixes share blocks
         net = toy_net(seed=64, dims=(8, 16, 3))
-        batch = toy_samples(net, 16, seed=65)
-        u = UtilityFn(net, toy_samples(net, 60, seed=66), learning_rate=0.05)
+        batch = toy_split(net, 16, seed=65)
+        u = UtilityFn(net, toy_split(net, 60, seed=66), learning_rate=0.05)
         est = shapley_mc(u, batch, permutations=40, seed=67)
         rng = np.random.default_rng(67)
         marginals = np.zeros((40, 16))
@@ -405,8 +406,8 @@ class TestShapleyMC:
     def test_bitmask_dedupe_equals_packbits_reference(self, n, exhaustive):
         # past 64 members a prefix code spans two words
         net = toy_net(seed=68, dims=(8, 16, 3))
-        batch = toy_samples(net, n, seed=69)
-        u = UtilityFn(net, toy_samples(net, 30, seed=70), learning_rate=0.05)
+        batch = toy_split(net, n, seed=69)
+        u = UtilityFn(net, toy_split(net, 30, seed=70), learning_rate=0.05)
         got = shapley_mc(u, batch, permutations=25, seed=71, exhaustive=exhaustive)
         want = reference.shapley_mc(u, batch, permutations=25, seed=71, exhaustive=exhaustive)
         assert got.values.tobytes() == want.values.tobytes()
@@ -415,8 +416,8 @@ class TestShapleyMC:
 
     def test_seed_determinism(self):
         net = toy_net(seed=30)
-        batch = toy_samples(net, 4, seed=31)
-        u = UtilityFn(net, toy_samples(net, 4, seed=32), learning_rate=0.1)
+        batch = toy_split(net, 4, seed=31)
+        u = UtilityFn(net, toy_split(net, 4, seed=32), learning_rate=0.1)
         a = shapley_mc(u, batch, permutations=50, seed=33)
         b = shapley_mc(u, batch, permutations=50, seed=33)
         assert np.array_equal(a.values, b.values)
@@ -424,16 +425,16 @@ class TestShapleyMC:
 
     def test_empty_batch_rejected(self):
         net = toy_net()
-        u = UtilityFn(net, toy_samples(net, 3, seed=0), learning_rate=0.1)
+        u = UtilityFn(net, toy_split(net, 3, seed=0), learning_rate=0.1)
         with pytest.raises(ValueError):
-            shapley_mc(u, [], permutations=10, seed=0)
+            shapley_mc(u, toy_split(net, 0, seed=0), permutations=10, seed=0)
 
 
 class TestLeaveOneOut:
     def test_single_member(self):
         net = toy_net(seed=34)
-        batch = toy_samples(net, 1, seed=35)
-        u = UtilityFn(net, toy_samples(net, 4, seed=36), learning_rate=0.2)
+        batch = toy_split(net, 1, seed=35)
+        u = UtilityFn(net, toy_split(net, 4, seed=36), learning_rate=0.2)
         loo = loo_influence(u, batch)
         u.bind_batch(batch)
         assert loo[0] == pytest.approx(subset_value(u, len(batch), [0]), abs=1e-15)
@@ -442,17 +443,15 @@ class TestLeaveOneOut:
         net = MLP.initialize([2, 2], ["linear"], seed=0)
         net.layers[0].weights = np.array([[20.0, 0.0], [-20.0, 0.0]])
         net.layers[0].bias = np.zeros(2)
-        null = Sample(id=0, features=np.array([2.0, 0.0]), label=0)
-        others = [Sample(id=1, features=np.array([0.05, 0.2]), label=1),
-                  Sample(id=2, features=np.array([-0.1, 0.4]), label=0)]
-        u = UtilityFn(net, others, learning_rate=1e-3)
-        loo = loo_influence(u, [null] + others)
+        batch = rows([[2.0, 0.0], [0.05, 0.2], [-0.1, 0.4]], [0, 1, 0])
+        u = UtilityFn(net, batch[1:], learning_rate=1e-3)
+        loo = loo_influence(u, batch)
         assert abs(loo[0]) < 1e-6
 
     def test_matches_direct_differencing(self):
         net = toy_net(seed=37)
-        batch = toy_samples(net, 5, seed=38)
-        u = UtilityFn(net, toy_samples(net, 5, seed=39), learning_rate=0.25)
+        batch = toy_split(net, 5, seed=38)
+        u = UtilityFn(net, toy_split(net, 5, seed=39), learning_rate=0.25)
         loo = loo_influence(u, batch)
         u.bind_batch(batch)
         full = subset_value(u, len(batch), range(5))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from layerval.data import Sample, make_noisy_blob_bundle
+from layerval.data import make_noisy_blob_bundle
 from layerval.influence import Estimator, Preconditioner, pair_similarities
 from layerval.network import (
     MLP,
@@ -17,7 +17,7 @@ from layerval.network import (
     evaluate_sample,
     param_grads,
 )
-from layerval import trainer
+from layerval import network, trainer
 from layerval.oracle import UtilityFn
 from layerval.trainer import (
     CostLedger,
@@ -31,11 +31,11 @@ from layerval.trainer import (
     curate_batch,
     ledger_compare,
     pair_macs,
-    sample_taps,
     self_influence_curate,
     sgd_step,
     train,
 )
+from helpers import rows, toy_split
 from reference import (
     ghost_influence,
     ip_influence,
@@ -49,15 +49,10 @@ def toy_net(dims=(3, 4, 2), acts=("relu", "linear"), seed=0):
     return MLP.initialize(list(dims), list(acts), seed=seed)
 
 
-def toy_samples(net, n, seed):
-    rng = np.random.default_rng(seed)
-    return [Sample(id=i, features=rng.normal(size=net.in_dim),
-                   label=int(rng.integers(net.out_dim))) for i in range(n)]
-
-
-def taps_of(net, samples, estimator=Estimator.LAI):
-    """One pass over samples, with a full backward pass where the estimator needs one."""
-    return sample_taps(net, samples, backward=estimator in (Estimator.GHOST, Estimator.IP))
+def taps_of(net, split, estimator=Estimator.LAI):
+    """One pass over a split's rows, with a full backward pass where the estimator needs one."""
+    return batch_taps(net, split.features, split.labels,
+                      backward=estimator in (Estimator.GHOST, Estimator.IP))
 
 
 def no_taps(net):
@@ -101,8 +96,7 @@ class TestValidationCache:
         spec = LayerSpec(2, 2, Activation.LINEAR)
         net = MLP(layers=[Layer(np.eye(2), np.zeros(2), spec)])
         x = np.array([0.3, -0.7])
-        cache = build_validation_cache(net, taps_of(net, [Sample(id=0, features=x, label=0)]),
-                                       Estimator.LAI)
+        cache = build_validation_cache(net, taps_of(net, rows([x], [0])), Estimator.LAI)
         np.testing.assert_array_equal(cache.taps.acts[0][0], np.append(x, 1.0))
         from layerval.network import forward, loss_and_output_grad
 
@@ -112,7 +106,7 @@ class TestValidationCache:
 
     def test_rebuild_bit_identical(self):
         net = toy_net(seed=1)
-        val = toy_samples(net, 5, seed=2)
+        val = toy_split(net, 5, seed=2)
         a = build_validation_cache(net, taps_of(net, val, Estimator.GHOST), Estimator.GHOST,
                                    step_id=3)
         b = build_validation_cache(net, taps_of(net, val, Estimator.GHOST), Estimator.GHOST,
@@ -122,9 +116,9 @@ class TestValidationCache:
 
     def test_concat_dot_equals_layerwise_alpha_sum(self):
         net = toy_net(dims=(3, 5, 4, 2), acts=("relu", "tanh", "linear"), seed=4)
-        z = toy_samples(net, 1, seed=5)[0]
-        j = toy_samples(net, 1, seed=6)[0]
-        cache = build_validation_cache(net, taps_of(net, [z]), Estimator.LAI)
+        zs = toy_split(net, 1, seed=5)
+        z, j = zs[0], toy_split(net, 1, seed=6)[0]
+        cache = build_validation_cache(net, taps_of(net, zs), Estimator.LAI)
         taps_j = evaluate_sample(net, j.features, j.label)
         concat_j = np.concatenate([np.append(a, 1.0) for a in taps_j.activations])
         concat_z = np.concatenate([block[0] for block in cache.taps.acts])
@@ -141,7 +135,7 @@ class TestValidationCache:
     def test_partial_taps_rejected_for_full_backward_estimators(self, estimator):
         net = toy_net(seed=1)
         with pytest.raises(ValueError, match="full backward"):
-            build_validation_cache(net, taps_of(net, toy_samples(net, 2, seed=2)), estimator)
+            build_validation_cache(net, taps_of(net, toy_split(net, 2, seed=2)), estimator)
 
 
 class TestCurateBatch:
@@ -150,8 +144,7 @@ class TestCurateBatch:
         net = toy_net(seed=7)
         rng = np.random.default_rng(8)
         center = np.array([0.5, -0.3, 0.8])
-        batch = [Sample(id=i, features=center + 0.01 * rng.normal(size=3), label=1)
-                 for i in range(4)]
+        batch = rows(center + 0.01 * rng.normal(size=(4, 3)), [1] * 4)
         cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI)
         decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(estimator=Estimator.LAI))
         assert all(b > 0 for b in decision.benefit_scores)
@@ -162,10 +155,9 @@ class TestCurateBatch:
         net = MLP.initialize([2, 2], ["linear"], seed=0)
         net.layers[0].weights = np.array([[400.0, 0.0], [-400.0, 0.0]])
         net.layers[0].bias = np.zeros(2)
-        null = Sample(id=0, features=np.array([2.0, 0.0]), label=0)
-        others = [Sample(id=1, features=np.array([0.1, 0.5]), label=1)]
-        cache = build_validation_cache(net, taps_of(net, others), Estimator.LAI)
-        decision = curate_batch(net, taps_of(net, [null] + others), cache,
+        batch = rows([[2.0, 0.0], [0.1, 0.5]], [0, 1])  # row 0 is the null sample
+        cache = build_validation_cache(net, taps_of(net, batch[1:]), Estimator.LAI)
+        decision = curate_batch(net, taps_of(net, batch), cache,
                                 cfg_with(batch_size=2, threshold=0.0))
         assert decision.benefit_scores[0] == 0.0
         assert decision.kept_mask[0]
@@ -177,16 +169,14 @@ class TestCurateBatch:
         cfg = cfg_with(mode=CurationMode.OFF, epochs=3, warmup_epochs=3,
                        batch_size=8, learning_rate=0.3)
         _, net = train(net, cfg, bundle)
-        clean = bundle.train[0]
-        flipped = Sample(id=999, features=clean.features.copy(),
-                         label=1 - clean.label, noisy=True)
-        batch = bundle.train[1:8] + [flipped]
+        batch = bundle.train[np.r_[1:8, 0]]
+        batch.labels[-1] = 1 - batch.labels[-1]  # row 0 again, its label flipped
         cache = build_validation_cache(net, taps_of(net, bundle.validation), Estimator.LAI)
         decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(batch_size=8))
         assert decision.benefit_scores[-1] < 0.0
         assert not decision.kept_mask[-1]
         u = UtilityFn(net, bundle.validation, learning_rate=1e-3)
-        u.bind_batch([flipped])
+        u.bind_batch(batch[-1:])
         assert u.utilities(np.ones((1, 1), dtype=bool))[0] < 0.0  # one-step utility agrees
 
     @pytest.mark.parametrize("estimator", [Estimator.IP, Estimator.GHOST,
@@ -194,8 +184,8 @@ class TestCurateBatch:
                                            Estimator.PRECOND_LAI])
     def test_cache_scoring_matches_pairwise_ops(self, estimator):
         net = toy_net(dims=(3, 5, 3), acts=("tanh", "linear"), seed=11)
-        batch = toy_samples(net, 3, seed=12)
-        val = toy_samples(net, 4, seed=13)
+        batch = toy_split(net, 3, seed=12)
+        val = toy_split(net, 4, seed=13)
         precond = Preconditioner(np.array([1.5, 0.5, 2.0])) \
             if estimator is Estimator.PRECOND_LAI else None
         cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
@@ -207,7 +197,7 @@ class TestCurateBatch:
 
     def test_stale_cache_rejected(self):
         net = toy_net(seed=14)
-        batch = toy_samples(net, 2, seed=15)
+        batch = toy_split(net, 2, seed=15)
         cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI, step_id=0)
         with pytest.raises(StaleCacheError):
             curate_batch(net, taps_of(net, batch), cache, cfg_with(cache_refresh_steps=1),
@@ -215,7 +205,7 @@ class TestCurateBatch:
 
     def test_estimator_none_rejected(self):
         net = toy_net(seed=14)
-        batch = toy_samples(net, 2, seed=15)
+        batch = toy_split(net, 2, seed=15)
         cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI, step_id=0)
         cfg = cfg_with(mode=CurationMode.OFF)
         cfg.estimator = Estimator.NONE
@@ -224,8 +214,8 @@ class TestCurateBatch:
 
     def test_threshold_monotonicity_nested_kept_sets(self):
         net = toy_net(seed=16)
-        batch = toy_samples(net, 8, seed=17)
-        val = toy_samples(net, 5, seed=18)
+        batch = toy_split(net, 8, seed=17)
+        val = toy_split(net, 5, seed=18)
         cache = build_validation_cache(net, taps_of(net, val), Estimator.LAI)
         kept_sets = []
         for thr in (-0.1, 0.0, 0.1):
@@ -244,8 +234,8 @@ class TestLayerCalibration:
                                            Estimator.PRECOND_LAI])
     def test_curate_batch_matches_calibrated_pairwise_ops(self, estimator):
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=50)
-        batch = toy_samples(net, 4, seed=51)
-        val = toy_samples(net, 5, seed=52)
+        batch = toy_split(net, 4, seed=51)
+        val = toy_split(net, 5, seed=52)
         cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
         decision = curate_batch(net, taps_of(net, batch, estimator), cache,
                                 cfg_with(estimator=estimator, layer_calibration=True),
@@ -259,13 +249,13 @@ class TestLayerCalibration:
                                            Estimator.PRECOND_LAI])
     def test_self_influence_matches_calibrated_pairwise_ops(self, estimator):
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=53)
-        batch = toy_samples(net, 5, seed=54)
+        batch = toy_split(net, 5, seed=54)
         decision = self_influence_curate(
             net, taps_of(net, batch, estimator),
             cfg_with(estimator=estimator, mode=CurationMode.SELF, layer_calibration=True),
             preconditioner=self.PRECOND)
         for i, s in enumerate(batch):
-            rest = batch[:i] + batch[i + 1:]
+            rest = batch[np.arange(len(batch)) != i]
             want = benefit_by_pairwise_ops(net, s, rest, estimator, self.PRECOND,
                                            calibrate=True)
             assert decision.benefit_scores[i] == pytest.approx(want, abs=1e-12, rel=1e-12)
@@ -273,8 +263,8 @@ class TestLayerCalibration:
     @pytest.mark.parametrize("estimator", [Estimator.GHOST, Estimator.IP])
     def test_ghost_and_ip_ignore_calibration(self, estimator):
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=55)
-        batch = toy_samples(net, 4, seed=56)
-        cache = build_validation_cache(net, taps_of(net, toy_samples(net, 5, seed=57), estimator),
+        batch = toy_split(net, 4, seed=56)
+        cache = build_validation_cache(net, taps_of(net, toy_split(net, 5, seed=57), estimator),
                                        estimator)
         taps = taps_of(net, batch, estimator)
         for mode in (CurationMode.VALIDATION, CurationMode.SELF):
@@ -291,7 +281,7 @@ class TestSelfInfluence:
     def test_identical_members_all_kept(self):
         net = toy_net(seed=19)
         x = np.array([0.4, -0.2, 0.9])
-        batch = [Sample(id=i, features=x.copy(), label=1) for i in range(4)]
+        batch = rows([x] * 4, [1] * 4)
         decision = self_influence_curate(net, taps_of(net, batch),
                                          cfg_with(mode=CurationMode.SELF))
         assert all(decision.kept_mask)
@@ -301,7 +291,7 @@ class TestSelfInfluence:
 
     def test_batch_of_one_kept_with_note(self):
         net = toy_net(seed=20)
-        decision = self_influence_curate(net, taps_of(net, toy_samples(net, 1, seed=21)),
+        decision = self_influence_curate(net, taps_of(net, toy_split(net, 1, seed=21)),
                                          cfg_with(mode=CurationMode.SELF))
         assert decision.kept_mask == [True]
         assert "degenerate" in decision.note
@@ -312,11 +302,9 @@ class TestSelfInfluence:
         spec = LayerSpec(2, 2, Activation.LINEAR)
         net = MLP(layers=[Layer(np.zeros((2, 2)), np.zeros(2), spec)])
         x = np.array([0.6, 0.8])
-        twin_pos = Sample(id=0, features=x.copy(), label=0)
-        twin_neg = Sample(id=1, features=x.copy(), label=1)
-        majority = [Sample(id=2 + i, features=np.array([0.5, 0.9]), label=0)
-                    for i in range(3)]
-        batch = [twin_pos, twin_neg] + majority
+        # twins with labels 0 and 1, then a majority of three at label 0
+        batch = rows([x, x] + [[0.5, 0.9]] * 3, [0, 1, 0, 0, 0])
+        twin_pos, twin_neg = batch[0], batch[1]
         decision = self_influence_curate(net, taps_of(net, batch),
                                          cfg_with(mode=CurationMode.SELF, batch_size=5))
         b_pos, b_neg = decision.benefit_scores[0], decision.benefit_scores[1]
@@ -334,10 +322,8 @@ class TestSelfInfluence:
         cfg = cfg_with(mode=CurationMode.OFF, epochs=2, warmup_epochs=2,
                        batch_size=8, learning_rate=0.3)
         _, net = train(net, cfg, bundle)
-        batch = [Sample(id=s.id, features=s.features, label=s.label)
-                 for s in bundle.train[:16]]
-        batch[5] = Sample(id=batch[5].id, features=batch[5].features,
-                          label=1 - batch[5].label, noisy=True)
+        batch = bundle.train[np.arange(16)]
+        batch.labels[5] = 1 - batch.labels[5]
         decision = self_influence_curate(net, taps_of(net, batch),
                                          cfg_with(mode=CurationMode.SELF))
         assert int(np.argmin(decision.benefit_scores)) == 5
@@ -353,12 +339,13 @@ class TestSelfInfluence:
 class TestSgdStep:
     def test_single_sample_exact_update(self):
         net = toy_net(dims=(2, 2), acts=("linear",), seed=23)
-        sample = toy_samples(net, 1, seed=24)[0]
+        one = toy_split(net, 1, seed=24)
+        sample = one[0]
         pg = param_grads(evaluate_sample(net, sample.features, sample.label))
         w_before = net.layers[0].weights.copy()
         b_before = net.layers[0].bias.copy()
         cfg = cfg_with(learning_rate=0.1, momentum=0.0)
-        net, _, _ = sgd_step(net, taps_of(net, [sample]), cfg, None)
+        net, _, _ = sgd_step(net, taps_of(net, one), cfg, None)
         np.testing.assert_allclose(net.layers[0].weights,
                                    w_before - 0.1 * pg.weight_grads[0], atol=1e-15)
         np.testing.assert_allclose(net.layers[0].bias,
@@ -368,19 +355,19 @@ class TestSgdStep:
         net = MLP.initialize([2, 2], ["linear"], seed=0)
         net.layers[0].weights = np.array([[400.0, 0.0], [-400.0, 0.0]])
         net.layers[0].bias = np.zeros(2)
-        null = Sample(id=0, features=np.array([2.0, 0.0]), label=0)
         w = net.layers[0].weights.copy()
-        net, _, _ = sgd_step(net, taps_of(net, [null]), cfg_with(), None)
+        net, _, _ = sgd_step(net, taps_of(net, rows([[2.0, 0.0]], [0])), cfg_with(), None)
         assert np.array_equal(net.layers[0].weights, w)
 
     def test_two_steps_match_velocity_recursion(self):
         net = toy_net(dims=(3, 2), acts=("linear",), seed=25)
         reference = net.copy()
-        sample = toy_samples(net, 1, seed=26)[0]
+        one = toy_split(net, 1, seed=26)
+        sample = one[0]
         cfg = cfg_with(learning_rate=0.2, momentum=0.9)
         state = None
         for _ in range(2):
-            net, state, _ = sgd_step(net, taps_of(net, [sample]), cfg, state)
+            net, state, _ = sgd_step(net, taps_of(net, one), cfg, state)
         # closed-form recursion recomputed by hand on the reference copy
         g1 = param_grads(evaluate_sample(reference, sample.features, sample.label))
         v1w, v1b = g1.weight_grads[0], g1.bias_grads[0]
@@ -413,13 +400,14 @@ class TestReusedTaps:
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_step_on_kept_rows_matches_rerun_step(self, estimator, mode):
         net = toy_net(dims=(3, 6, 4, 3), acts=("tanh", "relu", "linear"), seed=60)
-        batch = toy_samples(net, 10, seed=61)
-        val = toy_samples(net, 5, seed=62)
+        batch = toy_split(net, 10, seed=61)
+        val = toy_split(net, 5, seed=62)
         cfg = cfg_with(estimator=estimator, mode=mode, momentum=0.5, batch_size=10)
         precond = Preconditioner(np.array([1.5, 0.5, 2.0])) \
             if estimator is Estimator.PRECOND_LAI else None
         if mode is CurationMode.VALIDATION:
-            taps = taps_of(net, val + batch, estimator)
+            taps = taps_of(net, rows(np.vstack([val.features, batch.features]),
+                                     np.append(val.labels, batch.labels)), estimator)
             cache = build_validation_cache(net, taps.rows(slice(0, len(val))), estimator)
             taps = taps.rows(slice(len(val), None))
             decision = curate_batch(net, taps, cache, cfg, preconditioner=precond)
@@ -433,7 +421,7 @@ class TestReusedTaps:
                  for l in net.layers]
         reused, state_a, loss_a = sgd_step(net.copy(), taps.rows(kept), cfg, state)
         rerun, state_b, loss_b = sgd_step(
-            net.copy(), sample_taps(net, [batch[i] for i in kept], backward=True), cfg, state)
+            net.copy(), taps_of(net, batch[kept], Estimator.GHOST), cfg, state)
         for a, b, (va, ba), (vb, bb) in zip(reused.layers, rerun.layers, state_a, state_b):
             np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(a.bias, b.bias, rtol=1e-12, atol=1e-15)
@@ -485,9 +473,9 @@ class TestReusedTaps:
 
         def counting(*args, **kwargs):
             calls.append(args[1].shape[0])
-            return batch_taps(*args, **kwargs)
+            return network._taps(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "batch_taps", counting)
+        monkeypatch.setattr(trainer, "_taps", counting)
         data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
                                       fractions=(0.7, 0.15, 0.15), seed=64)
         cfg = cfg_with(mode=mode, epochs=4, warmup_epochs=1, batch_size=8,
@@ -516,8 +504,8 @@ class TestLedger:
         assert pair_macs(net, Estimator.GHOST) == (9 + 16 + 1) + (17 + 16 + 1) + (17 + 4 + 1)
         assert pair_macs(net, Estimator.LLI) == 17 + 4 + 1
         assert backward_extra_macs(net) == (16 * 16 + 16) + (4 * 16 + 16)
-        batch = toy_samples(net, 3, seed=28)
-        val = toy_samples(net, 5, seed=29)
+        batch = toy_split(net, 3, seed=28)
+        val = toy_split(net, 5, seed=29)
         ledger = CostLedger()
         self.run_method(net, batch, val, Estimator.GHOST, ledger)
         entry = ledger.entries[0]
@@ -534,8 +522,8 @@ class TestLedger:
 
     def test_ledger_compare_orderings(self):
         net = toy_net(dims=(6, 10, 12, 3), acts=("relu", "tanh", "linear"), seed=31)
-        batch = toy_samples(net, 4, seed=32)
-        val = toy_samples(net, 6, seed=33)
+        batch = toy_split(net, 4, seed=32)
+        val = toy_split(net, 6, seed=33)
         ledger = CostLedger()
         for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI):
             self.run_method(net, batch, val, est, ledger)
@@ -548,8 +536,8 @@ class TestLedger:
     def test_depth_one_scoring_macs_equal(self):
         net = toy_net(dims=(5, 3), acts=("linear",), seed=34)
         assert pair_macs(net, Estimator.LAI) == pair_macs(net, Estimator.GHOST)
-        batch = toy_samples(net, 4, seed=35)
-        val = toy_samples(net, 4, seed=36)
+        batch = toy_split(net, 4, seed=35)
+        val = toy_split(net, 4, seed=36)
         ledger = CostLedger()
         for est in (Estimator.GHOST, Estimator.LAI):
             self.run_method(net, batch, val, est, ledger)
@@ -559,9 +547,9 @@ class TestLedger:
     def test_mismatched_configurations_rejected(self):
         net = toy_net(seed=37)
         ledger = CostLedger()
-        self.run_method(net, toy_samples(net, 4, seed=38), toy_samples(net, 5, seed=39),
+        self.run_method(net, toy_split(net, 4, seed=38), toy_split(net, 5, seed=39),
                         Estimator.GHOST, ledger)
-        self.run_method(net, toy_samples(net, 3, seed=40), toy_samples(net, 5, seed=41),
+        self.run_method(net, toy_split(net, 3, seed=40), toy_split(net, 5, seed=41),
                         Estimator.LAI, ledger)
         with pytest.raises(ValueError):
             ledger_compare(ledger, [Estimator.GHOST, Estimator.LAI])
@@ -624,9 +612,29 @@ class TestTrainLoop:
     def test_empty_split_rejected(self, split):
         # with mode 'off' nothing is curated, but each epoch still reports
         # val_loss and test_accuracy, which an empty split cannot give
-        data = dataclasses.replace(self.bundle(), **{split: []})
+        data = self.bundle()
+        data = dataclasses.replace(data, **{split: getattr(data, split)[:0]})
         with pytest.raises(ValueError, match=f"empty {split} split"):
             train(self.net(), cfg_with(mode=CurationMode.OFF), data)
+
+    @pytest.mark.parametrize("split", ["train", "validation", "test"])
+    def test_label_past_last_logit_rejected_before_any_step(self, monkeypatch, split):
+        passes = []
+        monkeypatch.setattr(trainer, "_taps", lambda *args: passes.append(args))
+        data = self.bundle()
+        part = getattr(data, split)
+        bad = part[np.arange(len(part))]  # a copy
+        bad.labels[2] = 3  # the net has 3 logits
+        data = dataclasses.replace(data, **{split: bad})
+        name = "training" if split == "train" else split
+        with pytest.raises(ValueError, match=f"{name} split: label 3 in row 2 out of range"):
+            train(self.net(), cfg_with(), data)
+        assert passes == []
+
+    def test_feature_width_checked_before_any_step(self):
+        match = r"training split: input shape \(62, 4\) != \(batch, 3\)"
+        with pytest.raises(ValueError, match=match):
+            train(toy_net(dims=(3, 8, 3)), cfg_with(), self.bundle())
 
     def test_empty_batch_policies(self):
         data = self.bundle()
