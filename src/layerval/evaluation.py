@@ -98,10 +98,10 @@ def _benefit_scores(net: MLP, probe: Split, val: Split) -> dict[str, list[float]
 
 
 def _worker_count() -> int:
-    """Worker processes for the fidelity checkpoints: one per usable CPU beside the caller's."""
+    """Worker processes for the fidelity checkpoints: one per usable CPU."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) - 1
-    return (os.cpu_count() or 1) - 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _checkpoint_record(k: int, step: int, snap: MLP, probe: Split, val: Split,
@@ -136,16 +136,18 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     Checkpoints with a constant score vector (either side) are flagged with
     None correlations and excluded from the summary means.
 
-    The checkpoints are valued on CPUs - 1 worker processes started with
-    `spawn` (none on one CPU, at most one per checkpoint), each holding ~40 MB.
-    Each checkpoint is queued as training reaches it; after training the
-    caller values, last first, every checkpoint no worker has taken. Each
-    checkpoint keeps its own seed, so the records are the same bytes at any
-    worker count. A run too short to hide a worker's start-up waits for at
-    most one. Spawned workers re-import the caller's main module, so a script
-    that calls this must keep its top-level work under
-    `if __name__ == "__main__":`. A worker's exception is raised here, and no
-    worker outlives the call, whether it returns or raises.
+    Each checkpoint is valued in a worker process, one per usable CPU,
+    started with the platform's default method and submitted as training
+    reaches it; the caller only trains, then collects the records in
+    checkpoint order. Each checkpoint keeps its own seed, so the records are
+    the same bytes at any worker count. Under `fork` (Linux up to Python
+    3.13) a worker inherits the caller's imports and starts in milliseconds,
+    and no resource-tracker process is left behind. Where the default is
+    `spawn` or `forkserver` (macOS, Python >= 3.14) workers re-import the
+    caller's main module, so a script that calls this must keep its
+    top-level work under `if __name__ == "__main__":`. A worker's exception
+    is raised here, and no worker outlives the call, whether it returns or
+    raises.
     """
     if probe_batch_size > len(data.train):
         raise ValueError("probe batch exceeds the training split")
@@ -162,30 +164,23 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     probe_idx = probe_rng.choice(len(data.train), size=probe_batch_size, replace=False)
     probe = data.train[np.sort(probe_idx)]
     vanilla = replace(cfg, mode=CurationMode.OFF, checkpoint_every=checkpoint_every)
-    workers = _worker_count()
-    pool = None
-    if workers > 0:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    jobs: list[tuple] = []  # (_checkpoint_record's arguments, future or None) per checkpoint
+    from concurrent.futures import ProcessPoolExecutor
 
-    def queue(step: int, snap: MLP) -> None:
-        args = (len(jobs), step, snap, probe, data.validation, cfg, permutations, exhaustive)
-        jobs.append((args, None if pool is None else pool.submit(_checkpoint_record, *args)))
+    # under fork the pool forks every worker at the first submit, before it starts
+    # its own thread, so no thread of this module runs while a worker is forked
+    pool = ProcessPoolExecutor(_worker_count())
+    futures = []
+
+    def submit(step: int, snap: MLP) -> None:
+        futures.append(pool.submit(_checkpoint_record, len(futures), step, snap, probe,
+                                   data.validation, cfg, permutations, exhaustive))
 
     try:
-        train(net, vanilla, data, checkpoint_hook=queue)
-        # workers take the queue from its head; the caller values its tail meanwhile
-        mine = {k: _checkpoint_record(*args)
-                for k, (args, future) in reversed(list(enumerate(jobs)))
-                if future is None or future.cancel()}
-        records = [mine[k] if k in mine else future.result()
-                   for k, (_, future) in enumerate(jobs)]
+        train(net, vanilla, data, checkpoint_hook=submit)
+        records = [future.result() for future in futures]
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     summary = summarize_fidelity(records, floor=floor, exhaustive=exhaustive)
     return records, summary
 

@@ -457,6 +457,13 @@ class TestCsvDataFitsModel:
         assert message == f"{tmp_path / 'dataset' / name}: no rows"
 
 
+def package_env(**overrides):
+    """This environment, with the tested package first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(layerval.__file__).resolve().parents[1])
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestThreadCountDeterminism:
     """`train` and `fidelity` write the same bytes under one and two OpenBLAS threads.
 
@@ -476,10 +483,8 @@ class TestThreadCountDeterminism:
                 "for argv in json.loads(sys.argv[1]):\n"
                 "    if main(argv):\n"
                 "        sys.exit(1)\n")
-        src = str(Path(layerval.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+        subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       env=package_env(OPENBLAS_NUM_THREADS=str(threads)),
                        check=True, timeout=300)
 
     def wide_config(self, tmp_path):
@@ -531,6 +536,18 @@ class TestFidelity:
         for name in ("fidelity.csv", "fidelity_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+
+class TestImports:
+    def test_cli_import_loads_no_process_pool(self):
+        """Only run_fidelity imports the pool, so `train` and `diagnose` load none of it."""
+        code = ("import sys\n"
+                "import layerval.cli\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "[]"
 
 
 class TestDiagnose:

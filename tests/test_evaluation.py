@@ -1,6 +1,8 @@
 """Correlation statistics, the fidelity protocol, and report file round trips."""
 
+import concurrent.futures
 import multiprocessing
+import os
 import threading
 from concurrent.futures import Future
 
@@ -219,61 +221,108 @@ class TestFidelityArguments:
             run_fidelity(net, cfg, bundle, **args)
 
 
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that values each checkpoint in this process."""
+
+    def __init__(self, workers):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+FORKED = multiprocessing.get_all_start_methods()[0] == "fork"  # the default method
+
+
 class TestFidelityWorkers:
-    """The checkpoints are valued on spawned workers without changing a byte."""
+    """The checkpoints are valued on worker processes without changing a byte."""
 
     def fidelity_run(self):
         bundle = tiny_bundle(seed=8)
         net = MLP.initialize([4, 6, 3], ["tanh", "linear"], seed=8)
         cfg = TrainerConfig(learning_rate=0.05, batch_size=3, epochs=2,
                             warmup_epochs=0, mode=CurationMode.OFF, seed=8)
-        # 14 steps, so 7 checkpoints: the worker takes the queue's head
+        # 14 steps, so 7 checkpoints: more than any worker count below
         return lambda: run_fidelity(net, cfg, bundle, probe_batch_size=4,
                                     checkpoint_every=2, permutations=20)
 
-    def test_records_and_files_identical_at_zero_and_one_worker(self, monkeypatch, tmp_path):
+    def leaves_nothing_running(self, threads_before):
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) <= threads_before
+
+    def test_records_and_files_identical_at_one_two_and_three_workers(self, monkeypatch,
+                                                                       tmp_path):
         run = self.fidelity_run()
-        cancelled = set()  # shutdown may cancel a cancelled future again
-        cancel = Future.cancel
+        # the reference: every _checkpoint_record called in this process, in order
+        with monkeypatch.context() as serial:
+            serial.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+            reference, summary = run()
+        emit_reports(reference, summary, None, tmp_path / "serial")
+        assert len(reference) == 7
 
-        def counted_cancel(future):
-            if not cancel(future):
-                return False
-            cancelled.add(future)
-            return True
+        caller = os.getpid()
+        shapley_mc = evaluation.shapley_mc
 
-        monkeypatch.setattr(Future, "cancel", counted_cancel)
-        outputs = {}
-        for workers in (0, 1):
+        def in_a_worker_only(*args, **kwargs):
+            assert os.getpid() != caller, "the caller valued a checkpoint"
+            return shapley_mc(*args, **kwargs)
+
+        # forked workers inherit the patch; under spawn they never see it
+        monkeypatch.setattr(evaluation, "shapley_mc", in_a_worker_only)
+        threads_before = set(threading.enumerate())
+        for workers in (1, 2, 3):
             monkeypatch.setattr(evaluation, "_worker_count", lambda: workers)
             records, summary = within(120, run)
+            self.leaves_nothing_running(threads_before)
+            assert records == reference
             emit_reports(records, summary, None, tmp_path / str(workers))
-            outputs[workers] = records
-        assert len(outputs[0]) == 7
-        assert outputs[1] == outputs[0]
-        # the caller took some checkpoints back from the queue, the worker valued the rest
-        assert 0 < len(cancelled) < len(outputs[1])
-        for name in ("fidelity.csv", "fidelity_summary.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+            for name in ("fidelity.csv", "fidelity_summary.json"):
+                assert ((tmp_path / str(workers) / name).read_bytes()
+                        == (tmp_path / "serial" / name).read_bytes())
 
     def test_no_worker_outlives_a_return_or_a_raise(self, monkeypatch):
         run = self.fidelity_run()
-        monkeypatch.setattr(evaluation, "_worker_count", lambda: 1)
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 2)
+        threads_before = set(threading.enumerate())
         within(120, run)
-        assert multiprocessing.active_children() == []
+        self.leaves_nothing_running(threads_before)
 
-        alive_while_failing = []
+        real_train = evaluation.train
+        alive_at_raise = []
+
+        def train_then_fail(net, cfg, data, checkpoint_hook):
+            def hook(step, snap):
+                checkpoint_hook(step, snap)
+                alive_at_raise.append(len(multiprocessing.active_children()))
+                raise RuntimeError("training failed after a checkpoint was queued")
+            return real_train(net, cfg, data, checkpoint_hook=hook)
+
+        with monkeypatch.context() as failing:
+            failing.setattr(evaluation, "train", train_then_fail)
+            with pytest.raises(RuntimeError, match="after a checkpoint was queued"):
+                within(120, run)
+        assert alive_at_raise == [2]
+        self.leaves_nothing_running(threads_before)
+
+    @pytest.mark.skipif(not FORKED, reason="a monkeypatch reaches only forked workers")
+    def test_a_raise_in_a_worker_surfaces_and_no_worker_outlives_it(self, monkeypatch):
+        run = self.fidelity_run()
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 2)
 
         def fail_here(*args):
-            alive_while_failing.append(len(multiprocessing.active_children()))
-            raise RuntimeError("scoring failed in the caller")
+            raise RuntimeError(f"scoring failed in process {os.getpid()}")
 
-        # workers import their own evaluation module, so only the caller's scoring fails
         monkeypatch.setattr(evaluation, "_benefit_scores", fail_here)
-        with pytest.raises(RuntimeError, match="scoring failed in the caller"):
+        threads_before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="scoring failed in process") as raised:
             within(120, run)
-        assert alive_while_failing == [1]
-        assert multiprocessing.active_children() == []
+        assert str(raised.value) != f"scoring failed in process {os.getpid()}"
+        self.leaves_nothing_running(threads_before)
 
 
 class TestEmitReports:
