@@ -38,7 +38,6 @@ from .trainer import (
     build_validation_cache,
     curate_batch,
     ledger_compare,
-    self_influence_curate,
     sgd_step,
     train,
 )

@@ -243,6 +243,12 @@ def emit_reports(records: list[FidelityRecord] | None,
         serialize.dump_json(doc, path)
         written.append(path)
     if report is not None:
+        # serialize takes Python ints and floats only: each column is listed first
+        traces = {}
+        for pid in report.probe_ids.tolist():
+            hit = report.score_ids == pid
+            traces[str(pid)] = [list(row) for row in zip(report.score_steps[hit].tolist(),
+                                                         report.score_benefits[hit].tolist())]
         path = out / "training_report.json"
         doc = {
             "seed": report.seed,
@@ -250,10 +256,7 @@ def emit_reports(records: list[FidelityRecord] | None,
             "estimator": report.estimator,
             "steps_total": report.steps_total,
             "epochs": [asdict(e) for e in report.epoch_stats],
-            "probe_traces": {
-                str(pid): [[step, val] for step, val in trace]
-                for pid, trace in report.probe_traces.items()
-            },
+            "probe_traces": traces,
             "ledger": {
                 method: report.ledger.totals(method)
                 for method in sorted({e.method for e in report.ledger.entries})
@@ -262,13 +265,16 @@ def emit_reports(records: list[FidelityRecord] | None,
         serialize.dump_json(doc, path)
         written.append(path)
         inc_path = out / "inclusion.csv"
+        sample_ids = report.sample_ids.tolist()
         serialize.write_lines(inc_path, ["epoch", "sample_id", "kept"], [
-            f"{epoch},{sid},{int(kept)}" for epoch, row in enumerate(report.inclusion)
-            for sid, kept in zip(report.sample_ids, row)])
+            f"{epoch},{sid},{int(kept)}" for epoch, row in enumerate(report.inclusion.tolist())
+            for sid, kept in zip(sample_ids, row)])
         written.append(inc_path)
         sc_path = out / "scores.csv"
+        est, fmt17 = report.estimator, serialize.fmt17
         serialize.write_lines(sc_path, ["step", "sample_id", "estimator", "benefit"], [
-            f"{step},{sid},{est},{serialize.fmt17(benefit)}"
-            for step, sid, est, benefit in report.score_rows])
+            f"{step},{sid},{est},{fmt17(benefit)}"
+            for step, sid, benefit in zip(report.score_steps.tolist(), report.score_ids.tolist(),
+                                          report.score_benefits.tolist())])
         written.append(sc_path)
     return written

@@ -1,14 +1,16 @@
 """Online-valuation training loop: SGD with momentum plus per-batch curation.
 
-Each curated step scores the batch against a cached validation subsample
-(or against the rest of the batch in self-influence mode), drops members
-whose benefit score falls below the threshold, and applies the SGD update
-with the survivors. train checks the splits against the net once, stacks
-them, and makes one check-free network._taps pass per step, led by the
-validation subsample's rows at a cache refresh: the cache, the scores and
-the SGD step all read that pass, and where it stopped at g(L) (the LAI
-family) the step finishes the backward chain for the kept rows only. Every
-score comes from influence.pair_matrix.
+Each curated step scores the batch with curate_batch, against a cached
+validation subsample or, in self-influence mode, against the rest of the
+batch: one influence.pair_matrix call either way. It drops members whose
+benefit score falls below the threshold and applies the SGD update with the
+survivors. train checks the splits against the net once, stacks them, and
+makes one check-free network._taps pass per step, led by the validation
+subsample's rows at a cache refresh: the cache, the scores and the SGD step
+all read that pass, and where it stopped at g(L) (the LAI family) the step
+finishes the backward chain for the kept rows only. The report holds
+columns: an (epochs, n) inclusion array and one (step, id, benefit) row per
+scored sample, collected per step and joined once.
 A cost ledger tracks the multiply-accumulate work and cache footprint of the
 scoring pass per estimator.
 """
@@ -303,69 +305,56 @@ def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
 
 @dataclass
 class CurationDecision:
-    kept_mask: list[bool]
-    benefit_scores: list[float]
-    note: str = ""
+    kept_mask: np.ndarray  # bool, one per batch row
+    benefit_scores: np.ndarray  # float64, one per batch row
 
 
-def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache,
+def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
                  cfg: TrainerConfig, step_id: int = 0,
                  ledger: CostLedger | None = None,
                  preconditioner: Preconditioner | None = None) -> CurationDecision:
-    """Score the taps of a batch's members against the cached validation subsample.
+    """Score the taps of a batch's members against the cached validation
+    subsample or, with cache=None (self-influence mode), against the rest of
+    their own batch.
 
-    A member's benefit is its column sum of pair_matrix over the cache rows;
-    it is kept when benefit >= cfg.threshold (inclusive boundary).
+    A member's benefit is its column sum of pair_matrix over the scoring
+    rows, less its self-pair in self mode; it is kept when benefit >=
+    cfg.threshold (inclusive boundary). A self-scored batch of one has no
+    other row to be scored against: its member gets benefit 0.0 and is kept.
     """
-    if cfg.estimator is Estimator.NONE:
-        raise ValueError("estimator 'none' cannot curate; use mode 'off' instead")
-    if cache.estimator is not cfg.estimator:
-        raise ValueError(f"cache was built for {cache.estimator.value}, not {cfg.estimator.value}")
-    age = step_id - cache.step_id
-    if age < 0 or age >= cfg.cache_refresh_steps:
-        raise StaleCacheError(
-            f"cache from step {cache.step_id} is stale at step {step_id} "
-            f"(refresh every {cfg.cache_refresh_steps})")
-    pair = pair_matrix(cfg.estimator, cache.taps, taps, preconditioner, cfg.layer_calibration)
-    benefits = pair.sum(axis=0).tolist()
-    kept = [b >= cfg.threshold for b in benefits]
-    n = len(taps)
-    if ledger is not None:
-        macs = (n * cache.sample_count * pair_macs(net, cfg.estimator)
-                + n * per_sample_extra_macs(net, cfg.estimator))
-        if cfg.estimator is Estimator.PRECOND_LAI:
-            macs += cache.sample_count * net.out_dim  # rescaling cached gradients
-        ledger.record(LedgerEntry(
-            step=step_id, method=cfg.estimator.value, macs=macs,
-            cache_bytes=cache.byte_size, samples_scored=n, samples_kept=sum(kept),
-            config_key=(tuple([net.in_dim] + _grad_dims(net)), n, cache.sample_count)))
-    return CurationDecision(kept_mask=kept, benefit_scores=benefits)
-
-
-def self_influence_curate(net: MLP, taps: BatchTaps, cfg: TrainerConfig,
-                          step_id: int = 0, ledger: CostLedger | None = None,
-                          preconditioner: Preconditioner | None = None) -> CurationDecision:
-    """Score each member's taps against the rest of its own batch (self-pairs excluded)."""
-    if cfg.estimator is Estimator.NONE:
-        raise ValueError("estimator 'none' cannot curate; use mode 'off' instead")
-    if cfg.estimator is Estimator.PRECOND_LAI and preconditioner is None:
-        raise ValueError("preconditioned scoring needs a Preconditioner")
     est = cfg.estimator
-    n = len(taps)
-    if n == 1:
-        return CurationDecision(kept_mask=[True], benefit_scores=[0.0],
-                                note="degenerate batch of one: kept unconditionally")
-    pair = pair_matrix(est, taps, taps, preconditioner, cfg.layer_calibration)
-    benefits = (pair.sum(axis=0) - np.diag(pair)).tolist()
-    kept = [b >= cfg.threshold for b in benefits]
+    if est is Estimator.NONE:
+        raise ValueError("estimator 'none' cannot curate; use mode 'off' instead")
+    if cache is not None:
+        if cache.estimator is not est:
+            raise ValueError(f"cache was built for {cache.estimator.value}, not {est.value}")
+        age = step_id - cache.step_id
+        if age < 0 or age >= cfg.cache_refresh_steps:
+            raise StaleCacheError(
+                f"cache from step {cache.step_id} is stale at step {step_id} "
+                f"(refresh every {cfg.cache_refresh_steps})")
+    rows = taps if cache is None else cache.taps
+    pair = pair_matrix(est, rows, taps, preconditioner, cfg.layer_calibration)
+    benefits = pair.sum(axis=0)
+    n, m = len(taps), len(rows)  # m: scoring rows per member
+    if cache is None:
+        benefits -= np.diag(pair)
+        m -= 1
+    kept = (benefits >= cfg.threshold) | (m == 0)
     if ledger is not None:
-        macs = (n * (n - 1) // 2 * pair_macs(net, est)
-                + n * per_sample_extra_macs(net, est))
+        macs = n * per_sample_extra_macs(net, est)
+        if cache is None:  # each unordered pair once; the rows are the batch's own
+            macs += n * m // 2 * pair_macs(net, est)
+            cache_bytes = n * cache_reals_per_sample(net, est) * 8
+        else:
+            macs += n * m * pair_macs(net, est)
+            if est is Estimator.PRECOND_LAI:
+                macs += m * net.out_dim  # rescaling cached gradients
+            cache_bytes = cache.byte_size
         ledger.record(LedgerEntry(
-            step=step_id, method=est.value, macs=macs,
-            cache_bytes=n * cache_reals_per_sample(net, est) * 8,
-            samples_scored=n, samples_kept=sum(kept),
-            config_key=(tuple([net.in_dim] + _grad_dims(net)), n, n - 1)))
+            step=step_id, method=est.value, macs=macs, cache_bytes=cache_bytes,
+            samples_scored=n, samples_kept=int(np.count_nonzero(kept)),
+            config_key=(tuple([net.in_dim] + _grad_dims(net)), n, m)))
     return CurationDecision(kept_mask=kept, benefit_scores=benefits)
 
 
@@ -437,10 +426,13 @@ class EpochStats:
 @dataclass
 class TrainingReport:
     epoch_stats: list[EpochStats]
-    sample_ids: list[int]
-    inclusion: list[list[bool]]  # [epoch][train position]
-    score_rows: list[tuple[int, int, str, float]]  # step, sample_id, estimator, benefit
-    probe_traces: dict[int, list[tuple[int, float]]]
+    sample_ids: np.ndarray  # train ids, by train position
+    inclusion: np.ndarray  # (epochs, n) bool: kept, by epoch and train position
+    # one row per scored sample, in step order; every row's estimator is `estimator`
+    score_steps: np.ndarray
+    score_ids: np.ndarray
+    score_benefits: np.ndarray
+    probe_ids: np.ndarray  # the first probe_sample_count train ids
     ledger: CostLedger
     seed: int
     mode: str
@@ -448,11 +440,16 @@ class TrainingReport:
     steps_total: int
 
 
-def _histogram(values: list[float], bins: int = 20) -> tuple[list[float], list[int]]:
-    if not values:
+def _column(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """Per-step parts joined once, in step order."""
+    return np.concatenate([np.empty(0, dtype), *parts])
+
+
+def _histogram(values: np.ndarray, bins: int = 20) -> tuple[list[float], list[int]]:
+    if not values.size:
         return [], []
-    counts, edges = np.histogram(np.asarray(values), bins=bins)
-    return [float(e) for e in edges], [int(c) for c in counts]
+    counts, edges = np.histogram(values, bins=bins)
+    return edges.tolist(), counts.tolist()
 
 
 def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
@@ -485,24 +482,22 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     ledger = CostLedger()
     precond = (Preconditioner.identity(net.out_dim, cfg.precond_decay, cfg.precond_floor)
                if cfg.estimator is Estimator.PRECOND_LAI else None)
-    probe_traces: dict[int, list[tuple[int, float]]] = {
-        pid: [] for pid in data.train.ids[:cfg.probe_sample_count].tolist()}
-    n, ids = len(data.train), data.train.ids
+    n, ids = len(data.train), data.train.ids.copy()
     X = np.concatenate([data.train.features, data.validation.features])  # validation from n on
     y = np.concatenate([data.train.labels, data.validation.labels])
     backward = _needs_backward(cfg.estimator)
     epoch_stats: list[EpochStats] = []
-    inclusion: list[list[bool]] = []
-    score_rows: list[tuple[int, int, str, float]] = []
-    cache: ValidationCache | None = None
+    inclusion = np.zeros((cfg.epochs, n), dtype=bool)
+    score_steps: list[np.ndarray] = []
+    score_ids: list[np.ndarray] = []
+    score_benefits: list[np.ndarray] = []
+    cache: ValidationCache | None = None  # stays None in self mode
     step = 0
     checkpoints_fired = 0
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
-        row = np.zeros(n, dtype=bool)  # kept this epoch, by train position
-        epoch_losses: list[float] = []
-        epoch_benefits: list[float] = []
-        scored = 0
+        epoch_losses: list[np.ndarray] = []
+        first_scored = len(score_benefits)
         curating = (epoch >= cfg.warmup_epochs and cfg.mode is not CurationMode.OFF
                     and cfg.estimator is not Estimator.NONE)
         for start in range(0, n, cfg.batch_size):
@@ -518,62 +513,50 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                 cache = build_validation_cache(net, taps.rows(slice(0, k)), cfg.estimator, step)
                 taps = taps.rows(slice(k, None))
             if curating:
-                if cfg.mode is CurationMode.VALIDATION:
-                    decision = curate_batch(net, taps, cache, cfg, step, ledger, precond)
-                else:
-                    decision = self_influence_curate(net, taps, cfg, step, ledger, precond)
+                decision = curate_batch(net, taps, cache, cfg, step, ledger, precond)
                 if precond is not None:
                     precond = update_preconditioner(precond, taps.grads[-1])
-                epoch_losses.extend(taps.losses.tolist())
-                epoch_benefits.extend(decision.benefit_scores)
-                scored += len(batch)
-                for sid, benefit in zip(ids[batch].tolist(), decision.benefit_scores):
-                    score_rows.append((step, sid, cfg.estimator.value, benefit))
-                    if sid in probe_traces:
-                        probe_traces[sid].append((step, benefit))
-                kept_flags = np.array(decision.kept_mask)
+                epoch_losses.append(taps.losses)
+                score_steps.append(np.full(len(batch), step))
+                score_ids.append(ids[batch])
+                score_benefits.append(decision.benefit_scores)
+                kept_flags = decision.kept_mask
                 if not kept_flags.any() and cfg.empty_batch_policy is EmptyBatchPolicy.KEEP_TOP1:
-                    kept_flags[int(np.argmax(decision.benefit_scores))] = True
+                    kept_flags = np.arange(len(batch)) == np.argmax(decision.benefit_scores)
             else:
                 kept_flags = np.ones(len(batch), dtype=bool)
-            row[batch] = kept_flags
+            inclusion[epoch, batch] = kept_flags
             kept_rows = np.flatnonzero(kept_flags)
             if kept_rows.size:
                 kept = taps if kept_rows.size == len(taps) else taps.rows(kept_rows)
                 net, state, mean_loss = sgd_step(net, kept, cfg, state)
                 if not curating:
                     # repeat so the epoch mean weights every sample equally
-                    epoch_losses.extend([mean_loss] * kept_rows.size)
+                    epoch_losses.append(np.full(kept_rows.size, mean_loss))
             step += 1
             if checkpoint_hook is not None and cfg.checkpoint_every > 0 \
                     and step % cfg.checkpoint_every == 0:
                 checkpoint_hook(step, net.copy())
                 checkpoints_fired += 1
-        edges, counts = _histogram(epoch_benefits)
+        benefits = _column(score_benefits[first_scored:], np.float64)
+        edges, counts = _histogram(benefits)
         epoch_stats.append(EpochStats(
             epoch=epoch,
-            train_loss=float(np.mean(epoch_losses)),
+            train_loss=float(np.concatenate(epoch_losses).mean()),
             val_loss=mean_loss_and_accuracy(net, data.validation)[0],
             test_accuracy=mean_loss_and_accuracy(net, data.test)[1],
-            kept_count=int(np.count_nonzero(row)),
-            scored_count=scored,
+            kept_count=int(np.count_nonzero(inclusion[epoch])),
+            scored_count=benefits.size,
             histogram_edges=edges,
             histogram_counts=counts,
         ))
-        inclusion.append(row.tolist())
     if checkpoint_hook is not None and cfg.checkpoint_every > 0 and checkpoints_fired == 0 \
             and step > 0:
         checkpoint_hook(step, net.copy())
     report = TrainingReport(
-        epoch_stats=epoch_stats,
-        sample_ids=ids.tolist(),
-        inclusion=inclusion,
-        score_rows=score_rows,
-        probe_traces=probe_traces,
-        ledger=ledger,
-        seed=cfg.seed,
-        mode=cfg.mode.value,
-        estimator=cfg.estimator.value,
-        steps_total=step,
-    )
+        epoch_stats=epoch_stats, sample_ids=ids, inclusion=inclusion,
+        score_steps=_column(score_steps, np.int64), score_ids=_column(score_ids, np.int64),
+        score_benefits=_column(score_benefits, np.float64),
+        probe_ids=ids[:cfg.probe_sample_count], ledger=ledger, seed=cfg.seed,
+        mode=cfg.mode.value, estimator=cfg.estimator.value, steps_total=step)
     return report, net

@@ -365,6 +365,9 @@ class TestEmitReports:
         header, rows = read_csv(tmp_path / "inclusion.csv")
         assert header == ["epoch", "sample_id", "kept"]
         assert len(rows) == len(report.inclusion) * len(report.sample_ids)
+        epochs = len(report.inclusion)
+        assert [int(r[1]) for r in rows] == np.tile(report.sample_ids, epochs).tolist()
+        assert [int(r[2]) for r in rows] == report.inclusion.ravel().astype(int).tolist()
         by_epoch = {}
         for r in rows:
             by_epoch.setdefault(int(r[0]), 0)
@@ -373,9 +376,11 @@ class TestEmitReports:
             assert by_epoch[stats.epoch] == stats.kept_count
         header, rows = read_csv(tmp_path / "scores.csv")
         assert header == ["step", "sample_id", "estimator", "benefit"]
-        assert len(rows) == len(report.score_rows)
-        got = [(int(r[0]), int(r[1]), r[2], float(r[3])) for r in rows]
-        assert got == report.score_rows
+        assert len(rows) == len(report.score_benefits)
+        assert [int(r[0]) for r in rows] == report.score_steps.tolist()
+        assert [int(r[1]) for r in rows] == report.score_ids.tolist()
+        assert {r[2] for r in rows} == {report.estimator}
+        assert [float(r[3]) for r in rows] == report.score_benefits.tolist()
         import json
 
         doc = json.loads((tmp_path / "training_report.json").read_text())

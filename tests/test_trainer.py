@@ -17,7 +17,8 @@ from layerval.network import (
     evaluate_sample,
     param_grads,
 )
-from layerval import network, trainer
+from layerval import network, serialize, trainer
+from layerval.evaluation import emit_reports
 from layerval.oracle import UtilityFn
 from layerval.trainer import (
     CostLedger,
@@ -31,7 +32,6 @@ from layerval.trainer import (
     curate_batch,
     ledger_compare,
     pair_macs,
-    self_influence_curate,
     sgd_step,
     train,
 )
@@ -250,8 +250,8 @@ class TestLayerCalibration:
     def test_self_influence_matches_calibrated_pairwise_ops(self, estimator):
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=53)
         batch = toy_split(net, 5, seed=54)
-        decision = self_influence_curate(
-            net, taps_of(net, batch, estimator),
+        decision = curate_batch(
+            net, taps_of(net, batch, estimator), None,
             cfg_with(estimator=estimator, mode=CurationMode.SELF, layer_calibration=True),
             preconditioner=self.PRECOND)
         for i, s in enumerate(batch):
@@ -267,34 +267,57 @@ class TestLayerCalibration:
         cache = build_validation_cache(net, taps_of(net, toy_split(net, 5, seed=57), estimator),
                                        estimator)
         taps = taps_of(net, batch, estimator)
-        for mode in (CurationMode.VALIDATION, CurationMode.SELF):
+        for mode, scoring_cache in ((CurationMode.VALIDATION, cache), (CurationMode.SELF, None)):
             scores = []
             for calibrate in (False, True):
                 cfg = cfg_with(estimator=estimator, mode=mode, layer_calibration=calibrate)
-                decision = curate_batch(net, taps, cache, cfg) \
-                    if mode is CurationMode.VALIDATION else self_influence_curate(net, taps, cfg)
-                scores.append(decision.benefit_scores)
-            assert scores[0] == scores[1]
+                scores.append(curate_batch(net, taps, scoring_cache, cfg).benefit_scores)
+            assert np.array_equal(scores[0], scores[1])
 
 
 class TestSelfInfluence:
+    """curate_batch with cache=None scores each member against the rest of its batch."""
+
     def test_identical_members_all_kept(self):
         net = toy_net(seed=19)
         x = np.array([0.4, -0.2, 0.9])
         batch = rows([x] * 4, [1] * 4)
-        decision = self_influence_curate(net, taps_of(net, batch),
-                                         cfg_with(mode=CurationMode.SELF))
+        decision = curate_batch(net, taps_of(net, batch), None, cfg_with(mode=CurationMode.SELF))
         assert all(decision.kept_mask)
         assert all(b == pytest.approx(decision.benefit_scores[0], rel=1e-12)
                    for b in decision.benefit_scores)
         assert decision.benefit_scores[0] > 0.0
 
-    def test_batch_of_one_kept_with_note(self):
+    def test_batch_of_one_kept_and_ledgered(self):
+        # a lone row has no other row to be scored against: kept at any threshold
         net = toy_net(seed=20)
-        decision = self_influence_curate(net, taps_of(net, toy_split(net, 1, seed=21)),
-                                         cfg_with(mode=CurationMode.SELF))
-        assert decision.kept_mask == [True]
-        assert "degenerate" in decision.note
+        ledger = CostLedger()
+        decision = curate_batch(net, taps_of(net, toy_split(net, 1, seed=21)), None,
+                                cfg_with(mode=CurationMode.SELF, threshold=0.5),
+                                step_id=4, ledger=ledger)
+        assert decision.kept_mask.tolist() == [True]
+        assert decision.benefit_scores.tolist() == [0.0]
+        [entry] = ledger.entries
+        assert (entry.step, entry.macs, entry.samples_scored, entry.samples_kept) == (4, 0, 1, 1)
+        assert entry.config_key[1:] == (1, 0)
+
+    def test_train_ledgers_a_trailing_batch_of_one(self):
+        data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
+                                      fractions=(0.7, 0.15, 0.15), seed=66)
+        n = len(data.train)
+        cfg = cfg_with(mode=CurationMode.SELF, epochs=3, warmup_epochs=1,
+                       batch_size=n - 1, threshold=0.5)
+        assert n % cfg.batch_size == 1
+        report, _ = train(toy_net(dims=(4, 8, 3), seed=66), cfg, data)
+        totals = report.ledger.totals(Estimator.LAI.value)
+        assert totals["samples_scored"] == sum(s.scored_count for s in report.epoch_stats) == 2 * n
+        assert totals["steps"] == 2 * 2
+        assert totals["samples_kept"] == sum(s.kept_count for s in report.epoch_stats[1:])
+        lone = report.score_steps % 2 == 1  # each epoch's second step scores one row
+        assert report.score_benefits[lone].tolist() == [0.0, 0.0]
+        position = {sid: i for i, sid in enumerate(report.sample_ids.tolist())}
+        for epoch, sid in zip((1, 2), report.score_ids[lone].tolist()):
+            assert report.inclusion[epoch, position[sid]]
 
     def test_antipodal_twins_split_inside_majority_batch(self):
         # L=1, zero weights: logits are always [0,0], so twins with the same
@@ -305,8 +328,8 @@ class TestSelfInfluence:
         # twins with labels 0 and 1, then a majority of three at label 0
         batch = rows([x, x] + [[0.5, 0.9]] * 3, [0, 1, 0, 0, 0])
         twin_pos, twin_neg = batch[0], batch[1]
-        decision = self_influence_curate(net, taps_of(net, batch),
-                                         cfg_with(mode=CurationMode.SELF, batch_size=5))
+        decision = curate_batch(net, taps_of(net, batch), None,
+                                cfg_with(mode=CurationMode.SELF, batch_size=5))
         b_pos, b_neg = decision.benefit_scores[0], decision.benefit_scores[1]
         # mutual twin term is identical for both; the rest is exactly antisymmetric
         taps_p = evaluate_sample(net, twin_pos.features, twin_pos.label)
@@ -324,8 +347,7 @@ class TestSelfInfluence:
         _, net = train(net, cfg, bundle)
         batch = bundle.train[np.arange(16)]
         batch.labels[5] = 1 - batch.labels[5]
-        decision = self_influence_curate(net, taps_of(net, batch),
-                                         cfg_with(mode=CurationMode.SELF))
+        decision = curate_batch(net, taps_of(net, batch), None, cfg_with(mode=CurationMode.SELF))
         assert int(np.argmin(decision.benefit_scores)) == 5
         # exhaustive pairwise recomputation through the per-pair ops
         taps = [evaluate_sample(net, s.features, s.label) for s in batch]
@@ -413,7 +435,7 @@ class TestReusedTaps:
             decision = curate_batch(net, taps, cache, cfg, preconditioner=precond)
         else:
             taps = taps_of(net, batch, estimator)
-            decision = self_influence_curate(net, taps, cfg, preconditioner=precond)
+            decision = curate_batch(net, taps, None, cfg, preconditioner=precond)
         kept = np.flatnonzero(decision.kept_mask)
         assert 0 < kept.size < len(batch)
         rng = np.random.default_rng(63)
@@ -449,7 +471,7 @@ class TestReusedTaps:
             return taps.acts[0][:, :-1]
 
         ids_by_step: dict[int, list[int]] = {}
-        for step, sid, _, _ in report.score_rows:
+        for step, sid in zip(report.score_steps.tolist(), report.score_ids.tolist()):
             ids_by_step.setdefault(step, []).append(sid)
         k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
         decision = None
@@ -596,17 +618,31 @@ class TestTrainLoop:
         for stats in report.epoch_stats:
             assert sum(stats.histogram_counts) == stats.scored_count
 
-    def test_report_accounting_and_score_rows(self):
+    def test_report_accounting_and_score_rows(self, tmp_path):
+        data = self.bundle()
         cfg = cfg_with(mode=CurationMode.VALIDATION, estimator=Estimator.LAI,
-                       epochs=3, warmup_epochs=1, batch_size=8)
-        report, _ = train(self.net(), cfg, self.bundle())
+                       epochs=3, warmup_epochs=1, batch_size=8, probe_sample_count=4)
+        report, _ = train(self.net(), cfg, data)
         for stats, row in zip(report.epoch_stats, report.inclusion):
             assert stats.kept_count == sum(row)
         scored_epochs = sum(1 for s in report.epoch_stats if s.scored_count)
-        assert len(report.score_rows) == scored_epochs * len(report.sample_ids)
-        for pid, trace in report.probe_traces.items():
-            assert all(sid == pid for sid, _ in
-                       [(pid, v) for _, v in trace])  # trace belongs to its probe
+        assert len(report.score_benefits) == scored_epochs * len(report.sample_ids)
+        assert len(report.score_steps) == len(report.score_ids) == len(report.score_benefits)
+        assert np.all(np.diff(report.score_steps) >= 0)  # in step order
+        assert report.probe_ids.tolist() == data.train.ids[:4].tolist()
+        emit_reports(None, None, report, tmp_path / "curated")
+        traces = serialize.load_json(tmp_path / "curated" / "training_report.json")["probe_traces"]
+        assert list(traces) == [str(pid) for pid in report.probe_ids.tolist()]
+        rows = list(zip(report.score_steps.tolist(), report.score_ids.tolist(),
+                        report.score_benefits.tolist()))
+        for pid in report.probe_ids.tolist():
+            want = [[step, benefit] for step, sid, benefit in rows if sid == pid]
+            assert len(want) == 2  # scored once in each curated epoch
+            assert traces[str(pid)] == want
+        off, _ = train(self.net(), dataclasses.replace(cfg, mode=CurationMode.OFF), data)
+        emit_reports(None, None, off, tmp_path / "off")
+        traces = serialize.load_json(tmp_path / "off" / "training_report.json")["probe_traces"]
+        assert traces == {str(pid): [] for pid in data.train.ids[:4].tolist()}
 
     @pytest.mark.parametrize("split", ["validation", "test"])
     def test_empty_split_rejected(self, split):
@@ -675,8 +711,8 @@ class TestTrainLoop:
                        epochs=3, warmup_epochs=1, batch_size=8, seed=5)
         r1, n1 = train(self.net(), cfg, self.bundle())
         r2, n2 = train(self.net(), cfg, self.bundle())
-        assert r1.score_rows == r2.score_rows
-        assert r1.inclusion == r2.inclusion
+        for column in ("inclusion", "score_steps", "score_ids", "score_benefits"):
+            assert np.array_equal(getattr(r1, column), getattr(r2, column))
         for a, b in zip(n1.layers, n2.layers):
             assert np.array_equal(a.weights, b.weights)
 
