@@ -37,7 +37,6 @@ from .trainer import (
     ValidationCache,
     build_validation_cache,
     curate_batch,
-    ledger_compare,
     sgd_step,
     train,
 )

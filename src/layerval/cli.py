@@ -25,16 +25,7 @@ from .evaluation import emit_reports, run_fidelity
 from .influence import Estimator, bound_diagnostics, variance_diagnostic
 from .network import MLP, batch_taps, load_checkpoint, save_checkpoint
 from .oracle import EXHAUSTIVE_MAX
-from .trainer import (
-    ConfigError,
-    CostLedger,
-    TrainerConfig,
-    build_validation_cache,
-    check_setting,
-    curate_batch,
-    ledger_compare,
-    train,
-)
+from .trainer import ConfigError, TrainerConfig, batch_cost, check_setting, train
 
 
 _TRAINER = {f.name: (f.default, f.metadata.get("check")) for f in dataclasses.fields(TrainerConfig)}
@@ -311,15 +302,19 @@ def cmd_diagnose(config: dict) -> int:
         "subset_size": subset_size,
     }, out / "variance.json")
     cfg = build_trainer_config(config)
-    k = math.ceil(cfg.val_fraction_per_batch * len(bundle.validation))
-    subset_taps, train_taps = taps(bundle.validation[:k]), taps(bundle.train[:cfg.batch_size])
-    ledger = CostLedger()
-    for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI):
-        cache = build_validation_cache(net, subset_taps, est, step_id=0)
-        curate_batch(net, train_taps, cache, dataclasses.replace(cfg, estimator=est),
-                     step_id=0, ledger=ledger)
-    record = ledger_compare(ledger, [Estimator.GHOST, Estimator.LAI, Estimator.LLI])
-    serialize.dump_json(record, out / "cost.json")
+    n = min(cfg.batch_size, len(bundle.train))
+    m = math.ceil(cfg.val_fraction_per_batch * len(bundle.validation))
+    costs = {est.value: dict(zip(("macs", "cache_bytes"), batch_cost(net, est, n, m)))
+             for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI)}
+    lai, ghost = costs[Estimator.LAI.value], costs[Estimator.GHOST.value]
+    serialize.dump_json({
+        "config": {"dims": dims, "batch_size": n, "validation_size": m},
+        "depth": net.depth,
+        "methods": costs,
+        # true for every depth > 1; at depth 1 the MACs are equal
+        "lai_cheaper_than_ghost": (lai["macs"] < ghost["macs"]
+                                   and lai["cache_bytes"] < ghost["cache_bytes"]),
+    }, out / "cost.json")
     return 0
 
 

@@ -257,10 +257,8 @@ def emit_reports(records: list[FidelityRecord] | None,
             "steps_total": report.steps_total,
             "epochs": [asdict(e) for e in report.epoch_stats],
             "probe_traces": traces,
-            "ledger": {
-                method: report.ledger.totals(method)
-                for method in sorted({e.method for e in report.ledger.entries})
-            },
+            "ledger": {method: report.ledger.totals(method)
+                       for method in sorted(report.ledger.by_method)},
         }
         serialize.dump_json(doc, path)
         written.append(path)

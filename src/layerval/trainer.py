@@ -11,8 +11,9 @@ all read that pass, and where it stopped at g(L) (the LAI family) the step
 finishes the backward chain for the kept rows only. The report holds
 columns: an (epochs, n) inclusion array and one (step, id, benefit) row per
 scored sample, collected per step and joined once.
-A cost ledger tracks the multiply-accumulate work and cache footprint of the
-scoring pass per estimator.
+A cost ledger keeps per-estimator totals of the multiply-accumulate work and
+cache footprint of the scoring pass; batch_cost is their one closed form,
+which `diagnose` also reads for cost.json without scoring anything.
 """
 
 from __future__ import annotations
@@ -149,11 +150,6 @@ def backward_extra_macs(net: MLP) -> int:
     return total
 
 
-def outer_product_macs(net: MLP) -> int:
-    """MACs to materialize per-sample weight gradients g(l) a(l-1)^T."""
-    return sum(layer.spec.out_dim * layer.spec.in_dim for layer in net.layers)
-
-
 def pair_macs(net: MLP, estimator: Estimator) -> int:
     """MACs of scoring one (train, validation) pair from cached vectors."""
     aug = [d + 1 for d in _act_dims(net)]
@@ -184,85 +180,64 @@ def cache_reals_per_sample(net: MLP, estimator: Estimator) -> int:
     raise ValueError(f"no cache layout for estimator {estimator}")
 
 
-def per_sample_extra_macs(net: MLP, estimator: Estimator) -> int:
-    """Scoring work beyond the shared forward pass, per sample whose taps are built."""
+def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
+               cached: bool = True) -> tuple[int, int]:
+    """Ledger MACs and cache bytes of scoring n batch members against m rows each.
+
+    The rows are m cached validation rows or, with cached=False (self mode),
+    the rest of the batch (m = n - 1). The MACs count scoring arithmetic
+    only: per member the backward work the estimator adds to the shared pass
+    (Ghost: the chain below the logits; IP: that plus the per-layer outer
+    products; precond_lai: rescaling its output gradient), a cached
+    precond_lai pass also rescales the m cached output gradients, and each
+    scored pair costs pair_macs. In self mode each unordered pair counts
+    once, n * m / 2 pairs: this is the paper's cost model, not the GEMM that
+    runs, which forms the full n x n pair_matrix block. The bytes are
+    cache_reals_per_sample 64-bit reals for each row held, the batch's own
+    n rows in self mode.
+    """
     if estimator is Estimator.GHOST:
-        return backward_extra_macs(net)
-    if estimator is Estimator.IP:
-        return backward_extra_macs(net) + outer_product_macs(net)
-    if estimator is Estimator.PRECOND_LAI:
-        return net.out_dim  # rescaling the output gradient
-    return 0
+        extra = backward_extra_macs(net)
+    elif estimator is Estimator.IP:
+        # and the per-sample weight gradients g(l) a(l-1)^T
+        extra = backward_extra_macs(net) + sum(
+            layer.spec.out_dim * layer.spec.in_dim for layer in net.layers)
+    elif estimator is Estimator.PRECOND_LAI:
+        extra = net.out_dim
+    else:
+        extra = 0
+    macs = n * extra
+    if cached:
+        macs += n * m * pair_macs(net, estimator)
+        if estimator is Estimator.PRECOND_LAI:
+            macs += m * net.out_dim
+    else:
+        macs += n * m // 2 * pair_macs(net, estimator)
+    return macs, (m if cached else n) * cache_reals_per_sample(net, estimator) * 8
 
 
-@dataclass
-class LedgerEntry:
-    step: int
-    method: str
-    macs: int
-    cache_bytes: int
-    samples_scored: int
-    samples_kept: int
-    config_key: tuple
+_TOTALS = ("macs", "cache_bytes", "samples_scored", "samples_kept", "steps")
 
 
 @dataclass
 class CostLedger:
-    entries: list[LedgerEntry] = field(default_factory=list)
+    """Running scoring-cost totals per method (an estimator's value)."""
 
-    def record(self, entry: LedgerEntry) -> None:
-        self.entries.append(entry)
+    by_method: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def totals(self, method: str) -> dict:
-        rows = [e for e in self.entries if e.method == method]
-        return {
-            "macs": sum(e.macs for e in rows),
-            "cache_bytes": max((e.cache_bytes for e in rows), default=0),
-            "samples_scored": sum(e.samples_scored for e in rows),
-            "samples_kept": sum(e.samples_kept for e in rows),
-            "steps": len(rows),
-        }
+    def record(self, method: str, macs: int, cache_bytes: int, scored: int,
+               kept: int) -> None:
+        """Add one scored step; cache_bytes keeps the largest cache seen."""
+        t = self.by_method.setdefault(method, dict.fromkeys(_TOTALS, 0))
+        t["macs"] += macs
+        t["cache_bytes"] = max(t["cache_bytes"], cache_bytes)
+        t["samples_scored"] += scored
+        t["samples_kept"] += kept
+        t["steps"] += 1
 
-
-def ledger_compare(ledger: CostLedger, methods: list[Estimator]) -> dict:
-    """Compare per-method scoring MACs and cache bytes recorded for one configuration.
-
-    All requested methods must have entries with an identical
-    (net dims, batch size, validation size) fingerprint. Raises if the
-    LAI < Ghost orderings fail for depth > 1.
-    """
-    per_method = {}
-    keys = set()
-    for est in methods:
-        rows = [e for e in ledger.entries if e.method == est.value]
-        if not rows:
-            raise ValueError(f"ledger has no entries for method {est.value}")
-        keys.update(e.config_key for e in rows)
-        per_method[est.value] = {
-            "macs": sum(e.macs for e in rows) // len(rows),
-            "cache_bytes": rows[0].cache_bytes,
-        }
-    if len(keys) != 1:
-        raise ValueError(f"methods ran on mismatched configurations: {sorted(keys)}")
-    key = keys.pop()
-    depth = len(key[0]) - 1
-    record = {
-        "config": {"dims": list(key[0]), "batch_size": key[1], "validation_size": key[2]},
-        "depth": depth,
-        "methods": per_method,
-    }
-    if Estimator.LAI.value in per_method and Estimator.GHOST.value in per_method:
-        lai, ghost = per_method[Estimator.LAI.value], per_method[Estimator.GHOST.value]
-        if depth > 1:
-            ok = lai["macs"] < ghost["macs"] and lai["cache_bytes"] < ghost["cache_bytes"]
-            record["lai_cheaper_than_ghost"] = ok
-            if not ok:
-                raise RuntimeError("cost ordering violated: expected LAI < Ghost for depth > 1")
-        else:
-            record["lai_cheaper_than_ghost"] = False
-            if lai["macs"] != ghost["macs"]:
-                raise RuntimeError("depth-1 scoring MACs should match between LAI and Ghost")
-    return record
+    def totals(self, method: str) -> dict[str, int]:
+        """A copy of the method's totals, all 0 if it recorded no step."""
+        return dict(self.by_method.get(method, dict.fromkeys(_TOTALS, 0)))
 
 
 # --- validation cache ------------------------------------------------------
@@ -277,8 +252,8 @@ class ValidationCache:
     step_id: int
     estimator: Estimator
     taps: BatchTaps
-    # The ledger's analytic figure (cache_reals_per_sample, in bytes), not what
-    # the taps hold: an LLI cache keeps every layer, an IP cache keeps taps.
+    # The ledger's analytic figure (batch_cost's cache bytes), not what the
+    # taps hold: an LLI cache keeps every layer, an IP cache keeps taps.
     byte_size: int
 
     @property
@@ -297,7 +272,7 @@ def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
     if _needs_backward(estimator) and not val_taps.full:
         raise ValueError(f"a {estimator.value} cache needs taps from a full backward pass")
     return ValidationCache(step_id=step_id, estimator=estimator, taps=val_taps,
-                           byte_size=len(val_taps) * cache_reals_per_sample(net, estimator) * 8)
+                           byte_size=batch_cost(net, estimator, 0, len(val_taps))[1])
 
 
 # --- curation --------------------------------------------------------------
@@ -321,6 +296,7 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
     rows, less its self-pair in self mode; it is kept when benefit >=
     cfg.threshold (inclusive boundary). A self-scored batch of one has no
     other row to be scored against: its member gets benefit 0.0 and is kept.
+    A ledger records the step's batch_cost with the scored and kept counts.
     """
     est = cfg.estimator
     if est is Estimator.NONE:
@@ -342,19 +318,8 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
         m -= 1
     kept = (benefits >= cfg.threshold) | (m == 0)
     if ledger is not None:
-        macs = n * per_sample_extra_macs(net, est)
-        if cache is None:  # each unordered pair once; the rows are the batch's own
-            macs += n * m // 2 * pair_macs(net, est)
-            cache_bytes = n * cache_reals_per_sample(net, est) * 8
-        else:
-            macs += n * m * pair_macs(net, est)
-            if est is Estimator.PRECOND_LAI:
-                macs += m * net.out_dim  # rescaling cached gradients
-            cache_bytes = cache.byte_size
-        ledger.record(LedgerEntry(
-            step=step_id, method=est.value, macs=macs, cache_bytes=cache_bytes,
-            samples_scored=n, samples_kept=int(np.count_nonzero(kept)),
-            config_key=(tuple([net.in_dim] + _grad_dims(net)), n, m)))
+        ledger.record(est.value, *batch_cost(net, est, n, m, cache is not None),
+                      n, int(np.count_nonzero(kept)))
     return CurationDecision(kept_mask=kept, benefit_scores=benefits)
 
 

@@ -465,7 +465,8 @@ def package_env(**overrides):
 
 
 class TestThreadCountDeterminism:
-    """`train` and `fidelity` write the same bytes under one and two OpenBLAS threads.
+    """`train`, `diagnose` and `fidelity` write the same bytes under one and
+    two OpenBLAS threads.
 
     The net is wide enough (8-256-256-3) that OpenBLAS may split its GEMMs,
     the Shapley oracle's stacked coalition matmuls included, across threads,
@@ -475,7 +476,8 @@ class TestThreadCountDeterminism:
     VARIANTS = {est: ["--set", f"trainer.estimator={est}"]
                 for est in ("ip", "ghost", "lai", "lli", "precond_lai")}
     VARIANTS["self"] = ["--set", "trainer.mode=self"]
-    OUTPUTS = ("training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json")
+    OUTPUTS = ("training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json",
+               "bound.json", "variance.json", "cost.json")
 
     def run_all(self, argvs, threads):
         code = ("import json, sys\n"
@@ -500,8 +502,10 @@ class TestThreadCountDeterminism:
         cfg_path = write_config(tmp_path, cfg)
         for threads in (1, 2):
             out_root = tmp_path / f"t{threads}"
-            self.run_all([["train", "--config", str(cfg_path), "--out", str(out_root / name)]
-                          + extra for name, extra in self.VARIANTS.items()], threads)
+            self.run_all([[command, "--config", str(cfg_path), "--out", str(out_root / name),
+                           "--set", "diagnose.pair_count=64"] + extra
+                          for name, extra in self.VARIANTS.items()
+                          for command in ("train", "diagnose")], threads)
         differing = [f"{name}/{f}" for name in self.VARIANTS for f in self.OUTPUTS
                      if (tmp_path / "t1" / name / f).read_bytes()
                      != (tmp_path / "t2" / name / f).read_bytes()]
@@ -563,6 +567,22 @@ class TestDiagnose:
         cost = json.loads((out / "cost.json").read_text())
         assert cost["methods"]["lai"]["macs"] < cost["methods"]["ghost"]["macs"]
         assert cost["methods"]["lai"]["cache_bytes"] < cost["methods"]["ghost"]["cache_bytes"]
+
+    def test_shipped_config_cost_json_pinned(self, tmp_path):
+        # the closed-form figures for configs/curation.json: a cost-model
+        # change has to show up here
+        config = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        for command in ("train", "diagnose"):
+            assert main([command, "--config", str(config), "--seed", "0",
+                         "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "cost.json").read_text()) == {
+            "config": {"dims": [8, 64, 3], "batch_size": 16, "validation_size": 18},
+            "depth": 2,
+            "methods": {"ghost": {"macs": 45280, "cache_bytes": 20304},
+                        "lai": {"macs": 22464, "cache_bytes": 11088},
+                        "lli": {"macs": 19872, "cache_bytes": 9792}},
+            "lai_cheaper_than_ghost": True,
+        }
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "fresh"))

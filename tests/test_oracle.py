@@ -366,6 +366,18 @@ class TestShapleyMC:
         mc = shapley_mc(u, batch, permutations=1000, seed=29)
         assert np.max(np.abs(mc.values - exact.values)) <= 0.05 * spread
 
+    def test_mc_within_four_stderr_of_exact_on_block_draws(self):
+        # games of every width: toy_split's block draw gives some as narrow
+        # as ~18 MC stderrs, where a tolerance in the exact values' range fails
+        for k in range(12):
+            s = 26 + 4 * k
+            net = toy_net(seed=s)
+            batch = toy_split(net, 6, seed=s + 1)
+            u = UtilityFn(net, toy_split(net, 6, seed=s + 2), learning_rate=0.2)
+            exact = shapley_exact(u, batch)
+            mc = shapley_mc(u, batch, permutations=1000, seed=s + 3)
+            assert np.all(np.abs(mc.values - exact.values) <= 4.0 * mc.stderr), s
+
     def test_equals_one_permutation_at_a_time(self):
         # the deduplicated prefix evaluation reproduces the sequential walk bit for bit
         net = toy_net(seed=60)

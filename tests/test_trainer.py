@@ -27,10 +27,10 @@ from layerval.trainer import (
     StaleCacheError,
     TrainerConfig,
     backward_extra_macs,
+    batch_cost,
     build_validation_cache,
     cache_reals_per_sample,
     curate_batch,
-    ledger_compare,
     pair_macs,
     sgd_step,
     train,
@@ -297,9 +297,10 @@ class TestSelfInfluence:
                                 step_id=4, ledger=ledger)
         assert decision.kept_mask.tolist() == [True]
         assert decision.benefit_scores.tolist() == [0.0]
-        [entry] = ledger.entries
-        assert (entry.step, entry.macs, entry.samples_scored, entry.samples_kept) == (4, 0, 1, 1)
-        assert entry.config_key[1:] == (1, 0)
+        # one member scored against m = 0 rows, its own row held
+        assert ledger.totals(Estimator.LAI.value) == {
+            "macs": 0, "cache_bytes": cache_reals_per_sample(net, Estimator.LAI) * 8,
+            "samples_scored": 1, "samples_kept": 1, "steps": 1}
 
     def test_train_ledgers_a_trailing_batch_of_one(self):
         data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
@@ -530,9 +531,13 @@ class TestLedger:
         val = toy_split(net, 5, seed=29)
         ledger = CostLedger()
         self.run_method(net, batch, val, Estimator.GHOST, ledger)
-        entry = ledger.entries[0]
-        assert entry.macs == 3 * 5 * 82 + 3 * 352
-        assert entry.cache_bytes == 5 * (9 + 17 + 17 + 16 + 16 + 4) * 8
+        totals = ledger.totals(Estimator.GHOST.value)
+        hand = (3 * 5 * 82 + 3 * 352, 5 * (9 + 17 + 17 + 16 + 16 + 4) * 8)
+        assert (totals["macs"], totals["cache_bytes"]) == hand
+        assert batch_cost(net, Estimator.GHOST, 3, 5) == hand
+        # precond_lai rescales the 3 members' and the 5 cached output gradients
+        assert batch_cost(net, Estimator.PRECOND_LAI, 3, 5) == (
+            3 * 4 + 5 * 4 + 3 * 5 * 48, 5 * (9 + 17 + 17 + 4) * 8)
 
     def test_cache_byte_closed_forms(self):
         net = toy_net(dims=(8, 16, 16, 4), acts=("relu", "relu", "linear"), seed=30)
@@ -542,39 +547,65 @@ class TestLedger:
         assert cache_reals_per_sample(net, Estimator.LLI) == 17 + 4
         assert cache_reals_per_sample(net, Estimator.IP) == net.num_params
 
-    def test_ledger_compare_orderings(self):
+    def test_lai_cheaper_than_ghost_at_depth_three(self):
         net = toy_net(dims=(6, 10, 12, 3), acts=("relu", "tanh", "linear"), seed=31)
         batch = toy_split(net, 4, seed=32)
         val = toy_split(net, 6, seed=33)
         ledger = CostLedger()
         for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI):
             self.run_method(net, batch, val, est, ledger)
-        record = ledger_compare(ledger, [Estimator.GHOST, Estimator.LAI, Estimator.LLI])
-        assert record["lai_cheaper_than_ghost"]
-        m = record["methods"]
-        assert m["lai"]["macs"] < m["ghost"]["macs"]
-        assert m["lai"]["cache_bytes"] < m["ghost"]["cache_bytes"]
+        lai, ghost = ledger.totals(Estimator.LAI.value), ledger.totals(Estimator.GHOST.value)
+        assert lai["macs"] < ghost["macs"]
+        assert lai["cache_bytes"] < ghost["cache_bytes"]
+        for n in (1, 2, 7):
+            for m in (1, 3, 16):
+                for cached in (True, False):
+                    lai_m, lai_b = batch_cost(net, Estimator.LAI, n, m, cached)
+                    ghost_m, ghost_b = batch_cost(net, Estimator.GHOST, n, m, cached)
+                    assert lai_m < ghost_m and lai_b < ghost_b
 
     def test_depth_one_scoring_macs_equal(self):
         net = toy_net(dims=(5, 3), acts=("linear",), seed=34)
         assert pair_macs(net, Estimator.LAI) == pair_macs(net, Estimator.GHOST)
+        assert backward_extra_macs(net) == 0
         batch = toy_split(net, 4, seed=35)
         val = toy_split(net, 4, seed=36)
         ledger = CostLedger()
         for est in (Estimator.GHOST, Estimator.LAI):
             self.run_method(net, batch, val, est, ledger)
-        record = ledger_compare(ledger, [Estimator.GHOST, Estimator.LAI])
-        assert record["methods"]["lai"]["macs"] == record["methods"]["ghost"]["macs"]
+        assert ledger.totals(Estimator.LAI.value)["macs"] \
+            == ledger.totals(Estimator.GHOST.value)["macs"]
 
-    def test_mismatched_configurations_rejected(self):
-        net = toy_net(seed=37)
-        ledger = CostLedger()
-        self.run_method(net, toy_split(net, 4, seed=38), toy_split(net, 5, seed=39),
-                        Estimator.GHOST, ledger)
-        self.run_method(net, toy_split(net, 3, seed=40), toy_split(net, 5, seed=41),
-                        Estimator.LAI, ledger)
-        with pytest.raises(ValueError):
-            ledger_compare(ledger, [Estimator.GHOST, Estimator.LAI])
+    @pytest.mark.parametrize("estimator", [Estimator.LAI, Estimator.LLI, Estimator.GHOST,
+                                           Estimator.IP, Estimator.PRECOND_LAI])
+    def test_curate_batch_records_batch_cost(self, estimator):
+        net = toy_net(dims=(4, 6, 5, 3), acts=("relu", "tanh", "linear"), seed=42)
+        taps = taps_of(net, toy_split(net, 5, seed=43), estimator)
+        val = taps_of(net, toy_split(net, 3, seed=44), estimator)
+        for mode, cache, m in ((CurationMode.VALIDATION,
+                                build_validation_cache(net, val, estimator), 3),
+                               (CurationMode.SELF, None, 4)):
+            ledger = CostLedger()
+            decision = curate_batch(net, taps, cache, cfg_with(estimator=estimator, mode=mode),
+                                    ledger=ledger, preconditioner=Preconditioner.identity(3))
+            macs, cache_bytes = batch_cost(net, estimator, 5, m, cache is not None)
+            assert ledger.totals(estimator.value) == {
+                "macs": macs, "cache_bytes": cache_bytes, "samples_scored": 5,
+                "samples_kept": int(decision.kept_mask.sum()), "steps": 1}
+            if cache is not None:
+                assert cache.byte_size == cache_bytes
+
+    def test_self_mode_counts_each_unordered_pair_once(self):
+        # pair_matrix forms the full n x n block; the ledger charges n(n-1)/2 pairs
+        net = toy_net(dims=(8, 16, 16, 4), acts=("relu", "relu", "linear"), seed=45)
+        outer = 16 * 8 + 16 * 16 + 4 * 16
+        extra = {Estimator.LAI: 0, Estimator.LLI: 0, Estimator.GHOST: 352,
+                 Estimator.IP: 352 + outer, Estimator.PRECOND_LAI: 4}
+        for est, per_member in extra.items():
+            for n in (1, 2, 5, 16):
+                macs, cache_bytes = batch_cost(net, est, n, n - 1, cached=False)
+                assert macs == n * per_member + n * (n - 1) // 2 * pair_macs(net, est)
+                assert cache_bytes == n * cache_reals_per_sample(net, est) * 8
 
 
 class TestTrainLoop:
