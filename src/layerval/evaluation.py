@@ -265,14 +265,15 @@ def emit_reports(records: list[FidelityRecord] | None,
         inc_path = out / "inclusion.csv"
         sample_ids = report.sample_ids.tolist()
         serialize.write_lines(inc_path, ["epoch", "sample_id", "kept"], [
-            f"{epoch},{sid},{int(kept)}" for epoch, row in enumerate(report.inclusion.tolist())
+            f"{epoch},{sid},{kept}"
+            for epoch, row in enumerate(np.where(report.inclusion, "1", "0").tolist())
             for sid, kept in zip(sample_ids, row)])
         written.append(inc_path)
         sc_path = out / "scores.csv"
-        est, fmt17 = report.estimator, serialize.fmt17
+        est = report.estimator
         serialize.write_lines(sc_path, ["step", "sample_id", "estimator", "benefit"], [
-            f"{step},{sid},{est},{fmt17(benefit)}"
+            f"{step},{sid},{est},{benefit}"
             for step, sid, benefit in zip(report.score_steps.tolist(), report.score_ids.tolist(),
-                                          report.score_benefits.tolist())])
+                                          serialize.fmt17_column(report.score_benefits))])
         written.append(sc_path)
     return written

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Split
-from .network import MLP, _apply_activation, batch_taps
+from .network import MLP, Activation, _apply_activation, batch_taps
 
 
 EXHAUSTIVE_MAX = 8  # n! orderings, each with n prefixes, are held at once
@@ -45,17 +45,19 @@ class UtilityFn:
     weights [W|b] - eta * sum_{i in S} D_l[i] are the product of the row
     [1, M] (M its 0/1 membership) with E_l = [ravel([W|b]); -eta * D_l].
     Coalitions are evaluated in blocks of BLOCK: one stacked (1, n+1) @ E_l
-    product per coalition gives its weights, and the validation activations
-    are feature-major (b, d+1, V) with a ones row, so each layer's W a + b is
-    one stacked matmul into a buffer reused by every block, activated in
-    place. Evaluations are pure: the frozen parameters are never mutated.
+    product per coalition gives its weights. The validation rows enter as a
+    C-contiguous [X^T; 1] and hidden activations are (b, out+1, V) with a ones
+    row, so each layer's W a + b is one stacked matmul into a buffer reused by
+    every block, activated by one pass over the whole buffer; the logits are
+    class-major (C, b, V), so the softmax reduces over a leading class axis.
+    Evaluations are pure: the frozen parameters are never mutated.
     Call bind_batch (or pass the batch to the Shapley helpers, which do it)
     before querying subsets.
     """
 
-    # coalitions per block; utilities over the 20 shipped fidelity checkpoints,
-    # one BLAS thread, median of 3: 16 -> 1.01 s, 32 -> 0.80, 64 -> 0.68,
-    # 128 -> 0.72, 256 -> 0.79
+    # coalitions per block; utilities over the 20 shipped fidelity checkpoints
+    # (185,687 coalitions), 2-core host, one BLAS thread, median of 10:
+    # 16 -> 1.18 s, 32 -> 0.90, 64 -> 0.81, 96 -> 0.79, 128 -> 0.82, 256 -> 0.85
     BLOCK = 64
 
     def __init__(self, net: MLP, val: Split, learning_rate: float):
@@ -68,8 +70,8 @@ class UtilityFn:
         self.val = val
         self._base_loss = float(batch_taps(self.net, val.features, val.labels,
                                            backward=False).losses.mean())
-        # [X^T; 1]: the first layer's bias rides in its matmul
-        self._val_a = np.vstack([val.features.T, np.ones((1, len(val)))])
+        # [X^T; 1], C-contiguous: the first layer's bias rides in its matmul
+        self._val_a = np.ascontiguousarray(np.vstack([val.features.T, np.ones((1, len(val)))]))
         self._onehot = (np.arange(self.net.out_dim)[:, None] == val.labels).astype(np.float64)
         self._batch: Split | None = None
         self._weight_rows: list[np.ndarray] | None = None
@@ -108,7 +110,7 @@ class UtilityFn:
         # hidden layer's last row stays 1 and carries the next layer's bias
         layers = self.net.layers
         bufs = [np.ones((b, l.weights.shape[0] + 1, V)) for l in layers[:-1]]
-        bufs.append(np.empty((b, self.net.out_dim, V)))
+        bufs.append(np.empty((self.net.out_dim, b, V)))  # class-major logits
         for start in range(0, len(masks), self.BLOCK):
             m = min(self.BLOCK, len(masks) - start)
             member[:m, 1:] = masks[start:start + m]
@@ -118,17 +120,25 @@ class UtilityFn:
                 # one (1, n+1) @ E_l product per coalition, not a GEMM over the
                 # block: a row's bits must not depend on the block it lands in
                 w = np.matmul(member[:m, None, :], E).reshape(m, out_dim, in_dim + 1)
+                if l is layers[-1]:
+                    z = buf[:, :m]
+                    np.matmul(w, a, out=z.transpose(1, 0, 2))
+                    break
                 h = buf[:m]
                 np.matmul(w, a, out=h[:, :out_dim])
-                if l is not layers[-1]:
-                    _apply_activation(l.spec.activation, h, out=h)
+                # one pass over the whole contiguous buffer; relu keeps the ones row
+                _apply_activation(l.spec.activation, h, out=h)
+                if l.spec.activation is not Activation.RELU:
                     h[:, -1] = 1.0
                 a = h
-            top = a.max(axis=1)
-            label = np.einsum("mcv,cv->m", a, self._onehot)
-            a -= top[:, None, :]
-            np.exp(a, out=a)
-            lse = (np.log(a.sum(axis=1)) + top).sum(axis=1)
+            # einsum sums in memory order: each row reads its own contiguous (C, V)
+            label = np.einsum("mcv,cv->m", np.ascontiguousarray(z.transpose(1, 0, 2)),
+                              self._onehot)
+            # over a leading axis numpy adds (m, V) planes in class order, not pairwise
+            top = z.max(axis=0)
+            z -= top
+            np.exp(z, out=z)
+            lse = (np.log(z.sum(axis=0)) + top).sum(axis=1)
             values[start:start + m] = self._base_loss - (lse - label) / V
         values[~masks.any(axis=1)] = 0.0
         return values

@@ -11,7 +11,9 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
+
+import numpy as np
 
 
 def fmt17(x: float) -> str:
@@ -23,6 +25,17 @@ def fmt17(x: float) -> str:
     if "." not in s and "e" not in s:
         s += ".0"
     return s
+
+
+def fmt17_column(values) -> Iterator[str]:
+    """:func:`fmt17` of each entry of a float column, in order. The whole
+    column is checked finite here; the strings are made as they are read."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {float(values[~finite][0])!r}")
+    return (s if "." in s or "e" in s else s + ".0"
+            for s in (format(x, ".17g") for x in values.tolist()))
 
 
 def dumps(obj: Any, indent: int = 2) -> str:

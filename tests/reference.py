@@ -9,7 +9,12 @@ from the pre-activations s(l), the form network.backward_chain (which takes
 it from the activations) must reproduce bit for bit. shapley_mc is the
 Monte-Carlo Shapley estimate with its prefixes deduplicated as a bool
 (draws, n, n) tensor keyed by packbits, which oracle.shapley_mc's bitmask
-codes must reproduce bit for bit. generate_blobs and inject_label_noise
+codes must reproduce bit for bit. utilities_stacked is the coalition
+block loop with feature-major (m, C, V) logits and the softmax reduced over
+their middle class axis, whose bits oracle.UtilityFn.utilities (class-major
+logits) must reproduce for two or more validation rows (with one row and
+eight or more classes numpy sums this layout's classes pairwise, and
+UtilityFn in class order). generate_blobs and inject_label_noise
 are the data generator one sample at a time, whose columns data's block
 draws must reproduce bit for bit. shapley_exact (2^n subset enumeration) and
 loo_influence (one-step leave-one-out) are exact references of the one-step
@@ -23,7 +28,8 @@ import numpy as np
 
 from layerval.data import Sample
 from layerval.influence import BoundReport, PairSimilarities, Preconditioner, pair_similarities
-from layerval.network import MLP, Activation, ParamGrads, SampleTaps, batch_taps, evaluate_sample
+from layerval.network import (MLP, Activation, ParamGrads, SampleTaps, _apply_activation,
+                              batch_taps, evaluate_sample)
 from layerval.oracle import ShapleyEstimate, UtilityFn
 
 
@@ -228,6 +234,41 @@ def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
     stderr = marginals.std(axis=0, ddof=1) / math.sqrt(draws) if draws >= 2 else np.zeros(n)
     return ShapleyEstimate(values=values, stderr=stderr,
                            permutations_used=draws, seed=seed)
+
+
+def utilities_stacked(u: UtilityFn, masks) -> np.ndarray:
+    """UtilityFn.utilities over a vstacked [X^T; 1] with (m, C, V) logits,
+    blocks of u.BLOCK coalitions; masks is a valid (m, n) bool matrix."""
+    n = len(u._ensure_batch())
+    V = len(u.val)
+    b = min(u.BLOCK, len(masks))
+    values = np.zeros(len(masks))
+    member = np.ones((b, n + 1))
+    layers = u.net.layers
+    bufs = [np.ones((b, l.weights.shape[0] + 1, V)) for l in layers[:-1]]
+    bufs.append(np.empty((b, u.net.out_dim, V)))
+    val_a = np.vstack([u.val.features.T, np.ones((1, V))])
+    for start in range(0, len(masks), u.BLOCK):
+        m = min(u.BLOCK, len(masks) - start)
+        member[:m, 1:] = masks[start:start + m]
+        a = val_a
+        for l, E, buf in zip(layers, u._weight_rows, bufs):
+            out_dim, in_dim = l.weights.shape
+            w = np.matmul(member[:m, None, :], E).reshape(m, out_dim, in_dim + 1)
+            h = buf[:m]
+            np.matmul(w, a, out=h[:, :out_dim])
+            if l is not layers[-1]:
+                _apply_activation(l.spec.activation, h, out=h)
+                h[:, -1] = 1.0
+            a = h
+        top = a.max(axis=1)
+        label = np.einsum("mcv,cv->m", a, u._onehot)
+        a -= top[:, None, :]
+        np.exp(a, out=a)
+        lse = (np.log(a.sum(axis=1)) + top).sum(axis=1)
+        values[start:start + m] = u._base_loss - (lse - label) / V
+    values[~masks.any(axis=1)] = 0.0
+    return values
 
 
 def shapley_exact(u: UtilityFn, batch) -> ShapleyEstimate:

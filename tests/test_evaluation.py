@@ -1,10 +1,13 @@
 """Correlation statistics, the fidelity protocol, and report file round trips."""
 
 import concurrent.futures
+import hashlib
+import math
 import multiprocessing
 import os
 import threading
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerval import evaluation
+from layerval.cli import main
 from layerval.data import make_noisy_blob_bundle
 from layerval.evaluation import (
     DegenerateInputError,
@@ -27,7 +31,7 @@ from layerval.evaluation import (
 from layerval.influence import Estimator
 from layerval.network import MLP, Activation, Layer, LayerSpec
 from layerval.oracle import EXHAUSTIVE_MAX
-from layerval.serialize import read_csv
+from layerval.serialize import fmt17, fmt17_column, read_csv
 from layerval.trainer import (
     CurationMode,
     TrainerConfig,
@@ -325,7 +329,44 @@ class TestFidelityWorkers:
         self.leaves_nothing_running(threads_before)
 
 
+class TestFmt17Column:
+    EDGES = [-0.0, 0.0, 5.0, 1e16, 1e17, 1.5e-300, 5e-324, 0.1 + 0.2]
+
+    def test_edges_match_fmt17(self):
+        assert list(fmt17_column(np.array(self.EDGES))) == [fmt17(x) for x in self.EDGES]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_column_matches_fmt17(self, values):
+        want = [fmt17(x) for x in values]
+        assert list(fmt17_column(np.array(values, dtype=np.float64))) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_as_fmt17(self, bad):
+        with pytest.raises(ValueError) as want:
+            fmt17(bad)
+        with pytest.raises(ValueError) as got:
+            fmt17_column(np.array([1.0, bad, 2.0]))
+        assert str(got.value) == str(want.value)
+
+
 class TestEmitReports:
+    @pytest.mark.parametrize("command, config, files, digest", [
+        ("train", "curation.json",
+         ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
+         "6016da6d9c1033c0"),
+        ("fidelity", "fidelity.json", ["fidelity.csv", "fidelity_summary.json"],
+         "6d6c9444011ce0ae")])
+    def test_shipped_config_outputs_pinned(self, tmp_path, command, config, files, digest):
+        # the digest perfbench/run.py takes of a seed-0 job's output files
+        path = Path(__file__).resolve().parents[1] / "configs" / config
+        assert main([command, "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        h = hashlib.sha256()
+        for name in files:
+            h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+        assert h.hexdigest()[:16] == digest
+
     def test_empty_records_header_only(self, tmp_path):
         summary = summarize_fidelity([], floor=0.5)
         paths = emit_reports([], summary, None, tmp_path)

@@ -211,6 +211,40 @@ class TestBatchedUtilities:
         p = rng.permutation(len(masks))
         assert u.utilities(masks[p]).tobytes() == u.utilities(masks)[p].tobytes()
 
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @pytest.mark.parametrize("dims, acts", [
+        ((8, 16, 3), ("relu", "linear")),  # the shipped fidelity shape
+        ((8, 64, 64, 5), ("relu", "tanh", "linear")),
+        ((8, 64, 64, 5), ("tanh", "linear", "linear")),
+        ((8, 64, 64, 5), ("linear", "relu", "linear")),
+        ((8, 16, 1), ("relu", "linear")),  # one and two classes: the shortest class reductions
+        ((8, 16, 2), ("tanh", "linear")),
+        ((8, 16, 10), ("relu", "linear"))])  # past numpy's 8-way unrolled sums
+    def test_bits_equal_stacked_reference(self, monkeypatch, dims, acts, block):
+        monkeypatch.setattr(UtilityFn, "BLOCK", block)
+        net = toy_net(seed=59, dims=dims, acts=acts)
+        rng = np.random.default_rng(60)
+        for layer in net.layers:
+            layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
+        u = UtilityFn(net, toy_split(net, 60, seed=61), learning_rate=0.05)
+        u.bind_batch(toy_split(net, 16, seed=62))
+        masks = np.vstack([np.ones((1, 16), dtype=bool),
+                           rng.random((3 * 64 + 28, 16)) < 0.5])  # 3 blocks of 64 and 29 rows
+        assert u.utilities(masks).tobytes() == reference.utilities_stacked(u, masks).tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    def test_bits_equal_stacked_reference_on_strided_validation(self, layout):
+        net = toy_net(seed=63, dims=(8, 16, 3), acts=("relu", "linear"))
+        rng = np.random.default_rng(64)
+        X = rng.normal(size=(120, 16))
+        features = np.asfortranarray(X[:60, :8]) if layout == "fortran" else X[::2, 3:11]
+        val = rows(features, rng.integers(3, size=60))
+        assert not val.features.flags.c_contiguous
+        u = UtilityFn(net, val, learning_rate=0.05)
+        u.bind_batch(toy_split(net, 16, seed=65))
+        masks = rng.random((2 * 64 + 7, 16)) < 0.5
+        assert u.utilities(masks).tobytes() == reference.utilities_stacked(u, masks).tobytes()
+
     def test_empty_coalition_exactly_zero(self):
         net = toy_net(seed=44)
         u = UtilityFn(net, toy_split(net, 4, seed=45), learning_rate=0.5)
