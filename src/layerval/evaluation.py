@@ -68,6 +68,7 @@ class FidelityRecord:
     shapley_stderr: list[float]
     pearson: dict[str, float | None]  # None marks a degenerate checkpoint
     spearman: dict[str, float | None]
+    probe_ids: list[int] | None = None  # sample ids of the shapley entries; None: positions
 
 
 @dataclass
@@ -87,6 +88,7 @@ class FidelitySummary:
     floor: float
     checkpoints_total: int
     exhaustive: bool = False
+    mean_stderr_to_spread: float | None = None  # None: no checkpoint with a value spread
 
 
 def _benefit_scores(net: MLP, probe: Split, val: Split) -> dict[str, list[float]]:
@@ -123,7 +125,8 @@ def _checkpoint_record(k: int, step: int, snap: MLP, probe: Split, val: Split,
             spearmans[name] = None
     return FidelityRecord(step=step, scores=scores, shapley=shap,
                           shapley_stderr=est.stderr.tolist(),
-                          pearson=pearsons, spearman=spearmans)
+                          pearson=pearsons, spearman=spearmans,
+                          probe_ids=probe.ids.tolist())
 
 
 def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
@@ -204,8 +207,12 @@ def summarize_fidelity(records: list[FidelityRecord], floor: float = 0.5,
             per_est[name] = EstimatorSummary(mean=0.0, std=0.0, min=0.0, max=0.0,
                                              checkpoints=0, below_floor=0,
                                              degenerate=degenerate)
+    # each checkpoint's mean Monte-Carlo stderr as a share of its Shapley value spread
+    ratios = [float(np.mean(r.shapley_stderr)) / spread for r in records
+              if (spread := max(r.shapley) - min(r.shapley)) > 0]
     return FidelitySummary(per_estimator=per_est, floor=floor,
-                           checkpoints_total=len(records), exhaustive=exhaustive)
+                           checkpoints_total=len(records), exhaustive=exhaustive,
+                           mean_stderr_to_spread=float(np.mean(ratios)) if ratios else None)
 
 
 # --- file emission ---------------------------------------------------------
@@ -215,8 +222,9 @@ def emit_reports(records: list[FidelityRecord] | None,
                  summary: FidelitySummary | None,
                  report: TrainingReport | None,
                  out_dir: str | Path) -> list[Path]:
-    """Write fidelity.csv / fidelity_summary.json / training_report.json /
-    inclusion.csv / scores.csv for whichever inputs are present."""
+    """Write fidelity.csv and shapley.csv / fidelity_summary.json /
+    training_report.json, inclusion.csv and scores.csv for whichever inputs
+    are present."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -232,12 +240,19 @@ def emit_reports(records: list[FidelityRecord] | None,
                              "" if s is None else s])
         serialize.write_csv(path, ["step", "estimator", "pearson", "spearman"], rows)
         written.append(path)
+        path = out / "shapley.csv"
+        serialize.write_csv(path, ["step", "sample_id", "value", "stderr"], [
+            [r.step, sid, value, stderr] for r in records
+            for sid, value, stderr in zip(r.probe_ids or range(len(r.shapley)),
+                                          r.shapley, r.shapley_stderr)])
+        written.append(path)
     if summary is not None:
         path = out / "fidelity_summary.json"
         doc = {
             "checkpoints_total": summary.checkpoints_total,
             "floor": summary.floor,
             "exhaustive": summary.exhaustive,
+            "mean_stderr_to_spread": summary.mean_stderr_to_spread,
             "estimators": {name: asdict(s) for name, s in summary.per_estimator.items()},
         }
         serialize.dump_json(doc, path)

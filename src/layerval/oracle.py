@@ -9,9 +9,10 @@ The step is additive in subset members, so a zero-gradient sample is a null
 player exactly: it leaves every coalition's step unchanged.
 
 Shapley values of this game are the fidelity reference the influence
-estimators are correlated against, estimated by Monte-Carlo permutation
-sampling (exhaustive over every ordering up to EXHAUSTIVE_MAX members). A
-batch and the validation rows are data.Split records.
+estimators are correlated against, estimated by Monte-Carlo sampling of
+antithetic pairs of orderings (exhaustive over every ordering up to
+EXHAUSTIVE_MAX members). A batch and the validation rows are data.Split
+records.
 """
 
 from __future__ import annotations
@@ -153,13 +154,18 @@ class UtilityFn:
 
 def shapley_mc(u: UtilityFn, batch: Split, permutations: int, seed: int,
                exhaustive: bool = False) -> ShapleyEstimate:
-    """Monte-Carlo permutation Shapley; stderr = std(marginals)/sqrt(draws).
+    """Monte-Carlo permutation Shapley over antithetic pairs of orderings.
 
+    ceil(permutations / 2) orderings are drawn, each with its reverse, so an
+    odd count rounds up to whole pairs (permutations_used is 2 * pairs). A
+    sample's estimate is the mean over pairs of its marginals' mean across an
+    ordering and its reverse, which is exact for a game quadratic in
+    membership; stderr = std(pair means)/sqrt(pairs), zero for one pair.
     With exhaustive=True every one of the n! orderings is visited once
-    (matching exact enumeration, n <= EXHAUSTIVE_MAX) and the permutations
-    argument is ignored.
-    Every permutation prefix is a coalition; the distinct ones are evaluated
-    in one utilities call.
+    (matching exact enumeration, n <= EXHAUSTIVE_MAX), the stderr is taken
+    over single orderings and the permutations argument is ignored.
+    Every ordering prefix is a coalition (a reverse's prefixes complement its
+    forward's); the distinct ones are evaluated in one utilities call.
     """
     n = len(batch)
     if exhaustive and n > EXHAUSTIVE_MAX:
@@ -171,7 +177,8 @@ def shapley_mc(u: UtilityFn, batch: Split, permutations: int, seed: int,
     if exhaustive:
         orders = np.array(list(itertools.permutations(range(n))))
     else:
-        orders = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
+        forward = rng.permuted(np.tile(np.arange(n), (-(-permutations // 2), 1)), axis=1)
+        orders = np.concatenate([forward, forward[:, ::-1]])
     draws = orders.shape[0]
     # codes[r, k] is the bitmask of the first k + 1 members of ordering r in
     # ceil(n / 64) uint64 words (member i is bit i % 64 of word i // 64); the
@@ -188,7 +195,9 @@ def shapley_mc(u: UtilityFn, batch: Split, permutations: int, seed: int,
     v = u.utilities(masks)[inverse].reshape(draws, n)
     marginals = np.zeros((draws, n))
     np.put_along_axis(marginals, orders, np.diff(v, axis=1, prepend=0.0), axis=1)
-    values = marginals.mean(axis=0)
-    stderr = marginals.std(axis=0, ddof=1) / math.sqrt(draws) if draws >= 2 else np.zeros(n)
+    # one estimate per ordering when exhaustive, else one per antithetic pair
+    means = marginals if exhaustive else (marginals[:draws // 2] + marginals[draws // 2:]) / 2
+    values = means.mean(axis=0)
+    stderr = means.std(axis=0, ddof=1) / math.sqrt(len(means)) if len(means) >= 2 else np.zeros(n)
     return ShapleyEstimate(values=values, stderr=stderr,
                            permutations_used=draws, seed=seed)

@@ -7,14 +7,16 @@ negative means beneficial). Tests compare the batched, shipped forms
 backward_from_pre_activations is the batched backward pass with act' taken
 from the pre-activations s(l), the form network.backward_chain (which takes
 it from the activations) must reproduce bit for bit. shapley_mc is the
-Monte-Carlo Shapley estimate with its prefixes deduplicated as a bool
-(draws, n, n) tensor keyed by packbits, which oracle.shapley_mc's bitmask
-codes must reproduce bit for bit. utilities_stacked is the coalition
-block loop with feature-major (m, C, V) logits and the softmax reduced over
-their middle class axis, whose bits oracle.UtilityFn.utilities (class-major
-logits) must reproduce for two or more validation rows (with one row and
-eight or more classes numpy sums this layout's classes pairwise, and
-UtilityFn in class order). generate_blobs and inject_label_noise
+antithetic Monte-Carlo Shapley estimate with its prefixes deduplicated as a
+bool (draws, n, n) tensor keyed by packbits, which oracle.shapley_mc's
+bitmask codes must reproduce bit for bit; plain_shapley_mc is the same
+machinery over independently drawn orderings, the sampler oracle.shapley_mc
+replaced, kept to measure the paired draw's accuracy. utilities_stacked is
+the coalition block loop with feature-major (m, C, V) logits and the
+softmax reduced over their middle class axis, whose bits
+oracle.UtilityFn.utilities (class-major logits) must reproduce for two or
+more validation rows (with one row and eight or more classes numpy sums
+this layout's classes pairwise, and UtilityFn in class order). generate_blobs and inject_label_noise
 are the data generator one sample at a time, whose columns data's block
 draws must reproduce bit for bit. shapley_exact (2^n subset enumeration) and
 loo_influence (one-step leave-one-out) are exact references of the one-step
@@ -210,17 +212,10 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
     return float(np.var(ghost_draws, ddof=1)), float(np.var(lai_draws, ddof=1))
 
 
-def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
-               exhaustive: bool = False) -> ShapleyEstimate:
-    """oracle.shapley_mc with each ordering's prefixes held as bool rows."""
-    n = len(batch)
-    u._ensure_batch(batch)
-    rng = np.random.default_rng(seed)
-    if exhaustive:
-        orders = np.array(list(itertools.permutations(range(n))))
-    else:
-        orders = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
-    draws = orders.shape[0]
+def _ordering_marginals(u: UtilityFn, orders: np.ndarray) -> np.ndarray:
+    """(draws, n) marginals of each member along each ordering row, with the
+    prefixes held as bool rows and deduplicated by packbits."""
+    draws, n = orders.shape
     # prefixes[r, k] is the coalition of the first k + 1 members of ordering r
     prefixes = np.zeros((draws, n, n), dtype=bool)
     np.put_along_axis(prefixes, orders[:, :, None], True, axis=2)
@@ -230,10 +225,38 @@ def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
     v = u.utilities(prefixes[first])[inverse].reshape(draws, n)
     marginals = np.zeros((draws, n))
     np.put_along_axis(marginals, orders, np.diff(v, axis=1, prepend=0.0), axis=1)
-    values = marginals.mean(axis=0)
-    stderr = marginals.std(axis=0, ddof=1) / math.sqrt(draws) if draws >= 2 else np.zeros(n)
-    return ShapleyEstimate(values=values, stderr=stderr,
+    return marginals
+
+
+def _estimate(means: np.ndarray, draws: int, seed: int) -> ShapleyEstimate:
+    """Mean and stderr over the rows of means (one row per independent draw)."""
+    stderr = (means.std(axis=0, ddof=1) / math.sqrt(len(means)) if len(means) >= 2
+              else np.zeros(means.shape[1]))
+    return ShapleyEstimate(values=means.mean(axis=0), stderr=stderr,
                            permutations_used=draws, seed=seed)
+
+
+def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
+               exhaustive: bool = False) -> ShapleyEstimate:
+    """oracle.shapley_mc with each ordering's prefixes held as bool rows."""
+    n = len(batch)
+    u._ensure_batch(batch)
+    if exhaustive:
+        orders = np.array(list(itertools.permutations(range(n))))
+        return _estimate(_ordering_marginals(u, orders), len(orders), seed)
+    rng = np.random.default_rng(seed)
+    pairs = -(-permutations // 2)
+    forward = rng.permuted(np.tile(np.arange(n), (pairs, 1)), axis=1)
+    marginals = _ordering_marginals(u, np.concatenate([forward, forward[:, ::-1]]))
+    return _estimate((marginals[:pairs] + marginals[pairs:]) / 2, 2 * pairs, seed)
+
+
+def plain_shapley_mc(u: UtilityFn, batch, permutations: int, seed: int) -> ShapleyEstimate:
+    """Monte-Carlo Shapley over `permutations` independent orderings, no reverses."""
+    u._ensure_batch(batch)
+    rng = np.random.default_rng(seed)
+    orders = rng.permuted(np.tile(np.arange(len(batch)), (permutations, 1)), axis=1)
+    return _estimate(_ordering_marginals(u, orders), permutations, seed)
 
 
 def utilities_stacked(u: UtilityFn, masks) -> np.ndarray:

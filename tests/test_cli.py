@@ -523,6 +523,19 @@ class TestThreadCountDeterminism:
         for name in ("fidelity.csv", "fidelity_summary.json"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
+    def test_shapley_csv_one_and_two_threads_byte_identical(self, tmp_path):
+        # an odd count, so the paired draw rounds up to whole pairs
+        cfg = self.wide_config(tmp_path)
+        cfg["trainer"].update({"batch_size": 16, "epochs": 1})
+        cfg["fidelity"] = {"probe_batch_size": 8, "checkpoint_every": 4,
+                           "permutations": 41, "exhaustive": False}
+        cfg_path = write_config(tmp_path, cfg)
+        for threads in (1, 2):
+            self.run_all([["fidelity", "--config", str(cfg_path),
+                           "--out", str(tmp_path / f"t{threads}")]], threads)
+        assert ((tmp_path / "t1" / "shapley.csv").read_bytes()
+                == (tmp_path / "t2" / "shapley.csv").read_bytes())
+
 
 class TestFidelity:
     def test_exhaustive_small_run(self, tmp_path):

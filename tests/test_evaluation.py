@@ -2,11 +2,13 @@
 
 import concurrent.futures
 import hashlib
+import json
 import math
 import multiprocessing
 import os
 import threading
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerval import evaluation
+from layerval import cli, evaluation
 from layerval.cli import main
 from layerval.data import make_noisy_blob_bundle
 from layerval.evaluation import (
@@ -39,6 +41,7 @@ from layerval.trainer import (
     train,
 )
 from helpers import rows
+import reference
 
 
 class TestPearson:
@@ -168,6 +171,20 @@ class TestRunFidelity:
                                   checkpoint_every=10_000, permutations=6,
                                   exhaustive=True)
         assert len(records) == 1
+
+    def test_records_carry_the_probe_ids(self, tmp_path):
+        bundle = tiny_bundle(seed=9)
+        net = MLP.initialize([4, 6, 3], ["relu", "linear"], seed=9)
+        cfg = TrainerConfig(learning_rate=0.05, batch_size=6, epochs=1,
+                            warmup_epochs=0, mode=CurationMode.OFF, seed=9)
+        records, summary = run_fidelity(net, cfg, bundle, probe_batch_size=4,
+                                        checkpoint_every=2, permutations=10)
+        ids = records[0].probe_ids
+        assert len(ids) == 4 and set(ids) <= set(bundle.train.ids.tolist())
+        emit_reports(records, summary, None, tmp_path)
+        _, rows = read_csv(tmp_path / "shapley.csv")
+        assert rows == [[str(r.step), str(sid), fmt17(v), fmt17(e)] for r in records
+                        for sid, v, e in zip(ids, r.shapley, r.shapley_stderr)]
 
     def test_correlations_bounded(self):
         bundle = tiny_bundle(seed=4)
@@ -329,6 +346,49 @@ class TestFidelityWorkers:
         self.leaves_nothing_running(threads_before)
 
 
+class TestShippedReferenceAccuracy:
+    """The shipped Shapley reference (configs/fidelity.json: 100 orderings, so
+    50 antithetic pairs) is no less accurate than the 1000 independent
+    orderings it replaced, on the shipped net, data and checkpoint seeds."""
+
+    CHECKPOINTS = 3  # the first few; all 20 would add seconds per seed
+
+    def shipped_games(self, monkeypatch, seed):
+        """(utility, probe, seed) of each checkpoint of a shipped fidelity run."""
+        config = cli.resolve_config({
+            **json.loads((Path(__file__).resolve().parents[1] / "configs" / "fidelity.json")
+                         .read_text()),
+            "seed": seed})
+        games = []
+        shapley_mc = evaluation.shapley_mc
+
+        def capture(u, batch, permutations, seed, exhaustive=False):
+            games.append((u, batch, seed))
+            return shapley_mc(u, batch, permutations, seed, exhaustive)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(evaluation, "shapley_mc", capture)
+        f = config["fidelity"]
+        assert f["permutations"] == 100 and not f["exhaustive"]
+        run_fidelity(cli.build_net(config), cli.build_trainer_config(config),
+                     cli.build_dataset(config), probe_batch_size=f["probe_batch_size"],
+                     checkpoint_every=f["checkpoint_every"], permutations=f["permutations"])
+        return games[:self.CHECKPOINTS]
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_fifty_pairs_no_worse_than_a_thousand_plain_orderings(self, monkeypatch, seed):
+        paired, plain = [], []
+        for u, probe, mc_seed in self.shipped_games(monkeypatch, seed):
+            # independent of both estimates' orderings; its own error is about
+            # half that of 1000 plain orderings
+            ref = reference.plain_shapley_mc(u, probe, 4000, seed=[mc_seed, 1]).values
+            spread = ref.max() - ref.min()
+            for errors, est in ((paired, evaluation.shapley_mc(u, probe, 100, mc_seed)),
+                                (plain, reference.plain_shapley_mc(u, probe, 1000, mc_seed))):
+                errors.append(np.max(np.abs(est.values - ref)) / spread)
+        assert np.mean(paired) <= np.mean(plain)
+
+
 class TestFmt17Column:
     EDGES = [-0.0, 0.0, 5.0, 1e16, 1e17, 1.5e-300, 5e-324, 0.1 + 0.2]
 
@@ -356,7 +416,7 @@ class TestEmitReports:
          ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
          "6016da6d9c1033c0"),
         ("fidelity", "fidelity.json", ["fidelity.csv", "fidelity_summary.json"],
-         "6d6c9444011ce0ae")])
+         "c436d13c6fb986d2")])
     def test_shipped_config_outputs_pinned(self, tmp_path, command, config, files, digest):
         # the digest perfbench/run.py takes of a seed-0 job's output files
         path = Path(__file__).resolve().parents[1] / "configs" / config
@@ -393,6 +453,29 @@ class TestEmitReports:
         assert parsed[(7, "ghost")] == ("", "")
         assert float(parsed[(7, "lai")][0]) == 0.75
         assert float(parsed[(7, "lli")][1]) == -1.0
+
+    def test_shapley_csv_and_stderr_to_spread(self, tmp_path):
+        record = FidelityRecord(
+            step=7, scores={"lai": [0.1, 0.2]},
+            shapley=[0.01, 0.03], shapley_stderr=[0.001, 0.003],
+            pearson={"lai": 1.0}, spearman={"lai": 1.0}, probe_ids=[41, 5])
+        # no spread: left out of the ratio; no probe ids: numbered by position
+        flat = replace(record, step=9, shapley=[0.02, 0.02], probe_ids=None)
+        emit_reports([record, flat], summarize_fidelity([record, flat]), None, tmp_path)
+        header, rows = read_csv(tmp_path / "shapley.csv")
+        assert header == ["step", "sample_id", "value", "stderr"]
+        assert rows == [["7", "41", fmt17(0.01), fmt17(0.001)],
+                        ["7", "5", fmt17(0.03), fmt17(0.003)],
+                        ["9", "0", fmt17(0.02), fmt17(0.001)],
+                        ["9", "1", fmt17(0.02), fmt17(0.003)]]
+        doc = json.loads((tmp_path / "fidelity_summary.json").read_text())
+        assert doc["mean_stderr_to_spread"] == 0.002 / (0.03 - 0.01)
+
+    def test_no_spread_gives_null_stderr_to_spread(self, tmp_path):
+        emit_reports([], summarize_fidelity([]), None, tmp_path)
+        assert (tmp_path / "shapley.csv").read_text() == "step,sample_id,value,stderr\n"
+        doc = json.loads((tmp_path / "fidelity_summary.json").read_text())
+        assert doc["mean_stderr_to_spread"] is None
 
     def test_training_report_files_round_trip(self, tmp_path):
         bundle = tiny_bundle(seed=5)

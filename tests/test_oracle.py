@@ -1,5 +1,6 @@
 """Shapley oracle correctness: efficiency, symmetry, MC consistency, LOO."""
 
+import hashlib
 import itertools
 import math
 
@@ -91,6 +92,24 @@ def permutation_average_shapley(u, batch):
             prev = cur
         count += 1
     return totals / count
+
+
+def walked_pair_means(u, n, pairs, seed):
+    """The (pairs, n) means of each member's marginals along an ordering and
+    its reverse, for `pairs` orderings drawn one at a time and walked one
+    utility_of_mask call per prefix."""
+    rng = np.random.default_rng(seed)
+    orders = [rng.permutation(n).tolist() for _ in range(pairs)]
+    marginals = np.zeros((2, pairs, n))
+    for r, order in enumerate(orders):
+        for half, walk in enumerate((order, order[::-1])):
+            mask, prev = 0, 0.0
+            for i in walk:
+                mask |= 1 << i
+                cur = u.utility_of_mask(mask)
+                marginals[half, r, i] = cur - prev
+                prev = cur
+    return (marginals[0] + marginals[1]) / 2
 
 
 class TestSubsetUtility:
@@ -412,23 +431,30 @@ class TestShapleyMC:
             mc = shapley_mc(u, batch, permutations=1000, seed=s + 3)
             assert np.all(np.abs(mc.values - exact.values) <= 4.0 * mc.stderr), s
 
+    def test_mc_within_five_percent_of_range_on_block_draws(self):
+        # the games of the 4-stderr test, held to test_mc_close_to_exact_on_batch_six's
+        # bound: the plain draw of 1000 orderings missed it by up to 12% of the range
+        for k in range(12):
+            s = 26 + 4 * k
+            net = toy_net(seed=s)
+            batch = toy_split(net, 6, seed=s + 1)
+            u = UtilityFn(net, toy_split(net, 6, seed=s + 2), learning_rate=0.2)
+            exact = shapley_exact(u, batch)
+            spread = exact.values.max() - exact.values.min()
+            mc = shapley_mc(u, batch, permutations=1000, seed=s + 3)
+            assert np.max(np.abs(mc.values - exact.values)) <= 0.05 * spread, s
+
     def test_equals_one_permutation_at_a_time(self):
-        # the deduplicated prefix evaluation reproduces the sequential walk bit for bit
+        # the deduplicated prefix evaluation reproduces the sequential walk of
+        # each drawn ordering and its reverse bit for bit
         net = toy_net(seed=60)
         batch = toy_split(net, 5, seed=61)
         u = UtilityFn(net, toy_split(net, 4, seed=62), learning_rate=0.3)
         est = shapley_mc(u, batch, permutations=30, seed=63)
-        rng = np.random.default_rng(63)
-        marginals = np.zeros((30, 5))
-        for r in range(30):
-            mask, prev = 0, 0.0
-            for i in rng.permutation(5).tolist():
-                mask |= 1 << i
-                cur = u.utility_of_mask(mask)
-                marginals[r, i] = cur - prev
-                prev = cur
-        assert np.array_equal(est.values, marginals.mean(axis=0))
-        assert np.array_equal(est.stderr, marginals.std(axis=0, ddof=1) / math.sqrt(30))
+        pair_means = walked_pair_means(u, 5, pairs=15, seed=63)
+        assert np.array_equal(est.values, pair_means.mean(axis=0))
+        assert np.array_equal(est.stderr, pair_means.std(axis=0, ddof=1) / math.sqrt(15))
+        assert est.permutations_used == 30
 
     def test_equals_one_permutation_at_a_time_sixteen(self):
         # the same walk at the shipped probe size, where prefixes share blocks
@@ -436,17 +462,42 @@ class TestShapleyMC:
         batch = toy_split(net, 16, seed=65)
         u = UtilityFn(net, toy_split(net, 60, seed=66), learning_rate=0.05)
         est = shapley_mc(u, batch, permutations=40, seed=67)
-        rng = np.random.default_rng(67)
-        marginals = np.zeros((40, 16))
-        for r in range(40):
-            mask, prev = 0, 0.0
-            for i in rng.permutation(16).tolist():
-                mask |= 1 << i
-                cur = u.utility_of_mask(mask)
-                marginals[r, i] = cur - prev
-                prev = cur
-        assert np.array_equal(est.values, marginals.mean(axis=0))
-        assert np.array_equal(est.stderr, marginals.std(axis=0, ddof=1) / math.sqrt(40))
+        pair_means = walked_pair_means(u, 16, pairs=20, seed=67)
+        assert np.array_equal(est.values, pair_means.mean(axis=0))
+        assert np.array_equal(est.stderr, pair_means.std(axis=0, ddof=1) / math.sqrt(20))
+
+    def test_odd_count_rounds_up_to_whole_pairs(self):
+        net = toy_net(seed=76)
+        batch = toy_split(net, 5, seed=77)
+        u = UtilityFn(net, toy_split(net, 4, seed=78), learning_rate=0.3)
+        odd = shapley_mc(u, batch, permutations=7, seed=79)
+        even = shapley_mc(u, batch, permutations=8, seed=79)
+        assert odd.permutations_used == even.permutations_used == 8
+        assert odd.values.tobytes() == even.values.tobytes()
+        assert odd.stderr.tobytes() == even.stderr.tobytes()
+        pair_means = walked_pair_means(u, 5, pairs=4, seed=79)
+        assert np.array_equal(odd.values, pair_means.mean(axis=0))
+
+    @pytest.mark.parametrize("permutations", [1, 2])
+    def test_one_or_two_permutations_are_one_pair_with_zero_stderr(self, permutations):
+        net = toy_net(seed=80)
+        batch = toy_split(net, 5, seed=81)
+        u = UtilityFn(net, toy_split(net, 4, seed=82), learning_rate=0.3)
+        est = shapley_mc(u, batch, permutations=permutations, seed=83)
+        assert est.permutations_used == 2
+        assert np.array_equal(est.values, walked_pair_means(u, 5, pairs=1, seed=83)[0])
+        assert np.array_equal(est.stderr, np.zeros(5))
+
+    def test_exhaustive_bits_unchanged_by_the_paired_draw(self):
+        # sha256 of values then stderr bytes, taken with the plain per-ordering
+        # estimate the paired draw replaced; every ordering is still visited once
+        net = toy_net(seed=72, dims=(8, 16, 3))
+        batch = toy_split(net, 6, seed=73)
+        u = UtilityFn(net, toy_split(net, 30, seed=74), learning_rate=0.05)
+        est = shapley_mc(u, batch, permutations=1, seed=75, exhaustive=True)
+        assert est.permutations_used == math.factorial(6)
+        digest = hashlib.sha256(est.values.tobytes() + est.stderr.tobytes()).hexdigest()
+        assert digest[:16] == "a9328814217c48db"
 
     @pytest.mark.parametrize("n, exhaustive", [(16, False), (70, False), (5, True)])
     def test_bitmask_dedupe_equals_packbits_reference(self, n, exhaustive):
