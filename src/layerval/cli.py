@@ -25,7 +25,7 @@ from .evaluation import emit_reports, run_fidelity
 from .influence import Estimator, bound_diagnostics, variance_diagnostic
 from .network import MLP, batch_taps, load_checkpoint, save_checkpoint
 from .oracle import EXHAUSTIVE_MAX
-from .trainer import ConfigError, TrainerConfig, batch_cost, check_setting, train
+from .trainer import ConfigError, TrainerConfig, batch_cost, cache_rows, check_setting, train
 
 
 _TRAINER = {f.name: (f.default, f.metadata.get("check")) for f in dataclasses.fields(TrainerConfig)}
@@ -303,7 +303,7 @@ def cmd_diagnose(config: dict) -> int:
     }, out / "variance.json")
     cfg = build_trainer_config(config)
     n = min(cfg.batch_size, len(bundle.train))
-    m = math.ceil(cfg.val_fraction_per_batch * len(bundle.validation))
+    m = cache_rows(cfg, len(bundle.validation))
     costs = {est.value: dict(zip(("macs", "cache_bytes"), batch_cost(net, est, n, m)))
              for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI)}
     lai, ghost = costs[Estimator.LAI.value], costs[Estimator.GHOST.value]

@@ -203,7 +203,7 @@ def load_csv(path: str | Path) -> Split:
 
 
 def write_bundle(bundle: DatasetBundle, out_dir: str | Path,
-                 fractions: tuple[float, float, float] | None = None) -> None:
+                 fractions: tuple[float, float, float]) -> None:
     """Write train/val/test CSVs plus a manifest describing the construction."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,7 +215,7 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path,
         "num_classes": bundle.num_classes,
         "feature_dim": bundle.train.features.shape[1],
         "flip_rate": bundle.noise_rate,
-        "fractions": list(fractions) if fractions else None,
+        "fractions": list(fractions),
         "counts": {"train": len(bundle.train), "validation": len(bundle.validation),
                    "test": len(bundle.test)},
         "flipped": int(np.count_nonzero(bundle.train.noisy)),
@@ -223,11 +223,10 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path,
     serialize.dump_json(manifest, out / "manifest.json")
 
 
-def load_bundle(dir_path: str | Path, num_classes: int | None = None,
-                noise_rate: float = 0.0, seed: int = 0) -> DatasetBundle:
+def load_bundle(dir_path: str | Path, noise_rate: float = 0.0, seed: int = 0) -> DatasetBundle:
+    """The train/val/test CSVs of a directory; num_classes is one past the largest label."""
     d = Path(dir_path)
     train, val, test = (load_csv(d / name) for name in ("train.csv", "val.csv", "test.csv"))
-    if num_classes is None:
-        num_classes = max(int(s.labels.max(initial=-1)) for s in (train, val, test)) + 1
+    num_classes = max(int(s.labels.max(initial=-1)) for s in (train, val, test)) + 1
     return DatasetBundle(train=train, validation=val, test=test,
                          num_classes=num_classes, noise_rate=noise_rate, seed=seed)

@@ -68,7 +68,7 @@ class FidelityRecord:
     shapley_stderr: list[float]
     pearson: dict[str, float | None]  # None marks a degenerate checkpoint
     spearman: dict[str, float | None]
-    probe_ids: list[int] | None = None  # sample ids of the shapley entries; None: positions
+    probe_ids: list[int]  # sample ids of the shapley entries
 
 
 @dataclass
@@ -139,11 +139,11 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     Checkpoints with a constant score vector (either side) are flagged with
     None correlations and excluded from the summary means.
 
-    Each checkpoint is valued in a worker process, one per usable CPU,
-    started with the platform's default method and submitted as training
-    reaches it; the caller only trains, then collects the records in
-    checkpoint order. Each checkpoint keeps its own seed, so the records are
-    the same bytes at any worker count. Under `fork` (Linux up to Python
+    Each checkpoint is valued in a worker process, one per usable CPU and
+    at most one per checkpoint, started with the platform's default method
+    and submitted as training reaches it; the caller only trains, then
+    collects the records in checkpoint order. Each checkpoint keeps its own
+    seed, so the records are the same bytes at any worker count. Under `fork` (Linux up to Python
     3.13) a worker inherits the caller's imports and starts in milliseconds,
     and no resource-tracker process is left behind. Where the default is
     `spawn` or `forkserver` (macOS, Python >= 3.14) workers re-import the
@@ -170,9 +170,12 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
 
     from concurrent.futures import ProcessPoolExecutor
 
-    # under fork the pool forks every worker at the first submit, before it starts
-    # its own thread, so no thread of this module runs while a worker is forked
-    pool = ProcessPoolExecutor(_worker_count())
+    # at most one worker per checkpoint: train calls the hook every checkpoint_every
+    # steps, or once at the end of a shorter run. Under fork the pool forks all its
+    # workers at the first submit, before it starts its own thread, so no thread of
+    # this module runs meanwhile
+    steps = cfg.epochs * -(-len(data.train) // cfg.batch_size)
+    pool = ProcessPoolExecutor(max(1, min(_worker_count(), steps // checkpoint_every)))
     futures = []
 
     def submit(step: int, snap: MLP) -> None:
@@ -243,8 +246,7 @@ def emit_reports(records: list[FidelityRecord] | None,
         path = out / "shapley.csv"
         serialize.write_csv(path, ["step", "sample_id", "value", "stderr"], [
             [r.step, sid, value, stderr] for r in records
-            for sid, value, stderr in zip(r.probe_ids or range(len(r.shapley)),
-                                          r.shapley, r.shapley_stderr)])
+            for sid, value, stderr in zip(r.probe_ids, r.shapley, r.shapley_stderr)])
         written.append(path)
     if summary is not None:
         path = out / "fidelity_summary.json"

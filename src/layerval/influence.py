@@ -46,6 +46,12 @@ class Estimator(str, Enum):
     PRECOND_LAI = "precond_lai"
     NONE = "none"
 
+    @property
+    def full_backward(self) -> bool:
+        """Whether scoring reads g(l) of every layer, so needs taps from a full
+        backward pass (Ghost, IP); the LAI family reads g(L) only."""
+        return self in (Estimator.GHOST, Estimator.IP)
+
 
 @dataclass
 class PairSimilarities:
@@ -105,12 +111,6 @@ def pair_similarities(taps_z: SampleTaps, taps_j: SampleTaps,
     return PairSimilarities(alpha=alpha, beta=beta)
 
 
-def _flat_grads(taps: BatchTaps, l: int) -> np.ndarray:
-    """Row-stacked flattened layer-l gradients [dW(l), db(l)] = g(l) [a(l-1), 1]^T."""
-    g, a = taps.grads[l], taps.acts[l]
-    return (g[:, :, None] * a[:, None, :]).reshape(len(taps), -1)
-
-
 def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
                 precond: Preconditioner | None = None,
                 calibrate: bool = False) -> np.ndarray:
@@ -124,16 +124,16 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
         IP           explicit flattened-gradient Gram, the reference for Ghost
 
     Products of Gram matrices are elementwise. With calibrate=True the LAI-family
-    alpha(l) is divided by dim(a~(l-1)); Ghost and IP ignore it. Ghost and
-    IP need taps from a full backward pass.
+    alpha(l) is divided by dim(a~(l-1)); Ghost and IP ignore it. Estimators
+    with full_backward need taps from a full backward pass.
     """
     depth = len(z_taps.acts)
     if len(j_taps.acts) != depth:
         raise ValueError("taps come from different architectures")
-    if estimator in (Estimator.GHOST, Estimator.IP) and not (z_taps.full and j_taps.full):
+    if estimator.full_backward and not (z_taps.full and j_taps.full):
         raise ValueError(f"{estimator.value} scoring needs taps from a full backward pass")
     if estimator is Estimator.IP:
-        return sum(_flat_grads(z_taps, l) @ _flat_grads(j_taps, l).T for l in range(depth))
+        return sum(z_taps.flat_grads(l) @ j_taps.flat_grads(l).T for l in range(depth))
     if estimator is Estimator.GHOST:
         return sum((az @ aj.T) * (gz @ gj.T) for az, aj, gz, gj in
                    zip(z_taps.acts, j_taps.acts, z_taps.grads, j_taps.grads))

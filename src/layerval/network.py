@@ -262,6 +262,12 @@ class BatchTaps:
     def full(self) -> bool:
         return len(self.grads) == len(self.acts)
 
+    def flat_grads(self, l: int) -> np.ndarray:
+        """Row-stacked flattened gradients [dW, db] = g [a, 1]^T of layer l + 1
+        (grads[l] and acts[l]); forward-only taps have them for the last layer only."""
+        g, a = self.grads[l - len(self.acts)], self.acts[l]
+        return (g[:, :, None] * a[:, None, :]).reshape(len(self), -1)
+
     def rows(self, index) -> "BatchTaps":
         """The taps of the rows a slice or an index array selects."""
         return BatchTaps([a[index] for a in self.acts], [g[index] for g in self.grads],

@@ -42,9 +42,10 @@ class UtilityFn:
     """One-step validation-loss-decrease game over a frozen checkpoint.
 
     A coalition's step is rank-1 per member and layer: with D_l[i] the flat
-    g_l(i) (x) a~_l(i) from the bound batch's taps, a coalition's flat
-    weights [W|b] - eta * sum_{i in S} D_l[i] are the product of the row
-    [1, M] (M its 0/1 membership) with E_l = [ravel([W|b]); -eta * D_l].
+    g_l(i) (x) a~_l(i) (the bound batch's BatchTaps.flat_grads rows), a
+    coalition's flat weights [W|b] - eta * sum_{i in S} D_l[i] are the
+    product of the row [1, M] (M its 0/1 membership) with
+    E_l = [ravel([W|b]); -eta * D_l].
     Coalitions are evaluated in blocks of BLOCK: one stacked (1, n+1) @ E_l
     product per coalition gives its weights. The validation rows enter as a
     C-contiguous [X^T; 1] and hidden activations are (b, out+1, V) with a ones
@@ -84,9 +85,8 @@ class UtilityFn:
         taps = batch_taps(self.net, batch.features, batch.labels, backward=True)
         eta = self.learning_rate
         self._weight_rows = [
-            np.vstack([np.hstack([l.weights, l.bias[:, None]]).ravel(),
-                       -eta * (G[:, :, None] * A[:, None, :]).reshape(len(batch), -1)])
-            for l, A, G in zip(self.net.layers, taps.acts, taps.grads)]
+            np.vstack([np.hstack([l.weights, l.bias[:, None]]).ravel(), -eta * taps.flat_grads(i)])
+            for i, l in enumerate(self.net.layers)]
         self._batch = batch
 
     def _ensure_batch(self, batch: Split | None = None) -> Split:

@@ -38,17 +38,17 @@ def fmt17_column(values) -> Iterator[str]:
             for s in (format(x, ".17g") for x in values.tolist()))
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON text, floats via :func:`fmt17`, keys in given order."""
+def dumps(obj: Any) -> str:
+    """Serialize to JSON text indented by 2, floats via :func:`fmt17`, keys in given order."""
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
+def _emit(obj: Any, out: list[str], depth: int) -> None:
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -68,7 +68,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {type(k)!r}")
             out.append(pad + json.dumps(k) + ": ")
-            _emit(v, out, indent, depth + 1)
+            _emit(v, out, depth + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -84,7 +84,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(pad)
-            _emit(v, out, indent, depth + 1)
+            _emit(v, out, depth + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(close_pad + "]")
     else:

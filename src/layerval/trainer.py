@@ -134,50 +134,33 @@ class TrainerConfig:
 # --- cost accounting -------------------------------------------------------
 
 
-def _act_dims(net: MLP) -> list[int]:
-    return [layer.spec.in_dim for layer in net.layers]
-
-
-def _grad_dims(net: MLP) -> list[int]:
-    return [layer.spec.out_dim for layer in net.layers]
-
-
 def backward_extra_macs(net: MLP) -> int:
     """MACs of the backward chain below the logits: matvec plus gating per layer."""
-    total = 0
-    for layer in net.layers[1:]:
-        total += layer.spec.out_dim * layer.spec.in_dim + layer.spec.in_dim
-    return total
-
-
-def pair_macs(net: MLP, estimator: Estimator) -> int:
-    """MACs of scoring one (train, validation) pair from cached vectors."""
-    aug = [d + 1 for d in _act_dims(net)]
-    gdims = _grad_dims(net)
-    if estimator in (Estimator.LAI, Estimator.PRECOND_LAI):
-        return sum(aug) + gdims[-1] + 1
-    if estimator is Estimator.LLI:
-        return aug[-1] + gdims[-1] + 1
-    if estimator is Estimator.GHOST:
-        return sum(a + g + 1 for a, g in zip(aug, gdims))
-    if estimator is Estimator.IP:
-        return net.num_params
-    raise ValueError(f"no pair cost for estimator {estimator}")
+    return sum((layer.spec.out_dim + 1) * layer.spec.in_dim for layer in net.layers[1:])
 
 
 def cache_reals_per_sample(net: MLP, estimator: Estimator) -> int:
-    """Cached 64-bit reals per validation sample for an estimator family."""
-    aug = [d + 1 for d in _act_dims(net)]
-    gdims = _grad_dims(net)
+    """Cached 64-bit reals per validation sample: the tap blocks the estimator's
+    pair_matrix branch reads, each [a(l-1), 1] (LLI: the last) and g(L) for the
+    LAI family, every block for Ghost, and the flattened gradients for IP."""
+    aug = [layer.spec.in_dim + 1 for layer in net.layers]
     if estimator in (Estimator.LAI, Estimator.PRECOND_LAI):
-        return sum(aug) + gdims[-1]
+        return sum(aug) + net.out_dim
     if estimator is Estimator.LLI:
-        return aug[-1] + gdims[-1]
+        return aug[-1] + net.out_dim
     if estimator is Estimator.GHOST:
-        return sum(aug) + sum(gdims)
+        return sum(aug) + sum(layer.spec.out_dim for layer in net.layers)
     if estimator is Estimator.IP:
         return net.num_params
     raise ValueError(f"no cache layout for estimator {estimator}")
+
+
+def pair_macs(net: MLP, estimator: Estimator) -> int:
+    """MACs of scoring one (train, validation) pair from cached vectors: one per
+    cached real plus one alpha(l) * beta(l) product per g(l) the score reads
+    (Ghost: every layer, the LAI family: g(L), IP: none, no alpha/beta split)."""
+    products = {Estimator.GHOST: net.depth, Estimator.IP: 0}.get(estimator, 1)
+    return cache_reals_per_sample(net, estimator) + products
 
 
 def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
@@ -196,16 +179,11 @@ def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
     cache_reals_per_sample 64-bit reals for each row held, the batch's own
     n rows in self mode.
     """
-    if estimator is Estimator.GHOST:
-        extra = backward_extra_macs(net)
-    elif estimator is Estimator.IP:
-        # and the per-sample weight gradients g(l) a(l-1)^T
-        extra = backward_extra_macs(net) + sum(
-            layer.spec.out_dim * layer.spec.in_dim for layer in net.layers)
+    extra = backward_extra_macs(net) if estimator.full_backward else 0
+    if estimator is Estimator.IP:  # and the per-sample weight gradients g(l) a(l-1)^T
+        extra += sum(layer.spec.out_dim * layer.spec.in_dim for layer in net.layers)
     elif estimator is Estimator.PRECOND_LAI:
         extra = net.out_dim
-    else:
-        extra = 0
     macs = n * extra
     if cached:
         macs += n * m * pair_macs(net, estimator)
@@ -243,8 +221,10 @@ class CostLedger:
 # --- validation cache ------------------------------------------------------
 
 
-def _needs_backward(estimator: Estimator) -> bool:
-    return estimator in (Estimator.GHOST, Estimator.IP)
+def cache_rows(cfg: TrainerConfig, validation_size: int) -> int:
+    """Rows of the validation subsample in each cache of a run:
+    ceil(val_fraction_per_batch * |validation|)."""
+    return math.ceil(cfg.val_fraction_per_batch * validation_size)
 
 
 @dataclass
@@ -269,7 +249,7 @@ def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
         raise ValueError("validation subset must be nonempty")
     if estimator is Estimator.NONE:
         raise ValueError("cannot build a cache for estimator 'none'")
-    if _needs_backward(estimator) and not val_taps.full:
+    if estimator.full_backward and not val_taps.full:
         raise ValueError(f"a {estimator.value} cache needs taps from a full backward pass")
     return ValidationCache(step_id=step_id, estimator=estimator, taps=val_taps,
                            byte_size=batch_cost(net, estimator, 0, len(val_taps))[1])
@@ -450,7 +430,6 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     n, ids = len(data.train), data.train.ids.copy()
     X = np.concatenate([data.train.features, data.validation.features])  # validation from n on
     y = np.concatenate([data.train.labels, data.validation.labels])
-    backward = _needs_backward(cfg.estimator)
     epoch_stats: list[EpochStats] = []
     inclusion = np.zeros((cfg.epochs, n), dtype=bool)
     score_steps: list[np.ndarray] = []
@@ -458,7 +437,6 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     score_benefits: list[np.ndarray] = []
     cache: ValidationCache | None = None  # stays None in self mode
     step = 0
-    checkpoints_fired = 0
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
         epoch_losses: list[np.ndarray] = []
@@ -470,10 +448,10 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             k = 0  # leading validation rows of this step's pass, at a cache refresh
             if curating and cfg.mode is CurationMode.VALIDATION and (
                     cache is None or step - cache.step_id >= cfg.cache_refresh_steps):
-                k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
+                k = cache_rows(cfg, len(data.validation))
                 idx = rng_val.choice(len(data.validation), size=k, replace=False)
                 rows = np.concatenate([n + np.sort(idx), rows])
-            taps = _taps(net, X[rows], y[rows], backward or not curating)
+            taps = _taps(net, X[rows], y[rows], cfg.estimator.full_backward or not curating)
             if k:
                 cache = build_validation_cache(net, taps.rows(slice(0, k)), cfg.estimator, step)
                 taps = taps.rows(slice(k, None))
@@ -502,7 +480,6 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             if checkpoint_hook is not None and cfg.checkpoint_every > 0 \
                     and step % cfg.checkpoint_every == 0:
                 checkpoint_hook(step, net.copy())
-                checkpoints_fired += 1
         benefits = _column(score_benefits[first_scored:], np.float64)
         edges, counts = _histogram(benefits)
         epoch_stats.append(EpochStats(
@@ -515,9 +492,8 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             histogram_edges=edges,
             histogram_counts=counts,
         ))
-    if checkpoint_hook is not None and cfg.checkpoint_every > 0 and checkpoints_fired == 0 \
-            and step > 0:
-        checkpoint_hook(step, net.copy())
+    if checkpoint_hook is not None and 0 < step < cfg.checkpoint_every:
+        checkpoint_hook(step, net.copy())  # a run too short to reach a checkpoint
     report = TrainingReport(
         epoch_stats=epoch_stats, sample_ids=ids, inclusion=inclusion,
         score_steps=_column(score_steps, np.int64), score_ids=_column(score_ids, np.int64),

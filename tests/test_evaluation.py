@@ -306,6 +306,55 @@ class TestFidelityWorkers:
                 assert ((tmp_path / str(workers) / name).read_bytes()
                         == (tmp_path / "serial" / name).read_bytes())
 
+    @pytest.mark.parametrize("every, checkpoints", [(4, 3), (100, 1)])
+    def test_pool_has_at_most_one_worker_per_checkpoint(self, monkeypatch, every, checkpoints):
+        bundle = tiny_bundle(seed=8)
+        net = MLP.initialize([4, 6, 3], ["tanh", "linear"], seed=8)
+        cfg = TrainerConfig(learning_rate=0.05, batch_size=3, epochs=2,
+                            warmup_epochs=0, mode=CurationMode.OFF, seed=8)
+
+        def run():  # 14 steps: every 4 fires 3 checkpoints, every 100 one at the end
+            return run_fidelity(net, cfg, bundle, probe_batch_size=4,
+                                checkpoint_every=every, permutations=20)
+
+        with monkeypatch.context() as serial:
+            serial.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+            reference = run()
+        assert len(reference[0]) == checkpoints
+        real_pool, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 6)
+        threads_before = set(threading.enumerate())
+        assert within(120, run) == reference
+        self.leaves_nothing_running(threads_before)
+        assert sizes == [checkpoints]
+
+    def test_pool_size_follows_the_hook_calls_of_train(self, monkeypatch):
+        # 21 training rows; no process starts: SerialPool values the checkpoints
+        bundle = tiny_bundle(seed=5)
+        net = MLP.initialize([4, 5, 3], ["relu", "linear"], seed=5)
+        sizes = []
+
+        class RecordingPool(SerialPool):
+            def __init__(self, workers):
+                sizes.append(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 6)
+        for batch in (1, 3, 16):
+            for epochs in (0, 1, 3):
+                cfg = TrainerConfig(learning_rate=0.05, batch_size=batch, epochs=epochs,
+                                    warmup_epochs=0, mode=CurationMode.OFF, seed=5)
+                for every in (1, 2, 5, 50):
+                    records, _ = run_fidelity(net, cfg, bundle, probe_batch_size=2,
+                                              checkpoint_every=every, permutations=2)
+                    assert sizes.pop() == max(1, min(6, len(records)))
+
     def test_no_worker_outlives_a_return_or_a_raise(self, monkeypatch):
         run = self.fidelity_run()
         monkeypatch.setattr(evaluation, "_worker_count", lambda: 2)
@@ -427,6 +476,16 @@ class TestEmitReports:
             h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
         assert h.hexdigest()[:16] == digest
 
+    def test_generate_outputs_pinned(self, tmp_path):
+        # hashed as test_shipped_config_outputs_pinned hashes its files
+        path = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        assert main(["generate", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        h = hashlib.sha256()
+        for name in ("train.csv", "val.csv", "test.csv", "manifest.json"):
+            h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+        assert h.hexdigest()[:16] == "82aae518fba48b80"
+
     def test_empty_records_header_only(self, tmp_path):
         summary = summarize_fidelity([], floor=0.5)
         paths = emit_reports([], summary, None, tmp_path)
@@ -446,7 +505,7 @@ class TestEmitReports:
                     "ip": [0.3, 0.4], "lli": [0.5, 0.6]},
             shapley=[0.01, 0.02], shapley_stderr=[0.001, 0.001],
             pearson={"lai": 0.75, "ghost": None, "ip": 1.0, "lli": -0.5},
-            spearman={"lai": 1.0, "ghost": None, "ip": 1.0, "lli": -1.0})
+            spearman={"lai": 1.0, "ghost": None, "ip": 1.0, "lli": -1.0}, probe_ids=[3, 8])
         emit_reports([record], summarize_fidelity([record]), None, tmp_path)
         header, rows = read_csv(tmp_path / "fidelity.csv")
         parsed = {(int(r[0]), r[1]): (r[2], r[3]) for r in rows}
@@ -459,15 +518,15 @@ class TestEmitReports:
             step=7, scores={"lai": [0.1, 0.2]},
             shapley=[0.01, 0.03], shapley_stderr=[0.001, 0.003],
             pearson={"lai": 1.0}, spearman={"lai": 1.0}, probe_ids=[41, 5])
-        # no spread: left out of the ratio; no probe ids: numbered by position
-        flat = replace(record, step=9, shapley=[0.02, 0.02], probe_ids=None)
+        # no spread: left out of the ratio; each checkpoint's rows carry its own ids
+        flat = replace(record, step=9, shapley=[0.02, 0.02], probe_ids=[12, 0])
         emit_reports([record, flat], summarize_fidelity([record, flat]), None, tmp_path)
         header, rows = read_csv(tmp_path / "shapley.csv")
         assert header == ["step", "sample_id", "value", "stderr"]
         assert rows == [["7", "41", fmt17(0.01), fmt17(0.001)],
                         ["7", "5", fmt17(0.03), fmt17(0.003)],
-                        ["9", "0", fmt17(0.02), fmt17(0.001)],
-                        ["9", "1", fmt17(0.02), fmt17(0.003)]]
+                        ["9", "12", fmt17(0.02), fmt17(0.001)],
+                        ["9", "0", fmt17(0.02), fmt17(0.003)]]
         doc = json.loads((tmp_path / "fidelity_summary.json").read_text())
         assert doc["mean_stderr_to_spread"] == 0.002 / (0.03 - 0.01)
 

@@ -37,6 +37,9 @@ from reference import (
 )
 
 
+SCORED = [Estimator.IP, Estimator.GHOST, Estimator.LAI, Estimator.LLI, Estimator.PRECOND_LAI]
+
+
 def identity_net(dim=2):
     spec = LayerSpec(dim, dim, Activation.LINEAR)
     return MLP(layers=[Layer(np.eye(dim), np.zeros(dim), spec)])
@@ -462,6 +465,26 @@ class TestPairMatrix:
             with pytest.raises(ValueError, match="full backward"):
                 pair_matrix(est, full, partial)
         pair_matrix(Estimator.LAI, full, partial)  # LAI needs g(L) only
+
+    def test_full_backward_is_ghost_and_ip(self):
+        assert {e for e in Estimator if e.full_backward} == {Estimator.GHOST, Estimator.IP}
+
+    @pytest.mark.parametrize("estimator", SCORED)
+    def test_forward_only_taps_rejected_exactly_when_full_backward(self, estimator):
+        net = MLP.initialize([3, 5, 4, 2], ["relu", "tanh", "linear"], seed=6)
+        data = toy_split(net, 3, seed=7)
+        full = batch_taps(net, data.features, data.labels, backward=True)
+        partial = batch_taps(net, data.features, data.labels, backward=False)
+        precond = Preconditioner(np.array([0.5, 2.0]))
+        mixed = ((full, partial), (partial, full), (partial, partial))
+        if estimator.full_backward:
+            for z, j in mixed:
+                with pytest.raises(ValueError, match="full backward"):
+                    pair_matrix(estimator, z, j, precond)
+        else:  # the LAI family reads g(L) alone: the same bits from forward-only taps
+            want = pair_matrix(estimator, full, full, precond)
+            for z, j in mixed:
+                assert np.array_equal(pair_matrix(estimator, z, j, precond), want)
 
     def test_precond_requires_preconditioner(self):
         net = MLP.initialize([3, 2], ["linear"], seed=2)

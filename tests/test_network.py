@@ -273,6 +273,23 @@ class TestBatchTaps:
                                        rtol=1e-12, atol=1e-15)
             assert taps.losses[i] == pytest.approx(ref.loss, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("dims, acts", [([4, 3], ["linear"]),
+                                            ([3, 5, 4, 2], ["relu", "tanh", "linear"])])
+    def test_flat_grads_are_the_per_sample_parameter_gradients(self, dims, acts):
+        net = seeded_net(dims, acts, seed=11)
+        rng = np.random.default_rng(11)
+        X, labels = rng.normal(size=(4, dims[0])), rng.integers(dims[-1], size=4)
+        full = batch_taps(net, X, labels, backward=True)
+        for i in range(4):
+            grads = param_grads(evaluate_sample(net, X[i], int(labels[i])))
+            for l, (gw, gb) in enumerate(zip(grads.weight_grads, grads.bias_grads)):
+                np.testing.assert_allclose(full.flat_grads(l)[i],
+                                           np.hstack([gw, gb[:, None]]).ravel(),
+                                           rtol=1e-12, atol=1e-15)
+        # forward-only taps hold g(L) alone: the last layer's rows, the same bits
+        last = batch_taps(net, X, labels, backward=False).flat_grads(net.depth - 1)
+        assert np.array_equal(last, full.flat_grads(net.depth - 1))
+
     @given(st.integers(0, 2 ** 16), st.lists(st.sampled_from(ALL_ACTS), min_size=0, max_size=2),
            st.integers(1, 12), st.data())
     @settings(max_examples=60, deadline=None)

@@ -45,14 +45,16 @@ from reference import (
 )
 
 
+SCORED = [Estimator.IP, Estimator.GHOST, Estimator.LAI, Estimator.LLI, Estimator.PRECOND_LAI]
+
+
 def toy_net(dims=(3, 4, 2), acts=("relu", "linear"), seed=0):
     return MLP.initialize(list(dims), list(acts), seed=seed)
 
 
 def taps_of(net, split, estimator=Estimator.LAI):
     """One pass over a split's rows, with a full backward pass where the estimator needs one."""
-    return batch_taps(net, split.features, split.labels,
-                      backward=estimator in (Estimator.GHOST, Estimator.IP))
+    return batch_taps(net, split.features, split.labels, backward=estimator.full_backward)
 
 
 def no_taps(net):
@@ -136,6 +138,17 @@ class TestValidationCache:
         net = toy_net(seed=1)
         with pytest.raises(ValueError, match="full backward"):
             build_validation_cache(net, taps_of(net, toy_split(net, 2, seed=2)), estimator)
+
+    @pytest.mark.parametrize("estimator", SCORED)
+    def test_forward_only_taps_rejected_exactly_when_full_backward(self, estimator):
+        net = toy_net(dims=(3, 5, 4, 2), acts=("relu", "tanh", "linear"), seed=3)
+        val = toy_split(net, 2, seed=4)
+        partial = batch_taps(net, val.features, val.labels, backward=False)
+        if estimator.full_backward:
+            with pytest.raises(ValueError, match="full backward"):
+                build_validation_cache(net, partial, estimator)
+        else:
+            assert build_validation_cache(net, partial, estimator).taps is partial
 
 
 class TestCurateBatch:
@@ -546,6 +559,29 @@ class TestLedger:
         assert cache_reals_per_sample(net, Estimator.LAI) == (9 + 17 + 17) + 4
         assert cache_reals_per_sample(net, Estimator.LLI) == 17 + 4
         assert cache_reals_per_sample(net, Estimator.IP) == net.num_params
+
+    @pytest.mark.parametrize("dims, acts", [((5, 3), ("linear",)),
+                                            ((4, 6, 3), ("relu", "linear")),
+                                            ((3, 5, 4, 2), ("relu", "tanh", "linear"))])
+    def test_cache_reals_are_the_tap_blocks_pair_matrix_reads(self, dims, acts):
+        net = toy_net(dims=dims, acts=acts, seed=46)
+        taps = taps_of(net, toy_split(net, 1, seed=47), Estimator.GHOST)
+
+        def reals(blocks):
+            return sum(block.shape[1] for block in blocks)
+
+        read = {
+            Estimator.LAI: reals(taps.acts + taps.grads[-1:]),
+            Estimator.PRECOND_LAI: reals(taps.acts + taps.grads[-1:]),
+            Estimator.LLI: reals(taps.acts[-1:] + taps.grads[-1:]),
+            Estimator.GHOST: reals(taps.acts + taps.grads),
+            Estimator.IP: reals(taps.flat_grads(l) for l in range(net.depth)),
+        }
+        # plus one alpha(l) * beta(l) product per g(l) read; IP has no such split
+        products = {Estimator.GHOST: net.depth, Estimator.IP: 0}
+        for est, want in read.items():
+            assert cache_reals_per_sample(net, est) == want
+            assert pair_macs(net, est) == want + products.get(est, 1)
 
     def test_lai_cheaper_than_ghost_at_depth_three(self):
         net = toy_net(dims=(6, 10, 12, 3), acts=("relu", "tanh", "linear"), seed=31)
