@@ -9,7 +9,6 @@ from .data import DatasetBundle, Sample, Split
 from .influence import (
     Estimator,
     PairSimilarities,
-    Preconditioner,
     pair_matrix,
     pair_similarities,
 )

@@ -171,11 +171,7 @@ def build_dataset(config: dict):
         for name in ("train.csv", "val.csv", "test.csv"):
             if not (d / name).exists():
                 raise FileNotFoundError(f"dataset file missing: {d / name}")
-        manifest_path = d / "manifest.json"
-        noise = ds["flip_rate"]
-        if manifest_path.exists():
-            noise = serialize.load_json(manifest_path).get("flip_rate", noise)
-        bundle = load_bundle(d, noise_rate=noise, seed=config["seed"])
+        bundle = load_bundle(d)
         _check_csv_fits_model(d, bundle, config["model"]["layer_dims"])
         return bundle
     return make_noisy_blob_bundle(
@@ -218,9 +214,22 @@ def _prepare_out(config: dict) -> Path:
 
 
 def cmd_generate(config: dict) -> int:
+    """Write the splits and a manifest. From CSV splits, num_classes is one past
+    the largest label and flip_rate the source manifest's, if it has one."""
     out = _prepare_out(config)
     bundle = build_dataset(config)
-    write_bundle(bundle, out, fractions=tuple(config["dataset"]["fractions"]))
+    ds = config["dataset"]
+    num_classes, flip_rate = ds["num_classes"], ds["flip_rate"]
+    if _reads_csv(ds):
+        splits = (bundle.train, bundle.validation, bundle.test)
+        num_classes = 1 + max(int(rows.labels.max()) for rows in splits)
+        source = Path(ds["dir"]) / "manifest.json"
+        if source.exists():
+            manifest = serialize.load_json(source)
+            if not isinstance(manifest, dict):
+                raise ValueError(f"{source}: manifest must be a JSON object")
+            flip_rate = manifest.get("flip_rate", flip_rate)
+    write_bundle(bundle, out, config["seed"], num_classes, flip_rate, tuple(ds["fractions"]))
     return 0
 
 
@@ -292,7 +301,7 @@ def cmd_diagnose(config: dict) -> int:
     }, out / "bound.json")
     subset_size = min(d["subset_size"], len(bundle.validation))
     var_ghost, var_lai = variance_diagnostic(
-        net, (bundle.validation[0], bundle.train[0]), bundle.validation,
+        net, (bundle.validation[:1], bundle.train[:1]), bundle.validation,
         resamples=d["resamples"], subset_size=subset_size, seed=config["seed"])
     serialize.dump_json({
         "var_ghost": var_ghost,

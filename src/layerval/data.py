@@ -83,9 +83,6 @@ class DatasetBundle:
     train: Split
     validation: Split
     test: Split
-    num_classes: int
-    noise_rate: float
-    seed: int
 
 
 class CsvFormatError(ValueError):
@@ -127,8 +124,7 @@ def inject_label_noise(rows: Split, flip_rate: float, num_classes: int, seed: in
     return replace(rows, labels=labels, noisy=noisy)
 
 
-def split(rows: Split, fractions: tuple[float, float, float],
-          seed: int, num_classes: int | None = None) -> DatasetBundle:
+def split(rows: Split, fractions: tuple[float, float, float], seed: int) -> DatasetBundle:
     """Seeded shuffle then contiguous train/validation/test partition."""
     if any(f <= 0.0 for f in fractions):
         raise ValueError("all split fractions must be positive")
@@ -143,9 +139,7 @@ def split(rows: Split, fractions: tuple[float, float, float],
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"split produced an empty part: {n_train}/{n_val}/{n_test}")
     return DatasetBundle(
-        shuffled[:n_train], shuffled[n_train:n_train + n_val], shuffled[n_train + n_val:],
-        num_classes=int(rows.labels.max()) + 1 if num_classes is None else num_classes,
-        noise_rate=0.0, seed=seed)
+        shuffled[:n_train], shuffled[n_train:n_train + n_val], shuffled[n_train + n_val:])
 
 
 def make_noisy_blob_bundle(num_classes: int, per_class: int, feature_dim: int,
@@ -154,9 +148,9 @@ def make_noisy_blob_bundle(num_classes: int, per_class: int, feature_dim: int,
                            seed: int) -> DatasetBundle:
     """generate -> split -> flip training labels only (validation/test stay clean)."""
     rows = generate_blobs(num_classes, per_class, feature_dim, spread, seed)
-    bundle = split(rows, fractions, seed + 1, num_classes=num_classes)
+    bundle = split(rows, fractions, seed + 1)
     noisy_train = inject_label_noise(bundle.train, flip_rate, num_classes, seed + 2)
-    return replace(bundle, train=noisy_train, noise_rate=flip_rate, seed=seed)
+    return replace(bundle, train=noisy_train)
 
 
 def save_csv(rows: Split, path: str | Path) -> None:
@@ -202,19 +196,19 @@ def load_csv(path: str | Path) -> Split:
     return loaded
 
 
-def write_bundle(bundle: DatasetBundle, out_dir: str | Path,
-                 fractions: tuple[float, float, float]) -> None:
-    """Write train/val/test CSVs plus a manifest describing the construction."""
+def write_bundle(bundle: DatasetBundle, out_dir: str | Path, seed: int, num_classes: int,
+                 flip_rate: float, fractions: tuple[float, float, float]) -> None:
+    """Write train/val/test CSVs plus a manifest of the construction the caller states."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_csv(bundle.train, out / "train.csv")
     save_csv(bundle.validation, out / "val.csv")
     save_csv(bundle.test, out / "test.csv")
     manifest = {
-        "seed": bundle.seed,
-        "num_classes": bundle.num_classes,
+        "seed": seed,
+        "num_classes": num_classes,
         "feature_dim": bundle.train.features.shape[1],
-        "flip_rate": bundle.noise_rate,
+        "flip_rate": flip_rate,
         "fractions": list(fractions),
         "counts": {"train": len(bundle.train), "validation": len(bundle.validation),
                    "test": len(bundle.test)},
@@ -223,10 +217,7 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path,
     serialize.dump_json(manifest, out / "manifest.json")
 
 
-def load_bundle(dir_path: str | Path, noise_rate: float = 0.0, seed: int = 0) -> DatasetBundle:
-    """The train/val/test CSVs of a directory; num_classes is one past the largest label."""
+def load_bundle(dir_path: str | Path) -> DatasetBundle:
+    """The train/val/test CSVs of a directory."""
     d = Path(dir_path)
-    train, val, test = (load_csv(d / name) for name in ("train.csv", "val.csv", "test.csv"))
-    num_classes = max(int(s.labels.max(initial=-1)) for s in (train, val, test)) + 1
-    return DatasetBundle(train=train, validation=val, test=test,
-                         num_classes=num_classes, noise_rate=noise_rate, seed=seed)
+    return DatasetBundle(*(load_csv(d / name) for name in ("train.csv", "val.csv", "test.csv")))

@@ -60,22 +60,6 @@ class PairSimilarities:
 
 
 @dataclass
-class Preconditioner:
-    """Diagonal EMA of squared output-gradient coordinates, floored away from zero."""
-
-    diag: np.ndarray
-    decay: float = 0.9
-    floor: float = 1e-8
-
-    def __post_init__(self):
-        self.diag = np.maximum(np.asarray(self.diag, dtype=np.float64), self.floor)
-
-    @staticmethod
-    def identity(dim: int, decay: float = 0.9, floor: float = 1e-8) -> "Preconditioner":
-        return Preconditioner(np.ones(dim), decay=decay, floor=floor)
-
-
-@dataclass
 class BoundReport:
     rho_hat: float
     ca_hat: float
@@ -112,7 +96,7 @@ def pair_similarities(taps_z: SampleTaps, taps_j: SampleTaps,
 
 
 def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
-                precond: Preconditioner | None = None,
+                precond: np.ndarray | None = None,
                 calibrate: bool = False) -> np.ndarray:
     """Benefit-sign scores of every pair: entry [z, j] is minus the influence
     of row j of j_taps on row z of z_taps.
@@ -120,7 +104,7 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
         Ghost        sum_l (A_z A_j^T)(l) * (G_z G_j^T)(l)
         LAI          (sum_l (A_z A_j^T)(l)) * (G_z G_j^T)(L)
         LLI          (A_z A_j^T)(L) * (G_z G_j^T)(L)
-        precond_lai  LAI with g(L) scaled by D^(-1/2)
+        precond_lai  LAI with g(L) scaled by D^(-1/2), D = precond (positive)
         IP           explicit flattened-gradient Gram, the reference for Ghost
 
     Products of Gram matrices are elementwise. With calibrate=True the LAI-family
@@ -145,22 +129,19 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
     gz, gj = z_taps.grads[-1], j_taps.grads[-1]
     if estimator is Estimator.PRECOND_LAI:
         if precond is None:
-            raise ValueError("preconditioned scoring needs a Preconditioner")
-        scale = 1.0 / np.sqrt(precond.diag)
+            raise ValueError("preconditioned scoring needs a preconditioner diagonal")
+        scale = 1.0 / np.sqrt(precond)
         gz, gj = gz * scale, gj * scale
     return alpha * (gz @ gj.T)
 
 
-def update_preconditioner(precond: Preconditioner, output_grads) -> Preconditioner:
-    """EMA step: D <- decay*D + (1-decay)*mean(g_L^2), floored.
-
-    output_grads holds one g(L) per row (an array or a list of vectors).
-    """
-    if len(output_grads) == 0:
+def update_preconditioner(diag: np.ndarray, output_grads: np.ndarray, decay: float,
+                          floor: float) -> np.ndarray:
+    """The precond_lai EMA step over a g(L) block, one row per sample:
+    D <- max(decay*D + (1-decay)*mean(g_L^2), floor)."""
+    if not len(output_grads):
         raise ValueError("empty output-gradient batch")
-    sq = np.mean(np.asarray(output_grads, dtype=np.float64) ** 2, axis=0)
-    diag = precond.decay * precond.diag + (1.0 - precond.decay) * sq
-    return Preconditioner(np.maximum(diag, precond.floor), precond.decay, precond.floor)
+    return np.maximum(decay * diag + (1.0 - decay) * np.mean(output_grads ** 2, axis=0), floor)
 
 
 def bound_diagnostics(z_taps: BatchTaps, j_taps: BatchTaps) -> BoundReport:
@@ -228,11 +209,12 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
                         subset_size: int, seed: int) -> tuple[float, float]:
     """Spread of Ghost vs LAI totals under random validation subsets.
 
-    The probe pair's own score enters every draw (a constant shift); each
-    of `resamples` draws adds a size-`subset_size` subset of the pool and
-    the Ghost/LAI totals are recorded. Returns the two sample variances.
-    The scores against the probe sample come from one batched pass over the
-    anchor and the pool and one over the probe.
+    probe_pair is (anchor, probe), two one-row Splits. The anchor's score
+    against the probe enters every draw (a constant shift); each of
+    `resamples` draws adds a size-`subset_size` subset of the pool and the
+    Ghost/LAI totals are recorded. Returns the two sample variances. The
+    scores against the probe come from one batched pass over the anchor and
+    the pool and one over the probe.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples for a variance")
@@ -241,9 +223,11 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
     if not val_pool:
         raise ValueError("empty validation pool")
     anchor, probe = probe_pair
+    if len(anchor) != 1 or len(probe) != 1:
+        raise ValueError("anchor and probe must be one row each")
     z_taps = batch_taps(net, np.vstack([anchor.features, val_pool.features]),
-                        np.append(anchor.label, val_pool.labels), backward=True)
-    j_taps = batch_taps(net, probe.features[None, :], np.array([probe.label]), backward=True)
+                        np.append(anchor.labels, val_pool.labels), backward=True)
+    j_taps = batch_taps(net, probe.features, probe.labels, backward=True)
     # influence sign: column 0 holds every row's score against the probe
     ghost = -pair_matrix(Estimator.GHOST, z_taps, j_taps)[:, 0]
     lai = -pair_matrix(Estimator.LAI, z_taps, j_taps)[:, 0]

@@ -357,13 +357,16 @@ def save_checkpoint(net: MLP, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> MLP:
+    """Read a save_checkpoint file; any defect raises ValueError naming the file."""
     doc = serialize.load_json(path)
-    if doc.get("format") != "mlp-checkpoint-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "mlp-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
-    layers = []
-    for entry in doc["layers"]:
-        spec = LayerSpec(entry["in_dim"], entry["out_dim"], Activation(entry["activation"]))
-        w = np.array(entry["weights"], dtype=np.float64)
-        b = np.array(entry["bias"], dtype=np.float64)
-        layers.append(Layer(w, b, spec))
-    return MLP(layers=layers, seed=int(doc["seed"]))
+    try:
+        return MLP(layers=[Layer(np.array(e["weights"], dtype=np.float64),
+                                 np.array(e["bias"], dtype=np.float64),
+                                 LayerSpec(e["in_dim"], e["out_dim"], Activation(e["activation"])))
+                           for e in doc["layers"]], seed=int(doc["seed"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -35,7 +35,6 @@ class ShapleyEstimate:
     values: np.ndarray
     stderr: np.ndarray
     permutations_used: int  # 0 marks exact subset enumeration
-    seed: int
 
 
 class UtilityFn:
@@ -199,5 +198,4 @@ def shapley_mc(u: UtilityFn, batch: Split, permutations: int, seed: int,
     means = marginals if exhaustive else (marginals[:draws // 2] + marginals[draws // 2:]) / 2
     values = means.mean(axis=0)
     stderr = means.std(axis=0, ddof=1) / math.sqrt(len(means)) if len(means) >= 2 else np.zeros(n)
-    return ShapleyEstimate(values=values, stderr=stderr,
-                           permutations_used=draws, seed=seed)
+    return ShapleyEstimate(values=values, stderr=stderr, permutations_used=draws)

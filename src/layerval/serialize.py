@@ -96,7 +96,11 @@ def dump_json(obj: Any, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file; malformed JSON raises ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:

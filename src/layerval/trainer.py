@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .data import DatasetBundle, Split
-from .influence import Estimator, Preconditioner, pair_matrix, update_preconditioner
+from .influence import Estimator, pair_matrix, update_preconditioner
 from .network import MLP, BatchTaps, _taps, backward_chain, check_rows
 
 
@@ -267,7 +267,7 @@ class CurationDecision:
 def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
                  cfg: TrainerConfig, step_id: int = 0,
                  ledger: CostLedger | None = None,
-                 preconditioner: Preconditioner | None = None) -> CurationDecision:
+                 preconditioner: np.ndarray | None = None) -> CurationDecision:
     """Score the taps of a batch's members against the cached validation
     subsample or, with cache=None (self-influence mode), against the rest of
     their own batch.
@@ -277,6 +277,7 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
     cfg.threshold (inclusive boundary). A self-scored batch of one has no
     other row to be scored against: its member gets benefit 0.0 and is kept.
     A ledger records the step's batch_cost with the scored and kept counts.
+    precond_lai scores with the diagonal D in `preconditioner`.
     """
     est = cfg.estimator
     if est is Estimator.NONE:
@@ -322,7 +323,9 @@ def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
     Returns the updated net, state, and mean loss over the kept samples.
     The per-layer sum over samples, g(l)^T [a(l-1), 1], is a fixed-order
     einsum: it adds the samples in order, as a per-sample loop would, and
-    its bits do not depend on the BLAS thread count.
+    its bits do not depend on the BLAS thread count. Every layer's gradient
+    is checked finite before any layer is updated, so a NonFiniteGradientError
+    leaves the net as it was.
     """
     if not len(kept):
         raise ValueError("sgd_step needs at least one sample")
@@ -330,14 +333,16 @@ def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
         state = init_momentum(net)
     taps = backward_chain(net, kept)
     scale = 1.0 / len(kept)
-    new_state: MomentumState = []
-    for layer, (vw, vb), a, g in zip(net.layers, state, taps.acts, taps.grads):
-        grad = np.einsum("bi,bj->ij", g, a, optimize=False) * scale
-        gw, gb = grad[:, :-1], grad[:, -1]
+    grads = [np.einsum("bi,bj->ij", g, a, optimize=False) * scale
+             for a, g in zip(taps.acts, taps.grads)]
+    for layer, grad in zip(net.layers, grads):
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradientError(
                 f"non-finite gradient in layer {layer.spec.in_dim}x{layer.spec.out_dim}; "
-                f"|grad W| max={np.abs(gw).max()}")
+                f"|grad W| max={np.abs(grad[:, :-1]).max()}")
+    new_state: MomentumState = []
+    for layer, (vw, vb), grad in zip(net.layers, state, grads):
+        gw, gb = grad[:, :-1], grad[:, -1]
         vw = cfg.momentum * vw + gw
         vb = cfg.momentum * vb + gb
         layer.weights -= cfg.learning_rate * vw
@@ -425,7 +430,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     rng_val = np.random.default_rng(val_ss)
     state: MomentumState | None = None
     ledger = CostLedger()
-    precond = (Preconditioner.identity(net.out_dim, cfg.precond_decay, cfg.precond_floor)
+    precond = (np.maximum(np.ones(net.out_dim), cfg.precond_floor)  # precond_lai's D
                if cfg.estimator is Estimator.PRECOND_LAI else None)
     n, ids = len(data.train), data.train.ids.copy()
     X = np.concatenate([data.train.features, data.validation.features])  # validation from n on
@@ -458,7 +463,8 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             if curating:
                 decision = curate_batch(net, taps, cache, cfg, step, ledger, precond)
                 if precond is not None:
-                    precond = update_preconditioner(precond, taps.grads[-1])
+                    precond = update_preconditioner(precond, taps.grads[-1],
+                                                    cfg.precond_decay, cfg.precond_floor)
                 epoch_losses.append(taps.losses)
                 score_steps.append(np.full(len(batch), step))
                 score_ids.append(ids[batch])

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from layerval.data import Sample
-from layerval.influence import BoundReport, PairSimilarities, Preconditioner, pair_similarities
+from layerval.influence import BoundReport, PairSimilarities, pair_similarities
 from layerval.network import (MLP, Activation, ParamGrads, SampleTaps, _apply_activation,
                               batch_taps, evaluate_sample)
 from layerval.oracle import ShapleyEstimate, UtilityFn
@@ -115,11 +115,11 @@ def lli_influence(sims: PairSimilarities) -> float:
 
 
 def preconditioned_score(gl_z: np.ndarray, gl_j: np.ndarray, sims: PairSimilarities,
-                         precond: Preconditioner) -> float:
-    """LAI with the output-gradient similarity taken in the D^(-1/2) space."""
-    if np.any(precond.diag < precond.floor) or np.any(precond.diag <= 0.0):
-        raise ValueError("preconditioner entries must be >= floor > 0")
-    beta_tilde = float(np.dot(gl_z / np.sqrt(precond.diag), gl_j / np.sqrt(precond.diag)))
+                         diag: np.ndarray) -> float:
+    """LAI with the output-gradient similarity taken in the D^(-1/2) space, D = diag."""
+    if np.any(diag <= 0.0):
+        raise ValueError("preconditioner entries must be > 0")
+    beta_tilde = float(np.dot(gl_z / np.sqrt(diag), gl_j / np.sqrt(diag)))
     return -float(sims.alpha.sum() * beta_tilde)
 
 
@@ -183,14 +183,15 @@ def bound_diagnostics(pairs: list[tuple[SampleTaps, SampleTaps]]) -> BoundReport
 
 def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
                         subset_size: int, seed: int) -> tuple[float, float]:
-    """influence.variance_diagnostic, one evaluate_sample call per sample."""
+    """influence.variance_diagnostic, one evaluate_sample call per sample; the
+    anchor and probe of probe_pair are one-row Splits."""
     if resamples < 2:
         raise ValueError("need at least two resamples for a variance")
     if subset_size > len(val_pool):
         raise ValueError("subset_size exceeds the validation pool")
     if not val_pool:
         raise ValueError("empty validation pool")
-    anchor, probe = probe_pair
+    anchor, probe = (rows[0] for rows in probe_pair)
     probe_taps = evaluate_sample(net, probe.features, probe.label)
     anchor_sims = pair_similarities(evaluate_sample(net, anchor.features, anchor.label),
                                     probe_taps)
@@ -228,12 +229,11 @@ def _ordering_marginals(u: UtilityFn, orders: np.ndarray) -> np.ndarray:
     return marginals
 
 
-def _estimate(means: np.ndarray, draws: int, seed: int) -> ShapleyEstimate:
+def _estimate(means: np.ndarray, draws: int) -> ShapleyEstimate:
     """Mean and stderr over the rows of means (one row per independent draw)."""
     stderr = (means.std(axis=0, ddof=1) / math.sqrt(len(means)) if len(means) >= 2
               else np.zeros(means.shape[1]))
-    return ShapleyEstimate(values=means.mean(axis=0), stderr=stderr,
-                           permutations_used=draws, seed=seed)
+    return ShapleyEstimate(values=means.mean(axis=0), stderr=stderr, permutations_used=draws)
 
 
 def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
@@ -243,12 +243,12 @@ def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
     u._ensure_batch(batch)
     if exhaustive:
         orders = np.array(list(itertools.permutations(range(n))))
-        return _estimate(_ordering_marginals(u, orders), len(orders), seed)
+        return _estimate(_ordering_marginals(u, orders), len(orders))
     rng = np.random.default_rng(seed)
     pairs = -(-permutations // 2)
     forward = rng.permuted(np.tile(np.arange(n), (pairs, 1)), axis=1)
     marginals = _ordering_marginals(u, np.concatenate([forward, forward[:, ::-1]]))
-    return _estimate((marginals[:pairs] + marginals[pairs:]) / 2, 2 * pairs, seed)
+    return _estimate((marginals[:pairs] + marginals[pairs:]) / 2, 2 * pairs)
 
 
 def plain_shapley_mc(u: UtilityFn, batch, permutations: int, seed: int) -> ShapleyEstimate:
@@ -256,7 +256,7 @@ def plain_shapley_mc(u: UtilityFn, batch, permutations: int, seed: int) -> Shapl
     u._ensure_batch(batch)
     rng = np.random.default_rng(seed)
     orders = rng.permuted(np.tile(np.arange(len(batch)), (permutations, 1)), axis=1)
-    return _estimate(_ordering_marginals(u, orders), permutations, seed)
+    return _estimate(_ordering_marginals(u, orders), permutations)
 
 
 def utilities_stacked(u: UtilityFn, masks) -> np.ndarray:
@@ -311,7 +311,7 @@ def shapley_exact(u: UtilityFn, batch) -> ShapleyEstimate:
     for i in range(n):
         without = codes[~masks[:, i]]
         values[i] = weight[sizes[without]] @ (v[without | 1 << i] - v[without])
-    return ShapleyEstimate(values=values, stderr=np.zeros(n), permutations_used=0, seed=0)
+    return ShapleyEstimate(values=values, stderr=np.zeros(n), permutations_used=0)
 
 
 def loo_influence(u: UtilityFn, batch) -> np.ndarray:

@@ -315,6 +315,19 @@ class TestGenerate:
         assert manifest["counts"]["train"] == 24
         assert manifest["flipped"] == int(0.4 * 24)
 
+    @pytest.mark.parametrize("text, detail", [("[1", "invalid JSON"),
+                                              ("[1]", "manifest must be a JSON object")])
+    def test_malformed_source_manifest_named(self, tmp_path, capsys, text, detail):
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        (ds_dir / "manifest.json").write_text(text)
+        cfg = tiny_config(tmp_path / "again", dataset={"dir": str(ds_dir)})
+        assert main(["generate", "--config", str(write_config(tmp_path, cfg, "again.json"))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"].startswith(f"{ds_dir / 'manifest.json'}: ")
+        assert detail in err["message"]
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, tiny_config(tmp_path / "a"), "a.json")
         cfg_b = write_config(tmp_path, tiny_config(tmp_path / "b"), "b.json")
@@ -396,6 +409,15 @@ class TestTrain:
         cfg_path2 = write_config(tmp_path, cfg, "train.json")
         assert main(["train", "--config", str(cfg_path2)]) == 0
         assert (tmp_path / "run" / "training_report.json").exists()
+
+    @pytest.mark.parametrize("text", ["[1", "[1]"])
+    def test_train_from_dir_ignores_manifest(self, tmp_path, text):
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        (ds_dir / "manifest.json").write_text(text)
+        cfg = tiny_config(tmp_path / "run", dataset={"dir": str(ds_dir)})
+        assert main(["train", "--config", str(write_config(tmp_path, cfg, "train.json"))]) == 0
 
     def test_wider_output_than_blob_classes_trains(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", model={"layer_dims": [4, 6, 5]})
@@ -624,6 +646,24 @@ class TestDiagnose:
         assert err["error"] == "runtime"
         assert err["message"] == (f"{ckpt}: layer dims [4, 6, 3] != "
                                   f"model.layer_dims = [4, 5, 3]")
+
+    # an edit returns the file's new text, or changes the parsed checkpoint in place
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda doc: doc["layers"][1].pop("out_dim"), "missing field 'out_dim'"),
+        (lambda doc: "nonsense", "invalid JSON"),
+        (lambda doc: doc["layers"][0]["weights"].pop(), "layer 0: weight shape (5, 4) != spec"),
+    ], ids=["missing_field", "not_json", "bad_shape"])
+    def test_malformed_checkpoint_named(self, tmp_path, capsys, edit, detail):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint_final.json"
+        doc = json.loads(ckpt.read_text())
+        edited = edit(doc)
+        ckpt.write_text(edited if isinstance(edited, str) else json.dumps(doc))
+        assert main(["diagnose", "--config", str(cfg_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "runtime"
+        assert err["message"].startswith(f"{ckpt}: ") and detail in err["message"]
 
     @pytest.mark.parametrize("name", ["train.csv", "val.csv"])
     def test_empty_csv_split_is_runtime_error(self, tmp_path, capsys, name):

@@ -143,7 +143,6 @@ class TestNoisyBundle:
         assert sum(s.noisy for s in bundle.train) == int(0.4 * len(bundle.train))
         assert all(not s.noisy for s in bundle.validation)
         assert all(not s.noisy for s in bundle.test)
-        assert bundle.noise_rate == 0.4
 
     def test_pipeline_determinism(self):
         a = make_noisy_blob_bundle(2, 20, 3, 0.2, 0.1, (0.5, 0.25, 0.25), seed=9)
@@ -298,7 +297,7 @@ class TestCsv:
 
     def test_bundle_round_trip(self, tmp_path):
         bundle = make_noisy_blob_bundle(3, 10, 4, 0.5, 0.2, (0.6, 0.2, 0.2), seed=11)
-        write_bundle(bundle, tmp_path, fractions=(0.6, 0.2, 0.2))
+        write_bundle(bundle, tmp_path, 11, 3, 0.2, (0.6, 0.2, 0.2))
         loaded = load_bundle(tmp_path)
         assert len(loaded.train) == len(bundle.train)
         for a, b in zip(bundle.validation, loaded.validation):

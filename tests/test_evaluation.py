@@ -486,6 +486,52 @@ class TestEmitReports:
             h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
         assert h.hexdigest()[:16] == "82aae518fba48b80"
 
+    @staticmethod
+    def run_digest(tmp_path, argv, files):
+        """Run a seed-0 command into tmp_path and digest its files as the pins above do."""
+        assert main(argv + ["--seed", "0", "--out", str(tmp_path)]) == 0
+        h = hashlib.sha256()
+        for name in files:
+            h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+        return h.hexdigest()[:16]
+
+    def test_precond_lai_outputs_pinned(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        assert self.run_digest(
+            tmp_path, ["train", "--config", str(path), "--set", "trainer.estimator=precond_lai"],
+            ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
+        ) == "d17a5ec7817596d0"
+
+    def test_shapley_csv_pinned(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "configs" / "fidelity.json"
+        assert self.run_digest(tmp_path, ["fidelity", "--config", str(path)],
+                               ["shapley.csv"]) == "0555ba529f349641"
+
+    def generate_twice(self, tmp_path):
+        """generate from blobs into tmp_path/src, then from those CSVs into tmp_path/csv."""
+        path = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        for out, extra in (("src", []), ("csv", ["--set", f"dataset.dir={tmp_path / 'src'}"])):
+            digest = self.run_digest(tmp_path / out, ["generate", "--config", str(path), *extra],
+                                     ["train.csv", "val.csv", "test.csv", "manifest.json"])
+        manifests = [json.loads((tmp_path / d / "manifest.json").read_text())
+                     for d in ("src", "csv")]
+        return digest, manifests
+
+    def test_generate_from_own_csv_pinned(self, tmp_path):
+        digest, (source, again) = self.generate_twice(tmp_path)
+        assert digest == "3b005737b9b43b6f"
+        for name in ("train.csv", "val.csv", "test.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "src" / name).read_bytes()
+        source.pop("flipped"), again.pop("flipped")
+        assert again == source
+
+    @pytest.mark.xfail(strict=True, reason="the CSV round trip drops the noisy column, so "
+                       "the manifest says flipped 0 (open FOUND: line in CHANGES.md; "
+                       "ROADMAP item 7 carries noisy in the CSVs and must make this pass)")
+    def test_generate_from_own_csv_keeps_flipped(self, tmp_path):
+        _, (source, again) = self.generate_twice(tmp_path)
+        assert again["flipped"] == source["flipped"]
+
     def test_empty_records_header_only(self, tmp_path):
         summary = summarize_fidelity([], floor=0.5)
         paths = emit_reports([], summary, None, tmp_path)

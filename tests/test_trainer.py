@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from layerval.data import make_noisy_blob_bundle
-from layerval.influence import Estimator, Preconditioner, pair_similarities
+from layerval.influence import Estimator, pair_similarities
 from layerval.network import (
     MLP,
     Activation,
+    BatchTaps,
     Layer,
     LayerSpec,
     batch_taps,
@@ -24,6 +25,7 @@ from layerval.trainer import (
     CostLedger,
     CurationMode,
     EmptyBatchPolicy,
+    NonFiniteGradientError,
     StaleCacheError,
     TrainerConfig,
     backward_extra_macs,
@@ -199,7 +201,7 @@ class TestCurateBatch:
         net = toy_net(dims=(3, 5, 3), acts=("tanh", "linear"), seed=11)
         batch = toy_split(net, 3, seed=12)
         val = toy_split(net, 4, seed=13)
-        precond = Preconditioner(np.array([1.5, 0.5, 2.0])) \
+        precond = np.array([1.5, 0.5, 2.0]) \
             if estimator is Estimator.PRECOND_LAI else None
         cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
         decision = curate_batch(net, taps_of(net, batch, estimator), cache,
@@ -241,7 +243,7 @@ class TestLayerCalibration:
     """layer_calibration divides alpha(l) by dim(a~(l-1)) for the LAI family only."""
 
     NET_DIMS, NET_ACTS = (3, 6, 4, 3), ("tanh", "relu", "linear")
-    PRECOND = Preconditioner(np.array([1.5, 0.5, 2.0]))
+    PRECOND = np.array([1.5, 0.5, 2.0])
 
     @pytest.mark.parametrize("estimator", [Estimator.LAI, Estimator.LLI,
                                            Estimator.PRECOND_LAI])
@@ -423,6 +425,19 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step(toy_net(), no_taps(toy_net()), cfg_with(), None)
 
+    def test_non_finite_gradient_raises_before_any_update(self):
+        # full taps of a 2-3-2 net: layer 1's g a^T is finite, layer 2's overflows
+        net = toy_net(dims=(2, 3, 2), seed=27)
+        before = net.copy()
+        taps = BatchTaps(acts=[np.ones((1, 3)), np.array([[1e200, 0.0, 0.0, 1.0]])],
+                         grads=[np.ones((1, 3)), np.array([[1e200, -1e200]])],
+                         losses=np.ones(1), logits=np.zeros((1, 2)))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError, match="3x2"):
+            sgd_step(net, taps, cfg_with(), None)
+        for got, want in zip(net.layers, before.layers):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+
 
 class TestReusedTaps:
     """A curated step makes one pass: the cache takes its first rows, the
@@ -439,7 +454,7 @@ class TestReusedTaps:
         batch = toy_split(net, 10, seed=61)
         val = toy_split(net, 5, seed=62)
         cfg = cfg_with(estimator=estimator, mode=mode, momentum=0.5, batch_size=10)
-        precond = Preconditioner(np.array([1.5, 0.5, 2.0])) \
+        precond = np.array([1.5, 0.5, 2.0]) \
             if estimator is Estimator.PRECOND_LAI else None
         if mode is CurationMode.VALIDATION:
             taps = taps_of(net, rows(np.vstack([val.features, batch.features]),
@@ -623,7 +638,7 @@ class TestLedger:
                                (CurationMode.SELF, None, 4)):
             ledger = CostLedger()
             decision = curate_batch(net, taps, cache, cfg_with(estimator=estimator, mode=mode),
-                                    ledger=ledger, preconditioner=Preconditioner.identity(3))
+                                    ledger=ledger, preconditioner=np.ones(3))
             macs, cache_bytes = batch_cost(net, estimator, 5, m, cache is not None)
             assert ledger.totals(estimator.value) == {
                 "macs": macs, "cache_bytes": cache_bytes, "samples_scored": 5,
