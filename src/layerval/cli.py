@@ -229,6 +229,7 @@ def cmd_generate(config: dict) -> int:
             if not isinstance(manifest, dict):
                 raise ValueError(f"{source}: manifest must be a JSON object")
             flip_rate = manifest.get("flip_rate", flip_rate)
+            check_setting(f"{source}: flip_rate", *SCHEMA["dataset"]["flip_rate"], flip_rate)
     write_bundle(bundle, out, config["seed"], num_classes, flip_rate, tuple(ds["fractions"]))
     return 0
 

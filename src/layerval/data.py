@@ -154,37 +154,48 @@ def make_noisy_blob_bundle(num_classes: int, per_class: int, feature_dim: int,
 
 
 def save_csv(rows: Split, path: str | Path) -> None:
-    """Rows `id,f1,...,fd,label`; features carry 17 significant digits."""
-    header = ["id"] + [f"f{i + 1}" for i in range(rows.features.shape[1])] + ["label"]
+    """Rows `id,f1,...,fd,label,noisy`; features carry 17 significant digits,
+    noisy is 0 or 1."""
+    header = ["id"] + [f"f{i + 1}" for i in range(rows.features.shape[1])] + ["label", "noisy"]
     serialize.write_csv(path, header, [
-        [sid, *feats, label] for sid, feats, label
-        in zip(rows.ids.tolist(), rows.features.tolist(), rows.labels.tolist())])
+        [sid, *feats, label, int(noisy)] for sid, feats, label, noisy
+        in zip(rows.ids.tolist(), rows.features.tolist(), rows.labels.tolist(),
+               rows.noisy.tolist())])
 
 
 def load_csv(path: str | Path) -> Split:
-    """Parse `id,f1,...,fd,label` rows; every defect names the file and line."""
+    """Parse `id,f1,...,fd,label[,noisy]` rows, noisy 0 or 1 and False where the
+    column is absent; every defect names the file and line."""
     header, rows = serialize.read_csv(path)
     if not header:
         raise CsvFormatError("missing_header", f"{path}: empty file, header required")
-    if len(header) < 3 or header[0] != "id" or header[-1] != "label":
-        raise CsvFormatError("bad_header", f"{path}: header must be id,f1,...,fd,label")
-    dim = len(header) - 2
-    ids, features, labels = [], [], []
+    has_noisy = header[-1] == "noisy"
+    width = len(header)
+    if width < 3 + has_noisy or header[0] != "id" or header[width - 1 - has_noisy] != "label":
+        raise CsvFormatError("bad_header", f"{path}: header must be id,f1,...,fd,label[,noisy]")
+    dim = width - 2 - has_noisy
+    ids, features, labels, noisy = [], [], [], []
     for lineno, row in enumerate(rows, start=2):
-        if len(row) != dim + 2:
+        if len(row) != width:
             raise CsvFormatError("ragged_row",
-                                 f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}")
+                                 f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
         try:
             ids.append(int(row[0]))
-            features.append([float(v) for v in row[1:-1]])
-            labels.append(int(row[-1]))
+            features.append([float(v) for v in row[1:dim + 1]])
+            labels.append(int(row[dim + 1]))
         except ValueError as exc:
             raise CsvFormatError("non_numeric",
                                  f"{path}: line {lineno}: non-numeric field ({exc})") from exc
+        if has_noisy:
+            if row[-1] not in ("0", "1"):
+                raise CsvFormatError("bad_noisy", f"{path}: line {lineno}: "
+                                     f"noisy must be 0 or 1, got {row[-1]!r}")
+            noisy.append(row[-1] == "1")
     try:
         loaded = Split(ids=np.array(ids, dtype=np.int64),
                        features=np.array(features, dtype=np.float64).reshape(-1, dim),
-                       labels=np.array(labels, dtype=np.int64))
+                       labels=np.array(labels, dtype=np.int64),
+                       noisy=np.array(noisy, dtype=bool) if has_noisy else None)
     except SplitError as exc:
         raise CsvFormatError(exc.kind, f"{path}: line {exc.row + 2}: {exc.detail}") from exc
     repeated = np.ones(len(loaded), dtype=bool)

@@ -361,11 +361,18 @@ def load_checkpoint(path: str | Path) -> MLP:
     doc = serialize.load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "mlp-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
+    from .trainer import check_setting  # the config type rule; trainer imports this module
+
+    def spec(i: int, e: dict) -> LayerSpec:
+        return LayerSpec(*(check_setting(f"layers[{i}].{name}", default, None, e[name])
+                           for name, default in (("in_dim", 1), ("out_dim", 1),
+                                                 ("activation", Activation.LINEAR))))
+
     try:
         return MLP(layers=[Layer(np.array(e["weights"], dtype=np.float64),
-                                 np.array(e["bias"], dtype=np.float64),
-                                 LayerSpec(e["in_dim"], e["out_dim"], Activation(e["activation"])))
-                           for e in doc["layers"]], seed=int(doc["seed"]))
+                                 np.array(e["bias"], dtype=np.float64), spec(i, e))
+                           for i, e in enumerate(doc["layers"])],
+                   seed=check_setting("seed", 0, None, doc["seed"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

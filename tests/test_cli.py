@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -328,6 +329,21 @@ class TestGenerate:
         assert err["message"].startswith(f"{ds_dir / 'manifest.json'}: ")
         assert detail in err["message"]
 
+    @pytest.mark.parametrize("flip_rate", ["high", math.nan, True])
+    def test_bad_source_flip_rate_named_before_any_csv(self, tmp_path, capsys, flip_rate):
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        manifest = ds_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["flip_rate"] = flip_rate
+        manifest.write_text(json.dumps(doc))
+        cfg = tiny_config(tmp_path / "again", dataset={"dir": str(ds_dir)})
+        assert main(["generate", "--config", str(write_config(tmp_path, cfg, "again.json"))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"] == f"{manifest}: flip_rate: invalid value {flip_rate!r}"
+        assert not list((tmp_path / "again").glob("*.csv"))
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, tiny_config(tmp_path / "a"), "a.json")
         cfg_b = write_config(tmp_path, tiny_config(tmp_path / "b"), "b.json")
@@ -452,7 +468,8 @@ class TestCsvDataFitsModel:
             path = ds_dir / "val.csv"
             lines = path.read_text().splitlines()
             rows = [line.split(",") for line in lines]
-            path.write_text("".join(",".join(r[:-2] + r[-1:]) + "\n" for r in rows))
+            last = rows[0].index("label") - 1  # the last feature's column
+            path.write_text("".join(",".join(r[:last] + r[last + 1:]) + "\n" for r in rows))
 
         message = self.run_on_dataset(tmp_path, capsys, drop_last_feature)
         assert "val.csv" in message and "feature dim 3" in message
@@ -461,8 +478,9 @@ class TestCsvDataFitsModel:
         def relabel_second_row(ds_dir):
             path = ds_dir / "test.csv"
             lines = path.read_text().splitlines()
-            head, _, _ = lines[2].rpartition(",")
-            lines[2] = head + ",3"
+            row = lines[2].split(",")
+            row[lines[0].split(",").index("label")] = "3"
+            lines[2] = ",".join(row)
             path.write_text("\n".join(lines) + "\n")
 
         message = self.run_on_dataset(tmp_path, capsys, relabel_second_row)
@@ -577,6 +595,38 @@ class TestFidelity:
                 (tmp_path / "b" / name).read_bytes()
 
 
+START_METHOD_SCRIPT = """\
+import multiprocessing
+import sys
+
+from layerval.cli import main
+
+if __name__ == "__main__":
+    if sys.argv[1] != "default":
+        multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(["fidelity", "--config", sys.argv[2], "--seed", "0", "--out", sys.argv[3]]))
+"""
+
+
+class TestStartMethods:
+    """The fidelity workers do not depend on the default start method: a
+    script that sets another one gets the default run's bytes."""
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_same_bytes_as_the_default_method(self, tmp_path, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        script = tmp_path / "run_fidelity.py"
+        script.write_text(START_METHOD_SCRIPT)
+        config = Path(__file__).resolve().parents[1] / "configs" / "fidelity.json"
+        for name in ("default", method):
+            subprocess.run([sys.executable, str(script), name, str(config), str(tmp_path / name)],
+                           env=package_env(), check=True, timeout=300)
+        for name in ("fidelity.csv", "shapley.csv", "fidelity_summary.json"):
+            assert (tmp_path / method / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes()
+
+
 class TestImports:
     def test_cli_import_loads_no_process_pool(self):
         """Only run_fidelity imports the pool, so `train` and `diagnose` load none of it."""
@@ -652,7 +702,16 @@ class TestDiagnose:
         (lambda doc: doc["layers"][1].pop("out_dim"), "missing field 'out_dim'"),
         (lambda doc: "nonsense", "invalid JSON"),
         (lambda doc: doc["layers"][0]["weights"].pop(), "layer 0: weight shape (5, 4) != spec"),
-    ], ids=["missing_field", "not_json", "bad_shape"])
+        (lambda doc: doc["layers"][0].update(in_dim=4.0), "layers[0].in_dim: invalid value 4.0"),
+        (lambda doc: doc["layers"][0].update(in_dim=True), "layers[0].in_dim: invalid value True"),
+        (lambda doc: doc["layers"][1].update(out_dim="3"), "layers[1].out_dim: invalid value '3'"),
+        (lambda doc: doc["layers"][0].update(activation="sigmoid"),
+         "layers[0].activation: invalid value 'sigmoid'"),
+        (lambda doc: doc.update(seed=7.9), "seed: invalid value 7.9"),
+        (lambda doc: doc.update(seed="7"), "seed: invalid value '7'"),
+        (lambda doc: doc.update(seed=True), "seed: invalid value True"),
+    ], ids=["missing_field", "not_json", "bad_shape", "real_dim", "bool_dim", "string_dim",
+            "unknown_activation", "real_seed", "string_seed", "bool_seed"])
     def test_malformed_checkpoint_named(self, tmp_path, capsys, edit, detail):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["train", "--config", str(cfg_path)]) == 0

@@ -231,6 +231,24 @@ class TestCsv:
         assert len(samples) == 1
         np.testing.assert_array_equal(samples[0].features, [1.0, 2.0])
         assert samples[0].label == 1
+        assert samples[0].noisy is False  # no noisy column
+
+    def test_noisy_column_read(self, tmp_path):
+        path = tmp_path / "noisy.csv"
+        path.write_text("id,f1,label,noisy\n0,1.0,1,1\n1,2.0,0,0\n")
+        loaded = load_csv(path)
+        assert loaded.noisy.tolist() == [True, False]
+        np.testing.assert_array_equal(loaded.features, [[1.0], [2.0]])
+        assert loaded.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("value", ["2", "true", ""])
+    def test_bad_noisy_named_line(self, tmp_path, value):
+        path = tmp_path / "noisy.csv"
+        path.write_text(f"id,f1,label,noisy\n0,1.0,1,0\n1,2.0,0,{value}\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert err.value.kind == "bad_noisy"
+        assert str(path) in str(err.value) and "line 3" in str(err.value)
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -302,6 +320,9 @@ class TestCsv:
         assert len(loaded.train) == len(bundle.train)
         for a, b in zip(bundle.validation, loaded.validation):
             assert np.array_equal(a.features, b.features)
+        assert loaded.train.noisy.any()
+        for name in ("train", "validation", "test"):
+            assert np.array_equal(getattr(loaded, name).noisy, getattr(bundle, name).noisy)
         import json
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["counts"]["train"] == len(bundle.train)

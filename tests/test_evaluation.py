@@ -1,14 +1,16 @@
 """Correlation statistics, the fidelity protocol, and report file round trips."""
 
-import concurrent.futures
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import signal
+import sys
 import threading
-from concurrent.futures import Future
+import time
 from dataclasses import replace
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -242,26 +244,44 @@ class TestFidelityArguments:
             run_fidelity(net, cfg, bundle, **args)
 
 
-class SerialPool:
-    """A stand-in for ProcessPoolExecutor that values each checkpoint in this process."""
-
-    def __init__(self, workers):
-        pass
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, cancel_futures=False):
-        pass
+def no_workers(monkeypatch):
+    """run_fidelity values every checkpoint in this process from here on."""
+    monkeypatch.setattr(evaluation, "_worker_count", lambda: 1)
 
 
-FORKED = multiprocessing.get_all_start_methods()[0] == "fork"  # the default method
+def workers(monkeypatch, count):
+    """run_fidelity forks count workers from here on: usable CPUs - 1."""
+    monkeypatch.setattr(evaluation, "_worker_count", lambda: count + 1)
 
 
+def train_with_hook(monkeypatch, after_checkpoint):
+    """run_fidelity's train calls after_checkpoint(step) after each checkpoint
+    hook call, in the caller."""
+    real_train = evaluation.train
+
+    def wrapped(net, cfg, data, checkpoint_hook):
+        def hook(step, snap):
+            checkpoint_hook(step, snap)
+            after_checkpoint(step)
+        return real_train(net, cfg, data, checkpoint_hook=hook)
+
+    monkeypatch.setattr(evaluation, "train", wrapped)
+
+
+def no_fork(method):
+    raise AssertionError(f"a {method} context was requested")
+
+
+def wait_for(path, seconds=60):
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.001)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers are forked on Linux")
 class TestFidelityWorkers:
-    """The checkpoints are valued on worker processes without changing a byte."""
+    """The checkpoints are valued on forked workers and the caller without changing a byte."""
 
     def fidelity_run(self):
         bundle = tiny_bundle(seed=8)
@@ -275,123 +295,156 @@ class TestFidelityWorkers:
     def leaves_nothing_running(self, threads_before):
         assert multiprocessing.active_children() == []
         assert set(threading.enumerate()) <= threads_before
+        assert resource_tracker._resource_tracker._pid is None
 
     def test_records_and_files_identical_at_one_two_and_three_workers(self, monkeypatch,
                                                                        tmp_path):
         run = self.fidelity_run()
-        # the reference: every _checkpoint_record called in this process, in order
-        with monkeypatch.context() as serial:
-            serial.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-            reference, summary = run()
-        emit_reports(reference, summary, None, tmp_path / "serial")
+        no_workers(monkeypatch)
+        reference, summary = run()
+        emit_reports(reference, summary, None, tmp_path / "0")
         assert len(reference) == 7
-
-        caller = os.getpid()
-        shapley_mc = evaluation.shapley_mc
-
-        def in_a_worker_only(*args, **kwargs):
-            assert os.getpid() != caller, "the caller valued a checkpoint"
-            return shapley_mc(*args, **kwargs)
-
-        # forked workers inherit the patch; under spawn they never see it
-        monkeypatch.setattr(evaluation, "shapley_mc", in_a_worker_only)
         threads_before = set(threading.enumerate())
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(evaluation, "_worker_count", lambda: workers)
+        for count in (1, 2, 3):
+            workers(monkeypatch, count)
             records, summary = within(120, run)
             self.leaves_nothing_running(threads_before)
             assert records == reference
-            emit_reports(records, summary, None, tmp_path / str(workers))
-            for name in ("fidelity.csv", "fidelity_summary.json"):
-                assert ((tmp_path / str(workers) / name).read_bytes()
-                        == (tmp_path / "serial" / name).read_bytes())
+            emit_reports(records, summary, None, tmp_path / str(count))
+            for name in ("fidelity.csv", "shapley.csv", "fidelity_summary.json"):
+                assert ((tmp_path / str(count) / name).read_bytes()
+                        == (tmp_path / "0" / name).read_bytes())
 
-    @pytest.mark.parametrize("every, checkpoints", [(4, 3), (100, 1)])
-    def test_pool_has_at_most_one_worker_per_checkpoint(self, monkeypatch, every, checkpoints):
+    @pytest.mark.parametrize("every, checkpoints", [(1, 14), (4, 3), (100, 1)])
+    def test_each_checkpoint_is_valued_by_one_process(self, monkeypatch, tmp_path, every,
+                                                      checkpoints):
         bundle = tiny_bundle(seed=8)
         net = MLP.initialize([4, 6, 3], ["tanh", "linear"], seed=8)
         cfg = TrainerConfig(learning_rate=0.05, batch_size=3, epochs=2,
                             warmup_epochs=0, mode=CurationMode.OFF, seed=8)
 
-        def run():  # 14 steps: every 4 fires 3 checkpoints, every 100 one at the end
+        def run():  # 14 steps: every 1 fires 14 checkpoints, every 4 three, every 100 one
             return run_fidelity(net, cfg, bundle, probe_batch_size=4,
                                 checkpoint_every=every, permutations=20)
 
-        with monkeypatch.context() as serial:
-            serial.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-            reference = run()
+        no_workers(monkeypatch)
+        reference = run()
         assert len(reference[0]) == checkpoints
-        real_pool, sizes = concurrent.futures.ProcessPoolExecutor, []
+        log = tmp_path / "valued"
+        record = evaluation._checkpoint_record
 
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers)
+        def logged(k, *args):
+            with open(log, "a") as f:  # one short append per call, so lines never mix
+                f.write(f"{os.getpid()} {k}\n")
+            return record(k, *args)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-        monkeypatch.setattr(evaluation, "_worker_count", lambda: 6)
+        monkeypatch.setattr(evaluation, "_checkpoint_record", logged)
+        workers(monkeypatch, 5)  # more workers than checkpoints or cores
         threads_before = set(threading.enumerate())
         assert within(120, run) == reference
         self.leaves_nothing_running(threads_before)
-        assert sizes == [checkpoints]
+        valued = sorted(int(line.split()[1]) for line in log.read_text().splitlines())
+        assert valued == list(range(checkpoints))
 
-    def test_pool_size_follows_the_hook_calls_of_train(self, monkeypatch):
-        # 21 training rows; no process starts: SerialPool values the checkpoints
+    def test_records_follow_the_hook_calls_of_train(self, monkeypatch):
+        # 21 training rows; no worker, so no process starts
         bundle = tiny_bundle(seed=5)
         net = MLP.initialize([4, 5, 3], ["relu", "linear"], seed=5)
-        sizes = []
-
-        class RecordingPool(SerialPool):
-            def __init__(self, workers):
-                sizes.append(workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(evaluation, "_worker_count", lambda: 6)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        no_workers(monkeypatch)
         for batch in (1, 3, 16):
             for epochs in (0, 1, 3):
                 cfg = TrainerConfig(learning_rate=0.05, batch_size=batch, epochs=epochs,
                                     warmup_epochs=0, mode=CurationMode.OFF, seed=5)
                 for every in (1, 2, 5, 50):
+                    steps = []
+                    train(net, replace(cfg, checkpoint_every=every), bundle,
+                          checkpoint_hook=lambda step, snap: steps.append(step))
                     records, _ = run_fidelity(net, cfg, bundle, probe_batch_size=2,
                                               checkpoint_every=every, permutations=2)
-                    assert sizes.pop() == max(1, min(6, len(records)))
+                    assert [r.step for r in records] == steps
+
+    def test_no_worker_off_linux(self, monkeypatch):
+        run = self.fidelity_run()
+        no_workers(monkeypatch)
+        reference = run()
+        workers(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert run() == reference
+
+    def test_the_caller_runs_no_other_thread_during_train(self, monkeypatch):
+        run = self.fidelity_run()
+        workers(monkeypatch, 2)
+        seen = []
+        train_with_hook(monkeypatch, lambda step: seen.append(
+            (threading.enumerate(), len(multiprocessing.active_children()))))
+        run()  # on the main thread, so any other thread is a helper
+        assert seen == [([threading.main_thread()], 2)] * 7
+        self.leaves_nothing_running({threading.main_thread()})
 
     def test_no_worker_outlives_a_return_or_a_raise(self, monkeypatch):
         run = self.fidelity_run()
-        monkeypatch.setattr(evaluation, "_worker_count", lambda: 2)
+        workers(monkeypatch, 2)
         threads_before = set(threading.enumerate())
         within(120, run)
         self.leaves_nothing_running(threads_before)
 
-        real_train = evaluation.train
         alive_at_raise = []
 
-        def train_then_fail(net, cfg, data, checkpoint_hook):
-            def hook(step, snap):
-                checkpoint_hook(step, snap)
-                alive_at_raise.append(len(multiprocessing.active_children()))
-                raise RuntimeError("training failed after a checkpoint was queued")
-            return real_train(net, cfg, data, checkpoint_hook=hook)
+        def fail(step):
+            alive_at_raise.append(len(multiprocessing.active_children()))
+            raise RuntimeError("training failed after a checkpoint was sent")
 
         with monkeypatch.context() as failing:
-            failing.setattr(evaluation, "train", train_then_fail)
-            with pytest.raises(RuntimeError, match="after a checkpoint was queued"):
+            train_with_hook(failing, fail)
+            with pytest.raises(RuntimeError, match="after a checkpoint was sent"):
                 within(120, run)
         assert alive_at_raise == [2]
         self.leaves_nothing_running(threads_before)
 
-    @pytest.mark.skipif(not FORKED, reason="a monkeypatch reaches only forked workers")
-    def test_a_raise_in_a_worker_surfaces_and_no_worker_outlives_it(self, monkeypatch):
+    def test_a_raise_in_a_worker_surfaces_and_no_worker_outlives_it(self, monkeypatch,
+                                                                    tmp_path):
         run = self.fidelity_run()
-        monkeypatch.setattr(evaluation, "_worker_count", lambda: 2)
+        workers(monkeypatch, 2)
+        caller, raised_in = os.getpid(), tmp_path / "raised"
+        benefit_scores = evaluation._benefit_scores
 
-        def fail_here(*args):
+        def fail_in_a_worker(*args):
+            if os.getpid() == caller:
+                return benefit_scores(*args)
+            with open(raised_in, "a") as f:
+                f.write(f"{os.getpid()}\n")
             raise RuntimeError(f"scoring failed in process {os.getpid()}")
 
-        monkeypatch.setattr(evaluation, "_benefit_scores", fail_here)
+        monkeypatch.setattr(evaluation, "_benefit_scores", fail_in_a_worker)
+        # training waits at the first checkpoint until a worker has raised
+        train_with_hook(monkeypatch, lambda step: wait_for(raised_in) if step == 2 else None)
         threads_before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="scoring failed in process") as raised:
             within(120, run)
-        assert str(raised.value) != f"scoring failed in process {os.getpid()}"
+        worker = str(raised.value).split()[-1]
+        assert worker in raised_in.read_text().split() and worker != str(caller)
+        assert f"in fidelity worker {worker}:" in str(raised.value.__cause__)
+        assert "fail_in_a_worker" in str(raised.value.__cause__)  # the worker's traceback
+        self.leaves_nothing_running(threads_before)
+
+    def test_a_worker_killed_mid_run_makes_the_call_raise(self, monkeypatch):
+        run = self.fidelity_run()
+        workers(monkeypatch, 1)
+        killed = []
+
+        def kill_the_worker(step):
+            if step == 2:
+                (child,) = multiprocessing.active_children()
+                os.kill(child.pid, signal.SIGKILL)
+                killed.append(child.pid)
+
+        train_with_hook(monkeypatch, kill_the_worker)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="exited with code -9") as raised:
+            within(120, run)
+        assert f"fidelity worker {killed[0]} " in str(raised.value)
         self.leaves_nothing_running(threads_before)
 
 
@@ -415,14 +468,15 @@ class TestShippedReferenceAccuracy:
             games.append((u, batch, seed))
             return shapley_mc(u, batch, permutations, seed, exhaustive)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        no_workers(monkeypatch)
         monkeypatch.setattr(evaluation, "shapley_mc", capture)
         f = config["fidelity"]
         assert f["permutations"] == 100 and not f["exhaustive"]
         run_fidelity(cli.build_net(config), cli.build_trainer_config(config),
                      cli.build_dataset(config), probe_batch_size=f["probe_batch_size"],
                      checkpoint_every=f["checkpoint_every"], permutations=f["permutations"])
-        return games[:self.CHECKPOINTS]
+        # the caller values the checkpoints from the back; each seed grows with k
+        return sorted(games, key=lambda game: game[2])[:self.CHECKPOINTS]
 
     @pytest.mark.parametrize("seed", [0, 13])
     def test_fifty_pairs_no_worse_than_a_thousand_plain_orderings(self, monkeypatch, seed):
@@ -484,7 +538,7 @@ class TestEmitReports:
         h = hashlib.sha256()
         for name in ("train.csv", "val.csv", "test.csv", "manifest.json"):
             h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
-        assert h.hexdigest()[:16] == "82aae518fba48b80"
+        assert h.hexdigest()[:16] == "08fe0e18fb5ee4d9"
 
     @staticmethod
     def run_digest(tmp_path, argv, files):
@@ -519,15 +573,12 @@ class TestEmitReports:
 
     def test_generate_from_own_csv_pinned(self, tmp_path):
         digest, (source, again) = self.generate_twice(tmp_path)
-        assert digest == "3b005737b9b43b6f"
+        assert digest == "08fe0e18fb5ee4d9"
         for name in ("train.csv", "val.csv", "test.csv"):
             assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "src" / name).read_bytes()
         source.pop("flipped"), again.pop("flipped")
         assert again == source
 
-    @pytest.mark.xfail(strict=True, reason="the CSV round trip drops the noisy column, so "
-                       "the manifest says flipped 0 (open FOUND: line in CHANGES.md; "
-                       "ROADMAP item 7 carries noisy in the CSVs and must make this pass)")
     def test_generate_from_own_csv_keeps_flipped(self, tmp_path):
         _, (source, again) = self.generate_twice(tmp_path)
         assert again["flipped"] == source["flipped"]
