@@ -243,6 +243,7 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                                   permutations, exhaustive)
 
     snaps: list[tuple[int, MLP]] = []
+    # [front, back) of the unvalued checkpoints; back is unknown until training ends
     bounds, lock, workers = [0, sys.maxsize], threading.Lock(), []
 
     def send_all(item) -> None:
@@ -262,7 +263,8 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
 
             ctx = multiprocessing.get_context("fork")
             bounds = memoryview(mmap.mmap(-1, 16)).cast("q")  # shared with the forks
-            bounds[1], lock = sys.maxsize, ctx.Lock()
+            bounds[1] = sys.maxsize
+            lock = ctx.Lock()
             for _ in range(_worker_count() - 1):
                 conn, child = ctx.Pipe()
                 proc = ctx.Process(target=_value_from_front, args=(child, bounds, lock, value),
