@@ -5,27 +5,9 @@ layer-aware LAI, last-layer LLI), a Monte-Carlo Shapley reference for
 fidelity checks, and batch-curation training policies.
 """
 
-from .data import DatasetBundle, Sample, Split
-from .influence import (
-    Estimator,
-    PairSimilarities,
-    pair_matrix,
-    pair_similarities,
-)
-from .network import (
-    MLP,
-    Activation,
-    BatchTaps,
-    LayerSpec,
-    ParamGrads,
-    SampleTaps,
-    backward_taps,
-    batch_taps,
-    evaluate_sample,
-    forward,
-    loss_and_output_grad,
-    param_grads,
-)
+from .data import DatasetBundle, Split
+from .influence import Estimator, pair_matrix
+from .network import MLP, Activation, BatchTaps, LayerSpec, batch_taps
 from .oracle import ShapleyEstimate, UtilityFn, shapley_mc
 from .trainer import (
     CostLedger,

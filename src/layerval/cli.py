@@ -1,7 +1,7 @@
 """Config-driven command line: generate / train / fidelity / diagnose.
 
-One JSON config drives a run; `--set section.key=value` overrides fields,
-`--seed` overrides the global seed, `--out` the output directory. Every run
+One JSON config drives a run. Each `--set section.key=value`, then `--seed`
+and `--out`, is a layer over it, and the result is checked once. Every run
 writes `resolved_config.json` with all defaults expanded so outputs are
 self-describing. Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -81,24 +81,26 @@ def _reads_csv(dataset: dict) -> bool:
     return dataset["kind"] == "csv" or bool(dataset["dir"])
 
 
-def resolve_config(raw: dict) -> dict:
-    """Overlay a user config on the defaults, rejecting unknown keys and
-    validating every field; returns the fully expanded config."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
+def resolve_config(*layers: dict) -> dict:
+    """Overlay each layer in turn on the defaults, rejecting unknown keys, then
+    check every field and the cross-field rules once; returns the fully
+    expanded config. A section in a layer merges into the section so far."""
     resolved = copy.deepcopy(DEFAULT_CONFIG)
-    for key, value in raw.items():
-        if key not in resolved:
-            raise ConfigError(key, "unknown key")
-        if isinstance(resolved[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(key, "expected an object")
-            for sub, subval in value.items():
-                if sub not in resolved[key]:
-                    raise ConfigError(f"{key}.{sub}", "unknown key")
-                resolved[key][sub] = subval
-        else:
-            resolved[key] = value
+    for raw in layers:
+        if not isinstance(raw, dict):
+            raise ConfigError("<root>", "config must be a JSON object")
+        for key, value in raw.items():
+            if key not in resolved:
+                raise ConfigError(key, "unknown key")
+            if isinstance(resolved[key], dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(key, "expected an object")
+                for sub, subval in value.items():
+                    if sub not in resolved[key]:
+                        raise ConfigError(f"{key}.{sub}", "unknown key")
+                    resolved[key][sub] = subval
+            else:
+                resolved[key] = value
     for key, spec in SCHEMA.items():
         if isinstance(spec, dict):
             for sub, (default, check) in spec.items():
@@ -111,7 +113,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("model.activations", "need one activation per layer")
     if model["activations"][-1] != "linear":
         raise ConfigError("model.activations", "final layer activation must be linear")
-    if _reads_csv(ds):  # build_dataset checks the files against the model
+    if _reads_csv(ds):  # the commands that build a net check the files against it
         if not ds["dir"]:
             raise ConfigError("dataset.dir", "required when dataset.kind is 'csv'")
     elif model["layer_dims"][0] != ds["feature_dim"]:
@@ -125,31 +127,19 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-def apply_overrides(config: dict, sets: list[str], seed: int | None,
-                    out: str | None) -> dict:
-    config = copy.deepcopy(config)
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError("--set", f"expected key=value, got {item!r}")
-        key, _, raw_value = item.partition("=")
-        try:
-            value = json.loads(raw_value)
-        except json.JSONDecodeError:
-            value = raw_value
-        parts = key.split(".")
-        node = config
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(key, "unknown key")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ConfigError(key, "unknown key")
-        node[parts[-1]] = value
-    if seed is not None:
-        config["seed"] = seed
-    if out is not None:
-        config["output_dir"] = out
-    return config
+def set_layer(item: str) -> dict:
+    """A `--set path=value` as a config layer, {"a": {"b": value}} for path
+    "a.b"; the value is read as JSON, else kept as a string."""
+    if "=" not in item:
+        raise ConfigError("--set", f"expected key=value, got {item!r}")
+    key, _, value = item.partition("=")
+    try:
+        value = json.loads(value)
+    except json.JSONDecodeError:
+        pass
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
 def load_config(path: str | None) -> dict:
@@ -164,15 +154,21 @@ def load_config(path: str | None) -> dict:
         raise ConfigError("--config", f"invalid JSON: {exc}") from exc
 
 
+_CSV_FILES = ("train.csv", "val.csv", "test.csv")
+
+
 def build_dataset(config: dict):
+    """The CSV splits of dataset.dir, each with at least one row, or noisy blobs."""
     ds = config["dataset"]
     if _reads_csv(ds):
         d = Path(ds["dir"])
-        for name in ("train.csv", "val.csv", "test.csv"):
+        for name in _CSV_FILES:
             if not (d / name).exists():
                 raise FileNotFoundError(f"dataset file missing: {d / name}")
         bundle = load_bundle(d)
-        _check_csv_fits_model(d, bundle, config["model"]["layer_dims"])
+        for name, rows in zip(_CSV_FILES, (bundle.train, bundle.validation, bundle.test)):
+            if not rows:
+                raise ValueError(f"{d / name}: no rows")
         return bundle
     return make_noisy_blob_bundle(
         num_classes=ds["num_classes"], per_class=ds["per_class"],
@@ -181,13 +177,14 @@ def build_dataset(config: dict):
         seed=config["seed"])
 
 
-def _check_csv_fits_model(d: Path, bundle, layer_dims: list[int]) -> None:
-    """Reject CSV splits that are empty or whose feature dim or labels the model cannot take."""
+def _check_csv_fits_model(config: dict, bundle) -> None:
+    """Reject CSV splits whose feature dim or labels the model cannot take:
+    for the commands that pair the data with a net."""
+    if not _reads_csv(config["dataset"]):
+        return
+    d, layer_dims = Path(config["dataset"]["dir"]), config["model"]["layer_dims"]
     in_dim, out_dim = layer_dims[0], layer_dims[-1]
-    for name, rows in (("train.csv", bundle.train), ("val.csv", bundle.validation),
-                       ("test.csv", bundle.test)):
-        if not rows:
-            raise ValueError(f"{d / name}: no rows")
+    for name, rows in zip(_CSV_FILES, (bundle.train, bundle.validation, bundle.test)):
         if rows.features.shape[1] != in_dim:
             raise ValueError(f"{d / name}: feature dim {rows.features.shape[1]} "
                              f"!= model.layer_dims[0] = {in_dim}")
@@ -237,6 +234,7 @@ def cmd_generate(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     out = _prepare_out(config)
     bundle = build_dataset(config)
+    _check_csv_fits_model(config, bundle)
     net = build_net(config)
     cfg = build_trainer_config(config)
     hook = None
@@ -256,6 +254,7 @@ def cmd_train(config: dict) -> int:
 def cmd_fidelity(config: dict) -> int:
     out = _prepare_out(config)
     bundle = build_dataset(config)
+    _check_csv_fits_model(config, bundle)
     net = build_net(config)
     cfg = build_trainer_config(config)
     f = config["fidelity"]
@@ -279,6 +278,7 @@ def cmd_diagnose(config: dict) -> int:
         raise ValueError(f"{ckpt_path}: layer dims {dims} != model.layer_dims = "
                          f"{config['model']['layer_dims']}")
     bundle = build_dataset(config)
+    _check_csv_fits_model(config, bundle)
 
     def taps(rows):
         return batch_taps(net, rows.features, rows.labels, backward=True)
@@ -347,10 +347,12 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="KEY=VALUE", help="override a config field (repeatable)")
     args = parser.parse_args(argv)
     try:
-        raw = load_config(args.config)
-        config = resolve_config(raw)
-        config = apply_overrides(config, args.sets, args.seed, args.out)
-        config = resolve_config(config)
+        layers = [load_config(args.config), *map(set_layer, args.sets)]
+        if args.seed is not None:
+            layers.append({"seed": args.seed})
+        if args.out is not None:
+            layers.append({"output_dir": args.out})
+        config = resolve_config(*layers)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "path": exc.path,
                           "message": exc.message}), file=sys.stderr)

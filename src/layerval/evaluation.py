@@ -19,6 +19,7 @@ from .trainer import (
     CurationMode,
     TrainerConfig,
     TrainingReport,
+    checkpoint_steps,
     train,
 )
 from . import serialize
@@ -204,8 +205,9 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     Checkpoints with a constant score vector (either side) are flagged with
     None correlations and excluded from the summary means.
 
-    On Linux, usable CPUs - 1 workers are forked before training, from an
-    explicit `fork` context whatever the default start method: `spawn` and
+    On Linux, min(usable CPUs, checkpoints) - 1 workers are forked before
+    training, so none for one checkpoint, from an explicit `fork` context
+    whatever the default start method: `spawn` and
     `forkserver` re-import numpy and this package in every worker (0.40 s
     against 0.16 s with `fork` on the shipped config), and other platforms
     do not promise that `fork` is safe. The checkpoint hook sends every
@@ -215,8 +217,9 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     snapshot waiting on its pipe, so a send blocks for at most one
     checkpoint's valuation. When training ends the caller sets back, values
     checkpoints from the back until the ends meet, then collects each
-    worker's records. With one usable CPU, or on another platform, there
-    are no workers and the caller values every checkpoint the same way.
+    worker's records. With one usable CPU or one checkpoint, or on another
+    platform, there are no workers and the caller values every checkpoint
+    the same way.
     Each checkpoint keeps its own seed, so the records are the same bytes at
     any worker count. A worker's exception is raised here, chained to its
     traceback; a worker that dies makes this raise RuntimeError naming its
@@ -256,8 +259,9 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         send_all((step, snap))
 
     records: dict[int, FidelityRecord] = {}
+    forks = min(_worker_count(), len(checkpoint_steps(vanilla, len(data.train)))) - 1
     try:
-        if sys.platform.startswith("linux") and _worker_count() > 1:
+        if sys.platform.startswith("linux") and forks > 0:
             import mmap
             import multiprocessing
 
@@ -265,7 +269,7 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             bounds = memoryview(mmap.mmap(-1, 16)).cast("q")  # shared with the forks
             bounds[1] = sys.maxsize
             lock = ctx.Lock()
-            for _ in range(_worker_count() - 1):
+            for _ in range(forks):
                 conn, child = ctx.Pipe()
                 proc = ctx.Process(target=_value_from_front, args=(child, bounds, lock, value),
                                    daemon=True)

@@ -402,6 +402,15 @@ def _histogram(values: np.ndarray, bins: int = 20) -> tuple[list[float], list[in
     return edges.tolist(), counts.tolist()
 
 
+def checkpoint_steps(cfg: TrainerConfig, train_size: int) -> list[int]:
+    """The steps after which train calls its checkpoint hook: every
+    cfg.checkpoint_every-th, or the last step of a run too short to reach one."""
+    every, steps = cfg.checkpoint_every, cfg.epochs * math.ceil(train_size / cfg.batch_size)
+    if not every or not steps:
+        return []
+    return list(range(every, steps + 1, every)) or [steps]
+
+
 def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
           checkpoint_hook: Callable[[int, MLP], None] | None = None
           ) -> tuple[TrainingReport, MLP]:
@@ -414,6 +423,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     filtered by benefit threshold before the SGD step. Every split must be
     nonempty (each epoch reports the validation loss and the test accuracy)
     and fit the net, checked once (network.check_rows): the steps run check-free.
+    checkpoint_hook(step, copy of the net) runs after each of checkpoint_steps.
     """
     for name, rows in (("training", data.train), ("validation", data.validation),
                        ("test", data.test)):
@@ -441,6 +451,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     score_ids: list[np.ndarray] = []
     score_benefits: list[np.ndarray] = []
     cache: ValidationCache | None = None  # stays None in self mode
+    hook_steps = set(checkpoint_steps(cfg, n)) if checkpoint_hook is not None else set()
     step = 0
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
@@ -483,8 +494,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                     # repeat so the epoch mean weights every sample equally
                     epoch_losses.append(np.full(kept_rows.size, mean_loss))
             step += 1
-            if checkpoint_hook is not None and cfg.checkpoint_every > 0 \
-                    and step % cfg.checkpoint_every == 0:
+            if step in hook_steps:
                 checkpoint_hook(step, net.copy())
         benefits = _column(score_benefits[first_scored:], np.float64)
         edges, counts = _histogram(benefits)
@@ -498,8 +508,6 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             histogram_edges=edges,
             histogram_counts=counts,
         ))
-    if checkpoint_hook is not None and 0 < step < cfg.checkpoint_every:
-        checkpoint_hook(step, net.copy())  # a run too short to reach a checkpoint
     report = TrainingReport(
         epoch_stats=epoch_stats, sample_ids=ids, inclusion=inclusion,
         score_steps=_column(score_steps, np.int64), score_ids=_column(score_ids, np.int64),

@@ -14,9 +14,9 @@ import pytest
 import layerval
 from layerval.cli import (
     ConfigError,
-    apply_overrides,
     main,
     resolve_config,
+    set_layer,
 )
 from layerval.serialize import dumps
 from layerval.trainer import TrainerConfig
@@ -268,7 +268,8 @@ class TestConfigResolution:
         assert resolve_config({"model": {"layer_dims": [8, 16, 5]}})
 
     def test_dir_reads_csv_whatever_kind_says(self):
-        # a CSV source is checked against the model by build_dataset, not by the blob fields
+        # a CSV source is checked against the model by the commands that build a net,
+        # not by the blob fields
         raw = {"dataset": {"dir": "data", "feature_dim": 5, "num_classes": 9}}
         assert resolve_config(raw)["dataset"]["kind"] == "blobs"
 
@@ -291,17 +292,75 @@ class TestConfigResolution:
         assert resolve_config(json.loads(dumps(resolved))) == resolved
 
     def test_overrides(self):
-        resolved = resolve_config({})
-        out = apply_overrides(resolved, ["trainer.estimator=ghost", "seed=11"],
-                              seed=None, out=None)
+        out = resolve_config({}, set_layer("trainer.estimator=ghost"), set_layer("seed=11"))
         assert out["trainer"]["estimator"] == "ghost"
         assert out["seed"] == 11
-        out2 = apply_overrides(resolved, [], seed=42, out="elsewhere")
+        out2 = resolve_config({}, {"seed": 42}, {"output_dir": "elsewhere"})
         assert out2["seed"] == 42 and out2["output_dir"] == "elsewhere"
 
     def test_bad_override_key(self):
         with pytest.raises(ConfigError):
-            apply_overrides(resolve_config({}), ["trainer.nope=1"], None, None)
+            resolve_config({}, set_layer("trainer.nope=1"))
+
+
+class TestLayers:
+    """The file, each --set, --seed and --out are layers over the defaults,
+    checked once after the last."""
+
+    def resolved(self, out):
+        return json.loads((out / "resolved_config.json").read_text())
+
+    def test_set_repairs_a_bad_field_of_the_file(self, tmp_path):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        doc = json.loads(shipped.read_text())
+        doc["trainer"]["learning_rate"] = -1
+        bad = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 1
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "repaired"),
+                     "--set", "trainer.learning_rate=0.3"]) == 0
+        assert main(["train", "--config", str(shipped), "--out", str(tmp_path / "shipped")]) == 0
+        assert self.resolved(tmp_path / "repaired")["trainer"]["learning_rate"] == 0.3
+        for name in ("training_report.json", "inclusion.csv", "scores.csv",
+                     "checkpoint_final.json"):
+            assert (tmp_path / "repaired" / name).read_bytes() == \
+                (tmp_path / "shipped" / name).read_bytes(), name
+
+    def test_a_whole_section_merges_into_the_file_section(self, tmp_path):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        assert main(["generate", "--config", str(shipped), "--out", str(tmp_path),
+                     "--set", 'trainer={"momentum": 0.5}', "--set", "trainer.epochs=4"]) == 0
+        trainer = self.resolved(tmp_path)["trainer"]
+        assert (trainer["learning_rate"], trainer["momentum"], trainer["epochs"]) == (0.3, 0.5, 4)
+
+    def test_seed_and_out_win_over_set(self, tmp_path):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "file"))
+        assert main(["generate", "--config", str(cfg_path), "--seed", "42",
+                     "--out", str(tmp_path / "flag"), "--set", "seed=11",
+                     "--set", f"output_dir={tmp_path / 'set'}"]) == 0
+        assert self.resolved(tmp_path / "flag")["seed"] == 42
+        assert not (tmp_path / "set").exists() and not (tmp_path / "file").exists()
+
+    @pytest.mark.parametrize("path", [f"{section}.nope" for section, value in
+                                      resolve_config().items() if isinstance(value, dict)]
+                             + ["nope"])
+    def test_unknown_key_named_as_in_a_file(self, tmp_path, capsys, path):
+        with pytest.raises(ConfigError) as err:
+            resolve_config(nest(path, 1))
+        assert err.value.path == path
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["train", "--config", str(cfg_path), "--set", f"{path}=1"]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "config", "path": path, "message": "unknown key"}
+
+    @pytest.mark.parametrize("item, path, message", [
+        ("bogus.x=1", "bogus", "unknown key"),
+        ("seed.x=1", "seed", "invalid value {'x': 1}"),
+    ])
+    def test_a_nested_set_is_read_as_a_file_would_be(self, tmp_path, capsys, item, path,
+                                                      message):
+        assert main(["generate", "--out", str(tmp_path), "--set", item]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "config", "path": path, "message": message}
 
 
 class TestGenerate:
@@ -343,6 +402,26 @@ class TestGenerate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["message"] == f"{manifest}: flip_rate: invalid value {flip_rate!r}"
         assert not list((tmp_path / "again").glob("*.csv"))
+
+    def test_csv_source_need_not_fit_the_model(self, tmp_path):
+        # generate builds no net: 5-feature splits pass under the default 8-wide model
+        ds_dir = tmp_path / "dataset"
+        cfg = tiny_config(ds_dir, dataset={"feature_dim": 5}, model={"layer_dims": [5, 6, 3]})
+        assert main(["generate", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert main(["generate", "--out", str(tmp_path / "again"),
+                     "--set", f"dataset.dir={ds_dir}"]) == 0
+        for name in ("train.csv", "val.csv", "test.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (ds_dir / name).read_bytes()
+
+    def test_header_only_source_split_named(self, tmp_path, capsys):
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        path = ds_dir / "val.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert main(["generate", "--out", str(tmp_path / "again"),
+                     "--set", f"dataset.dir={ds_dir}"]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["message"] == f"{path}: no rows"
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, tiny_config(tmp_path / "a"), "a.json")

@@ -346,6 +346,25 @@ class TestFidelityWorkers:
         valued = sorted(int(line.split()[1]) for line in log.read_text().splitlines())
         assert valued == list(range(checkpoints))
 
+    @pytest.mark.parametrize("every, checkpoints", [(100, 1), (4, 3)])
+    def test_at_most_one_process_per_checkpoint(self, monkeypatch, every, checkpoints):
+        bundle = tiny_bundle(seed=8)
+        net = MLP.initialize([4, 6, 3], ["tanh", "linear"], seed=8)
+        cfg = TrainerConfig(learning_rate=0.05, batch_size=3, epochs=2,
+                            warmup_epochs=0, mode=CurationMode.OFF, seed=8)
+        workers(monkeypatch, 5)
+        if checkpoints == 1:
+            monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        alive = []
+        train_with_hook(monkeypatch, lambda step: alive.append(
+            len(multiprocessing.active_children())))
+        threads_before = set(threading.enumerate())
+        records, _ = within(120, lambda: run_fidelity(net, cfg, bundle, probe_batch_size=4,
+                                                      checkpoint_every=every, permutations=20))
+        assert len(records) == checkpoints
+        assert alive == [checkpoints - 1] * checkpoints
+        self.leaves_nothing_running(threads_before)
+
     def test_records_follow_the_hook_calls_of_train(self, monkeypatch):
         # 21 training rows; no worker, so no process starts
         bundle = tiny_bundle(seed=5)

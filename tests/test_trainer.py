@@ -32,6 +32,7 @@ from layerval.trainer import (
     batch_cost,
     build_validation_cache,
     cache_reals_per_sample,
+    checkpoint_steps,
     curate_batch,
     pair_macs,
     sgd_step,
@@ -666,6 +667,24 @@ class TestTrainLoop:
 
     def net(self, seed=42):
         return toy_net(dims=(4, 8, 3), acts=("relu", "linear"), seed=seed)
+
+    def test_checkpoint_steps_are_the_hook_calls(self):
+        data = make_noisy_blob_bundle(3, 12, 4, 0.4, flip_rate=0.25,
+                                      fractions=(0.6, 0.2, 0.2), seed=5)
+        assert len(data.train) == 21
+        for batch in (1, 3, 16):
+            for epochs in (0, 1, 3):
+                for every in (0, 1, 2, 5, 50):
+                    cfg = cfg_with(mode=CurationMode.OFF, batch_size=batch, epochs=epochs,
+                                   checkpoint_every=every)
+                    steps = []
+                    train(self.net(), cfg, data,
+                          checkpoint_hook=lambda step, snap: steps.append(step))
+                    assert checkpoint_steps(cfg, len(data.train)) == steps
+        # 3 epochs of 2 steps: every 2nd, and the last of a run shorter than the interval
+        assert checkpoint_steps(cfg_with(batch_size=16, epochs=3, checkpoint_every=2), 21) \
+            == [2, 4, 6]
+        assert checkpoint_steps(cfg_with(batch_size=16, epochs=3, checkpoint_every=50), 21) == [6]
 
     def test_mode_off_keeps_everything(self):
         cfg = cfg_with(mode=CurationMode.OFF, epochs=3, warmup_epochs=0, batch_size=8)
