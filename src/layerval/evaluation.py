@@ -206,8 +206,8 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     None correlations and excluded from the summary means.
 
     On Linux, min(usable CPUs, checkpoints) - 1 workers are forked before
-    training, so none for one checkpoint, from an explicit `fork` context
-    whatever the default start method: `spawn` and
+    training (checkpoints from trainer.checkpoint_steps), from an explicit
+    `fork` context whatever the default start method: `spawn` and
     `forkserver` re-import numpy and this package in every worker (0.40 s
     against 0.16 s with `fork` on the shipped config), and other platforms
     do not promise that `fork` is safe. The checkpoint hook sends every
