@@ -575,6 +575,23 @@ class TestEmitReports:
             ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
         ) == "d17a5ec7817596d0"
 
+    @pytest.mark.parametrize("setting, digest", [
+        ("trainer.momentum=0.9", "33960a739115c6cf"),
+        ("trainer.estimator=ghost", "dc311cbcf6c468a4"),
+        ("trainer.estimator=ip", "35ba1f4641d3d9f6"),
+        ("trainer.estimator=lli", "10926ec1c67f1d86"),
+        ("trainer.mode=self", "a71a1587726402b1"),
+        ("trainer.layer_calibration=true", "3ac5f380e15425e7"),
+        ("trainer.mode=off", "239e47c1cc983e49")])
+    def test_train_path_outputs_pinned(self, tmp_path, setting, digest):
+        # the momentum, estimator, self-mode, calibration and warm-up-only paths
+        # of the training step, each from the shipped curation config
+        path = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        assert self.run_digest(
+            tmp_path, ["train", "--config", str(path), "--set", setting],
+            ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
+        ) == digest
+
     def test_shapley_csv_pinned(self, tmp_path):
         path = Path(__file__).resolve().parents[1] / "configs" / "fidelity.json"
         assert self.run_digest(tmp_path, ["fidelity", "--config", str(path)],
