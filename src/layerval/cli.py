@@ -3,7 +3,8 @@
 One JSON config drives a run. Each `--set section.key=value`, then `--seed`
 and `--out`, is a layer over it, and the result is checked once. Every run
 writes `resolved_config.json` with all defaults expanded so outputs are
-self-describing. Exit codes: 0 success, 1 config error, 2 runtime error.
+self-describing, once its inputs are loaded and checked. Exit codes: 0
+success, 1 config error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ def build_trainer_config(config: dict) -> TrainerConfig:
 
 
 def _prepare_out(config: dict) -> Path:
+    """Make the output directory and write resolved_config.json into it. Each
+    command calls it once its inputs are loaded and checked, so a run whose
+    inputs fail leaves no output behind."""
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     serialize.dump_json(config, out / "resolved_config.json")
@@ -213,7 +217,6 @@ def _prepare_out(config: dict) -> Path:
 def cmd_generate(config: dict) -> int:
     """Write the splits and a manifest. From CSV splits, num_classes is one past
     the largest label and flip_rate the source manifest's, if it has one."""
-    out = _prepare_out(config)
     bundle = build_dataset(config)
     ds = config["dataset"]
     num_classes, flip_rate = ds["num_classes"], ds["flip_rate"]
@@ -227,16 +230,17 @@ def cmd_generate(config: dict) -> int:
                 raise ValueError(f"{source}: manifest must be a JSON object")
             flip_rate = manifest.get("flip_rate", flip_rate)
             check_setting(f"{source}: flip_rate", *SCHEMA["dataset"]["flip_rate"], flip_rate)
-    write_bundle(bundle, out, config["seed"], num_classes, flip_rate, tuple(ds["fractions"]))
+    write_bundle(bundle, _prepare_out(config), config["seed"], num_classes, flip_rate,
+                 tuple(ds["fractions"]))
     return 0
 
 
 def cmd_train(config: dict) -> int:
-    out = _prepare_out(config)
     bundle = build_dataset(config)
     _check_csv_fits_model(config, bundle)
     net = build_net(config)
     cfg = build_trainer_config(config)
+    out = _prepare_out(config)
     hook = None
     if cfg.checkpoint_every > 0:
         ckpt_dir = out / "checkpoints"
@@ -252,11 +256,11 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_fidelity(config: dict) -> int:
-    out = _prepare_out(config)
     bundle = build_dataset(config)
     _check_csv_fits_model(config, bundle)
     net = build_net(config)
     cfg = build_trainer_config(config)
+    out = _prepare_out(config)
     f = config["fidelity"]
     records, summary = run_fidelity(
         net, cfg, bundle, probe_batch_size=f["probe_batch_size"],
@@ -267,9 +271,8 @@ def cmd_fidelity(config: dict) -> int:
 
 
 def cmd_diagnose(config: dict) -> int:
-    out = _prepare_out(config)
     d = config["diagnose"]
-    ckpt_path = Path(d["checkpoint"]) if d["checkpoint"] else out / "checkpoint_final.json"
+    ckpt_path = Path(d["checkpoint"] or Path(config["output_dir"]) / "checkpoint_final.json")
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
     net = load_checkpoint(ckpt_path)
@@ -279,6 +282,7 @@ def cmd_diagnose(config: dict) -> int:
                          f"{config['model']['layer_dims']}")
     bundle = build_dataset(config)
     _check_csv_fits_model(config, bundle)
+    out = _prepare_out(config)
 
     def taps(rows):
         return batch_taps(net, rows.features, rows.labels, backward=True)

@@ -393,11 +393,13 @@ def emit_reports(records: list[FidelityRecord] | None,
         serialize.dump_json(doc, path)
         written.append(path)
         inc_path = out / "inclusion.csv"
-        sample_ids = report.sample_ids.tolist()
+        # each sample's "sample_id,1" and "sample_id,0" cells; one block of lines per epoch
+        sids = report.sample_ids.tolist()
+        kept, dropped = (np.array([f"{sid},{flag}" for sid in sids], dtype=object)
+                         for flag in (1, 0))
         serialize.write_lines(inc_path, ["epoch", "sample_id", "kept"], [
-            f"{epoch},{sid},{kept}"
-            for epoch, row in enumerate(np.where(report.inclusion, "1", "0").tolist())
-            for sid, kept in zip(sample_ids, row)])
+            f"{epoch}," + f"\n{epoch},".join(row)
+            for epoch, row in enumerate(np.where(report.inclusion, kept, dropped).tolist())])
         written.append(inc_path)
         sc_path = out / "scores.csv"
         est = report.estimator

@@ -123,16 +123,20 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
                    zip(z_taps.acts, j_taps.acts, z_taps.grads, j_taps.grads))
     if estimator not in (Estimator.LAI, Estimator.LLI, Estimator.PRECOND_LAI):
         raise ValueError(f"no pair scores for estimator {estimator.value}")
-    layers = [depth - 1] if estimator is Estimator.LLI else range(depth)
-    alpha = sum(z_taps.acts[l] @ j_taps.acts[l].T
-                / (z_taps.acts[l].shape[1] if calibrate else 1) for l in layers)
+    alpha = None  # the alpha(l) Gram terms, added in layer order
+    for l in [depth - 1] if estimator is Estimator.LLI else range(depth):
+        term = z_taps.acts[l] @ j_taps.acts[l].T
+        if calibrate:
+            term /= z_taps.acts[l].shape[1]
+        alpha = term if alpha is None else np.add(alpha, term, out=alpha)
     gz, gj = z_taps.grads[-1], j_taps.grads[-1]
     if estimator is Estimator.PRECOND_LAI:
         if precond is None:
             raise ValueError("preconditioned scoring needs a preconditioner diagonal")
         scale = 1.0 / np.sqrt(precond)
         gz, gj = gz * scale, gj * scale
-    return alpha * (gz @ gj.T)
+    alpha *= gz @ gj.T
+    return alpha
 
 
 def update_preconditioner(diag: np.ndarray, output_grads: np.ndarray, decay: float,

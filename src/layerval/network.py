@@ -6,6 +6,7 @@ Backward:  g(L) = softmax(logits) - onehot(label)
 Grads:     dW(l) = g(l) a(l-1)^T,   db(l) = g(l)
 
 act' comes from a = act(s) (relu: a > 0, tanh: 1 - a^2, linear: 1): the same bits.
+Each Layer keeps [W(l) | b(l)] as one block, the shape of [dW(l) | db(l)].
 
 batch_taps runs these passes for a whole batch at once and row-stacks every
 augmented activation [a(l-1), 1] and loss-to-pre-activation gradient g(l)
@@ -47,11 +48,41 @@ class LayerSpec:
             raise ValueError(f"layer dims must be positive, got {self.in_dim}x{self.out_dim}")
 
 
-@dataclass
 class Layer:
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
-    spec: LayerSpec
+    """One dense layer. Its parameters are one block params = [W | b], shaped
+    (out_dim, in_dim + 1): a per-sample gradient g(l) [a(l-1), 1]^T has this
+    shape, so the SGD step updates the block at once. weights and bias are
+    views of the block, and assigning either one writes into it. Layer(weights,
+    bias, spec) copies both into a new block; a shape off the spec raises."""
+
+    __slots__ = ("params", "spec")
+
+    def __init__(self, weights, bias, spec: LayerSpec):
+        weights, bias = np.asarray(weights, dtype=np.float64), np.asarray(bias, dtype=np.float64)
+        if weights.shape != (spec.out_dim, spec.in_dim):
+            raise ValueError(f"weight shape {weights.shape} != spec")
+        if bias.shape != (spec.out_dim,):
+            raise ValueError(f"bias shape {bias.shape} != spec")
+        self.params = np.empty((spec.out_dim, spec.in_dim + 1))
+        self.params[:, :-1] = weights
+        self.params[:, -1] = bias
+        self.spec = spec
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.params[:, :-1]
+
+    @weights.setter
+    def weights(self, value) -> None:
+        self.params[:, :-1] = value
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.params[:, -1]
+
+    @bias.setter
+    def bias(self, value) -> None:
+        self.params[:, -1] = value
 
 
 @dataclass
@@ -64,13 +95,11 @@ class MLP:
             raise ValueError("network needs at least one layer")
         for i, layer in enumerate(self.layers):
             spec = layer.spec
-            if layer.weights.shape != (spec.out_dim, spec.in_dim):
-                raise ValueError(f"layer {i}: weight shape {layer.weights.shape} != spec")
-            if layer.bias.shape != (spec.out_dim,):
-                raise ValueError(f"layer {i}: bias shape {layer.bias.shape} != spec")
+            if layer.params.shape != (spec.out_dim, spec.in_dim + 1):
+                raise ValueError(f"layer {i}: parameter shape {layer.params.shape} != spec")
             if i > 0 and spec.in_dim != self.layers[i - 1].spec.out_dim:
                 raise ValueError(f"layer {i}: in_dim {spec.in_dim} != previous out_dim")
-            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
+            if not np.isfinite(layer.params).all():
                 raise ValueError(f"layer {i}: non-finite parameters")
         if self.layers[-1].spec.activation is not Activation.LINEAR:
             raise ValueError("final layer activation must be linear (logits feed softmax)")
@@ -89,13 +118,12 @@ class MLP:
 
     @property
     def num_params(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
+        return sum(l.params.size for l in self.layers)
 
     def copy(self) -> "MLP":
-        return MLP(
-            layers=[Layer(l.weights.copy(), l.bias.copy(), l.spec) for l in self.layers],
-            seed=self.seed,
-        )
+        """A net with the same parameters in new blocks: it shares no memory with this one."""
+        return MLP(layers=[Layer(l.weights, l.bias, l.spec) for l in self.layers],
+                   seed=self.seed)
 
     @staticmethod
     def initialize(dims: list[int], activations: list[Activation | str], seed: int = 0) -> "MLP":
@@ -269,7 +297,7 @@ class BatchTaps:
         return (g[:, :, None] * a[:, None, :]).reshape(len(self), -1)
 
     def rows(self, index) -> "BatchTaps":
-        """The taps of the rows a slice or an index array selects."""
+        """The taps of the rows a slice, an index array or a boolean mask selects."""
         return BatchTaps([a[index] for a in self.acts], [g[index] for g in self.grads],
                          self.losses[index], self.logits[index])
 
@@ -304,23 +332,24 @@ def check_rows(net: MLP, X, labels) -> tuple[np.ndarray, np.ndarray]:
 
 def _taps(net: MLP, X: np.ndarray, labels: np.ndarray, backward: bool) -> BatchTaps:
     """batch_taps without check_rows, for float64 rows that passed it."""
-    rows = np.arange(X.shape[0])
     ones = np.ones((X.shape[0], 1))
     acts = []
     a = X
     for layer in net.layers:
-        acts.append(np.hstack([a, ones]))
-        s = a @ layer.weights.T + layer.bias
-        a = _apply_activation(layer.spec.activation, s)
+        acts.append(np.concatenate((a, ones), 1))
+        s = a @ layer.weights.T
+        s += layer.bias
+        a = _apply_activation(layer.spec.activation, s, out=s)
     logits = s
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     exp = np.exp(shifted)
-    total = exp.sum(axis=1)
-    losses = np.log(total) - shifted[rows, labels]
+    total = np.add.reduce(exp, 1)
+    at = np.arange(0, shifted.size, shifted.shape[1]) + labels  # each row's label, flat
+    losses = np.log(total) - shifted.ravel()[at]
     g = exp / total[:, None]
-    g[rows, labels] -= 1.0
+    g.ravel()[at] -= 1.0
     taps = BatchTaps(acts=acts, grads=[g], losses=losses, logits=logits)
     return backward_chain(net, taps) if backward else taps
 
@@ -331,9 +360,10 @@ def backward_chain(net: MLP, taps: BatchTaps) -> BatchTaps:
         return taps
     grads = list(taps.grads)
     for l in range(net.depth - 1, 0, -1):
-        upstream = grads[0] @ net.layers[l].weights
-        grads.insert(0, upstream * _activation_derivative(
-            net.layers[l - 1].spec.activation, taps.acts[l][:, :-1]))
+        g = grads[0] @ net.layers[l].weights
+        kind, a = net.layers[l - 1].spec.activation, taps.acts[l][:, :-1]
+        g *= (a > 0.0) if kind is Activation.RELU else _activation_derivative(kind, a)
+        grads.insert(0, g)
     return BatchTaps(acts=taps.acts, grads=grads, losses=taps.losses, logits=taps.logits)
 
 
@@ -347,8 +377,8 @@ def save_checkpoint(net: MLP, path: str | Path) -> None:
                 "in_dim": l.spec.in_dim,
                 "out_dim": l.spec.out_dim,
                 "activation": l.spec.activation.value,
-                "weights": [list(map(float, row)) for row in l.weights],
-                "bias": list(map(float, l.bias)),
+                "weights": l.weights.tolist(),
+                "bias": l.bias.tolist(),
             }
             for l in net.layers
         ],
@@ -363,15 +393,17 @@ def load_checkpoint(path: str | Path) -> MLP:
         raise ValueError(f"unrecognized checkpoint format in {path}")
     from .trainer import check_setting  # the config type rule; trainer imports this module
 
-    def spec(i: int, e: dict) -> LayerSpec:
-        return LayerSpec(*(check_setting(f"layers[{i}].{name}", default, None, e[name])
+    def layer(i: int, e: dict) -> Layer:
+        spec = LayerSpec(*(check_setting(f"layers[{i}].{name}", default, None, e[name])
                            for name, default in (("in_dim", 1), ("out_dim", 1),
                                                  ("activation", Activation.LINEAR))))
+        try:
+            return Layer(e["weights"], e["bias"], spec)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from exc
 
     try:
-        return MLP(layers=[Layer(np.array(e["weights"], dtype=np.float64),
-                                 np.array(e["bias"], dtype=np.float64), spec(i, e))
-                           for i, e in enumerate(doc["layers"])],
+        return MLP(layers=[layer(i, e) for i, e in enumerate(doc["layers"])],
                    seed=check_setting("seed", 0, None, doc["seed"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc

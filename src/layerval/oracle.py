@@ -56,9 +56,11 @@ class UtilityFn:
     before querying subsets.
     """
 
-    # coalitions per block; utilities over the 20 shipped fidelity checkpoints
-    # (185,687 coalitions), 2-core host, one BLAS thread, median of 10:
-    # 16 -> 1.18 s, 32 -> 0.90, 64 -> 0.81, 96 -> 0.79, 128 -> 0.82, 256 -> 0.85
+    # coalitions per block; utilities over the 20 checkpoints of configs/fidelity.json
+    # at seed 0 (24,794 coalitions, 50 antithetic pairs each), 2-core host, one
+    # BLAS thread, median of 10: 16 -> 0.104 s, 32 -> 0.083, 64 -> 0.075,
+    # 96 -> 0.070, 128 -> 0.074, 256 -> 0.083. 64 to 128 lie within the
+    # spread of repeated sweeps (up to 15%); every size gives the same bits.
     BLOCK = 64
 
     def __init__(self, net: MLP, val: Split, learning_rate: float):
@@ -84,7 +86,7 @@ class UtilityFn:
         taps = batch_taps(self.net, batch.features, batch.labels, backward=True)
         eta = self.learning_rate
         self._weight_rows = [
-            np.vstack([np.hstack([l.weights, l.bias[:, None]]).ravel(), -eta * taps.flat_grads(i)])
+            np.vstack([l.params.ravel(), -eta * taps.flat_grads(i)])
             for i, l in enumerate(self.net.layers)]
         self._batch = batch
 

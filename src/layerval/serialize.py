@@ -11,7 +11,8 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterator
+from itertools import repeat
+from typing import Any
 
 import numpy as np
 
@@ -27,15 +28,19 @@ def fmt17(x: float) -> str:
     return s
 
 
-def fmt17_column(values) -> Iterator[str]:
-    """:func:`fmt17` of each entry of a float column, in order. The whole
-    column is checked finite here; the strings are made as they are read."""
+def fmt17_column(values) -> list[str]:
+    """:func:`fmt17` of each entry of a float column, in order; the whole
+    column is checked finite first. A finite '.17g' string lacks both '.'
+    and 'e' exactly when the value is a whole number below 1e17 in
+    magnitude: those entries, and only those, get the '.0'."""
     values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite value {float(values[~finite][0])!r}")
-    return (s if "." in s or "e" in s else s + ".0"
-            for s in (format(x, ".17g") for x in values.tolist()))
+    out = list(map(format, values.tolist(), repeat(".17g", len(values))))
+    for i in np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e17)).tolist():
+        out[i] += ".0"
+    return out
 
 
 def dumps(obj: Any) -> str:
@@ -110,7 +115,8 @@ def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> Non
 
 
 def write_lines(path: str | Path, header: list[str], lines: list[str]) -> None:
-    """Write a CSV of preformatted lines whose fields need no quoting, LF endings."""
+    """Write a CSV of preformatted lines whose fields need no quoting, LF
+    endings. An entry may be a block of several lines joined by newlines."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join([",".join(header), *lines]) + "\n")
 

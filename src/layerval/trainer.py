@@ -163,6 +163,10 @@ def pair_macs(net: MLP, estimator: Estimator) -> int:
     return cache_reals_per_sample(net, estimator) + products
 
 
+# batch_cost by (layer specs, estimator, n, m, cached); a run meets a handful of keys
+_COSTS: dict[tuple, tuple[int, int]] = {}
+
+
 def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
                cached: bool = True) -> tuple[int, int]:
     """Ledger MACs and cache bytes of scoring n batch members against m rows each.
@@ -177,8 +181,19 @@ def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
     once, n * m / 2 pairs: this is the paper's cost model, not the GEMM that
     runs, which forms the full n x n pair_matrix block. The bytes are
     cache_reals_per_sample 64-bit reals for each row held, the batch's own
-    n rows in self mode.
+    n rows in self mode. The figure depends on the layer specs only, so it
+    is computed once per (specs, estimator, n, m, cached).
     """
+    key = (tuple([layer.spec for layer in net.layers]), estimator, n, m, cached)
+    if key not in _COSTS:
+        if len(_COSTS) >= 1024:  # a pure memo: dropping it only costs recomputation
+            _COSTS.clear()
+        _COSTS[key] = _ledger_cost(net, estimator, n, m, cached)
+    return _COSTS[key]
+
+
+def _ledger_cost(net: MLP, estimator: Estimator, n: int, m: int,
+                 cached: bool) -> tuple[int, int]:
     extra = backward_extra_macs(net) if estimator.full_backward else 0
     if estimator is Estimator.IP:  # and the per-sample weight gradients g(l) a(l-1)^T
         extra += sum(layer.spec.out_dim * layer.spec.in_dim for layer in net.layers)
@@ -297,7 +312,9 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
     if cache is None:
         benefits -= np.diag(pair)
         m -= 1
-    kept = (benefits >= cfg.threshold) | (m == 0)
+    kept = benefits >= cfg.threshold
+    if m == 0:  # a lone self-scored row
+        kept[:] = True
     if ledger is not None:
         ledger.record(est.value, *batch_cost(net, est, n, m, cache is not None),
                       n, int(np.count_nonzero(kept)))
@@ -307,11 +324,11 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
 # --- optimizer -------------------------------------------------------------
 
 
-MomentumState = list[tuple[np.ndarray, np.ndarray]]
+MomentumState = list[np.ndarray]  # one velocity block [vW | vb] per layer
 
 
 def init_momentum(net: MLP) -> MomentumState:
-    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    return [np.zeros_like(l.params) for l in net.layers]
 
 
 def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
@@ -319,36 +336,38 @@ def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
     """One momentum-SGD update with the mean gradient over the kept samples'
     taps (forward-only taps get their backward chain finished here).
 
-    velocity <- momentum * velocity + grad;  theta <- theta - lr * velocity.
-    Returns the updated net, state, and mean loss over the kept samples.
-    The per-layer sum over samples, g(l)^T [a(l-1), 1], is a fixed-order
-    einsum: it adds the samples in order, as a per-sample loop would, and
-    its bits do not depend on the BLAS thread count. Every layer's gradient
-    is checked finite before any layer is updated, so a NonFiniteGradientError
-    leaves the net as it was.
+    velocity <- momentum * velocity + grad;  theta <- theta - lr * velocity,
+    on each layer's [W | b] block (Layer.params) and its one velocity block.
+    Returns the updated net, the new velocity blocks (the state passed in is
+    left as it was), and the mean loss over the kept samples. With momentum
+    0 the velocity is the gradient itself: the same bits as 0 * v + grad
+    unless a parameter is -0.0, which neither MLP.initialize nor an update
+    makes. The per-layer sum over samples,
+    g(l)^T [a(l-1), 1], is a fixed-order einsum: it adds the samples in
+    order, as a per-sample loop would, and its bits do not depend on the
+    BLAS thread count. Every layer's gradient is checked finite before any
+    layer is updated, so a NonFiniteGradientError leaves the net as it was.
     """
     if not len(kept):
         raise ValueError("sgd_step needs at least one sample")
-    if state is None:
-        state = init_momentum(net)
     taps = backward_chain(net, kept)
     scale = 1.0 / len(kept)
-    grads = [np.einsum("bi,bj->ij", g, a, optimize=False) * scale
-             for a, g in zip(taps.acts, taps.grads)]
+    # the block's longer side is laid out innermost: the same sums, in fewer, longer loops
+    grads = [np.einsum("bi,bj->ij", g, a, order="F" if g.shape[1] > a.shape[1] else "C",
+                       optimize=False) for a, g in zip(taps.acts, taps.grads)]
     for layer, grad in zip(net.layers, grads):
-        if not np.all(np.isfinite(grad)):
+        grad *= scale
+        if not np.isfinite(grad).all():
             raise NonFiniteGradientError(
                 f"non-finite gradient in layer {layer.spec.in_dim}x{layer.spec.out_dim}; "
                 f"|grad W| max={np.abs(grad[:, :-1]).max()}")
-    new_state: MomentumState = []
-    for layer, (vw, vb), grad in zip(net.layers, state, grads):
-        gw, gb = grad[:, :-1], grad[:, -1]
-        vw = cfg.momentum * vw + gw
-        vb = cfg.momentum * vb + gb
-        layer.weights -= cfg.learning_rate * vw
-        layer.bias -= cfg.learning_rate * vb
-        new_state.append((vw, vb))
-    return net, new_state, float(taps.losses.sum()) * scale
+    velocity = grads
+    if cfg.momentum:
+        velocity = [cfg.momentum * v + grad
+                    for v, grad in zip(state or init_momentum(net), grads)]
+    for layer, v in zip(net.layers, velocity):
+        layer.params -= cfg.learning_rate * v
+    return net, velocity, float(taps.losses.sum()) * scale
 
 
 def mean_loss_and_accuracy(net: MLP, rows: Split) -> tuple[float, float]:
@@ -447,11 +466,11 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     y = np.concatenate([data.train.labels, data.validation.labels])
     epoch_stats: list[EpochStats] = []
     inclusion = np.zeros((cfg.epochs, n), dtype=bool)
-    score_steps: list[np.ndarray] = []
-    score_ids: list[np.ndarray] = []
+    scored: list[tuple[int, np.ndarray]] = []  # (step, batch positions) of each scored step
     score_benefits: list[np.ndarray] = []
     cache: ValidationCache | None = None  # stays None in self mode
     hook_steps = set(checkpoint_steps(cfg, n)) if checkpoint_hook is not None else set()
+    cache_size = cache_rows(cfg, len(data.validation))
     step = 0
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
@@ -459,40 +478,42 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         first_scored = len(score_benefits)
         curating = (epoch >= cfg.warmup_epochs and cfg.mode is not CurationMode.OFF
                     and cfg.estimator is not Estimator.NONE)
+        backward = cfg.estimator.full_backward or not curating
         for start in range(0, n, cfg.batch_size):
             rows = batch = order[start:start + cfg.batch_size]
             k = 0  # leading validation rows of this step's pass, at a cache refresh
             if curating and cfg.mode is CurationMode.VALIDATION and (
                     cache is None or step - cache.step_id >= cfg.cache_refresh_steps):
-                k = cache_rows(cfg, len(data.validation))
+                k = cache_size
                 idx = rng_val.choice(len(data.validation), size=k, replace=False)
-                rows = np.concatenate([n + np.sort(idx), rows])
-            taps = _taps(net, X[rows], y[rows], cfg.estimator.full_backward or not curating)
+                idx.sort()
+                rows = np.concatenate((idx + n, batch))
+            taps = _taps(net, X.take(rows, 0), y.take(rows), backward)
             if k:
                 cache = build_validation_cache(net, taps.rows(slice(0, k)), cfg.estimator, step)
                 taps = taps.rows(slice(k, None))
+            kept = taps
             if curating:
                 decision = curate_batch(net, taps, cache, cfg, step, ledger, precond)
                 if precond is not None:
                     precond = update_preconditioner(precond, taps.grads[-1],
                                                     cfg.precond_decay, cfg.precond_floor)
                 epoch_losses.append(taps.losses)
-                score_steps.append(np.full(len(batch), step))
-                score_ids.append(ids[batch])
+                scored.append((step, batch))
                 score_benefits.append(decision.benefit_scores)
                 kept_flags = decision.kept_mask
-                if not kept_flags.any() and cfg.empty_batch_policy is EmptyBatchPolicy.KEEP_TOP1:
+                if cfg.empty_batch_policy is EmptyBatchPolicy.KEEP_TOP1 and not kept_flags.any():
                     kept_flags = np.arange(len(batch)) == np.argmax(decision.benefit_scores)
+                inclusion[epoch, batch] = kept_flags
+                if np.count_nonzero(kept_flags) < len(batch):
+                    kept = taps.rows(kept_flags)
             else:
-                kept_flags = np.ones(len(batch), dtype=bool)
-            inclusion[epoch, batch] = kept_flags
-            kept_rows = np.flatnonzero(kept_flags)
-            if kept_rows.size:
-                kept = taps if kept_rows.size == len(taps) else taps.rows(kept_rows)
+                inclusion[epoch, batch] = True
+            if len(kept):
                 net, state, mean_loss = sgd_step(net, kept, cfg, state)
                 if not curating:
                     # repeat so the epoch mean weights every sample equally
-                    epoch_losses.append(np.full(kept_rows.size, mean_loss))
+                    epoch_losses.append(np.full(len(kept), mean_loss))
             step += 1
             if step in hook_steps:
                 checkpoint_hook(step, net.copy())
@@ -510,7 +531,9 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         ))
     report = TrainingReport(
         epoch_stats=epoch_stats, sample_ids=ids, inclusion=inclusion,
-        score_steps=_column(score_steps, np.int64), score_ids=_column(score_ids, np.int64),
+        score_steps=np.repeat(np.array([st for st, _ in scored], dtype=np.int64),
+                              [len(batch) for _, batch in scored]),
+        score_ids=ids[_column([batch for _, batch in scored], np.int64)],
         score_benefits=_column(score_benefits, np.float64),
         probe_ids=ids[:cfg.probe_sample_count], ledger=ledger, seed=cfg.seed,
         mode=cfg.mode.value, estimator=cfg.estimator.value, steps_total=step)

@@ -818,3 +818,29 @@ class TestDiagnose:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "runtime"
         assert err["message"] == f"{path}: no rows"
+
+
+class TestOutputAfterInputs:
+    """A command makes its output directory, resolved_config.json first, only
+    once its inputs are loaded and checked."""
+
+    @pytest.mark.parametrize("command", ["generate", "train", "fidelity", "diagnose"])
+    def test_failed_input_leaves_no_resolved_config(self, tmp_path, capsys, command):
+        ds_dir = tmp_path / "dataset"
+        assert main(["generate", "--config",
+                     str(write_config(tmp_path, tiny_config(ds_dir), "gen.json"))]) == 0
+        cfg = tiny_config(tmp_path / "run")
+        cfg["dataset"].update({"kind": "csv", "dir": str(ds_dir)})
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(cfg_path)]) == 0  # diagnose's checkpoint
+        val = ds_dir / "val.csv"
+        val.write_text(val.read_text().splitlines()[0] + "\n")  # header only
+        fresh = tmp_path / "fresh"
+        argv = [command, "--config", str(cfg_path), "--out", str(fresh)]
+        if command == "diagnose":
+            argv += ["--set", f"diagnose.checkpoint={tmp_path / 'run' / 'checkpoint_final.json'}"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"] == f"{val}: no rows"
+        assert not (fresh / "resolved_config.json").exists()

@@ -215,6 +215,49 @@ class TestParamGrads:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+class TestParamBlock:
+    """A layer keeps [W | b] as one (out, in + 1) block; weights and bias are its views."""
+
+    def test_weights_and_bias_write_into_params(self):
+        layer = seeded_net([3, 4, 2], ["relu", "linear"], seed=8).layers[0]
+        w, b = np.arange(12.0).reshape(4, 3), np.array([-1.0, 0.5, 2.0, 3.0])
+        layer.weights = w
+        layer.bias = b
+        np.testing.assert_array_equal(layer.params, np.column_stack([w, b]))
+        layer.bias[2] = 7.0
+        assert layer.params[2, -1] == 7.0
+        assert np.shares_memory(layer.weights, layer.params)
+        assert np.shares_memory(layer.bias, layer.params)
+
+    def test_shape_off_the_spec_rejected(self):
+        spec = LayerSpec(3, 2, Activation.LINEAR)
+        with pytest.raises(ValueError, match="weight shape"):
+            Layer(np.zeros((3, 2)), np.zeros(2), spec)
+        with pytest.raises(ValueError, match="bias shape"):
+            Layer(np.zeros((2, 3)), np.zeros(3), spec)
+
+    def test_copy_shares_no_memory(self):
+        net = seeded_net([4, 7, 3], ["tanh", "linear"], seed=9)
+        twin = net.copy()
+        for a, b in zip(net.layers, twin.layers):
+            assert not np.shares_memory(a.params, b.params)
+            np.testing.assert_array_equal(a.params, b.params)
+        before = net.layers[0].params.copy()
+        twin.layers[0].weights += 1.0
+        np.testing.assert_array_equal(net.layers[0].params, before)
+
+    def test_checkpoint_round_trip_keeps_the_bytes(self, tmp_path):
+        net = seeded_net([4, 7, 3], ["relu", "linear"], seed=10)
+        net.layers[0].weights *= np.pi
+        net.layers[1].bias = np.array([0.1, -1e-300, 5.0])
+        save_checkpoint(net, tmp_path / "a.json")
+        loaded = load_checkpoint(tmp_path / "a.json")
+        save_checkpoint(loaded, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        for a, b in zip(net.layers, loaded.layers):
+            assert a.params.tobytes() == b.params.tobytes()
+
+
 class TestDeterminismAndCheckpoint:
     def test_same_seed_bit_identical_taps(self):
         for _ in range(2):

@@ -440,6 +440,42 @@ class TestSgdStep:
             assert np.array_equal(got.bias, want.bias)
 
 
+class TestParamBlock:
+    """The SGD step updates each layer's [W | b] block with one velocity block."""
+
+    def test_assigned_weights_and_bias_reach_forward_and_step(self):
+        net = toy_net(dims=(3, 5, 2), seed=70)
+        batch = toy_split(net, 6, seed=71)
+        w, b = np.arange(15.0).reshape(5, 3) / 10.0, np.linspace(-1.0, 1.0, 5)
+        net.layers[0].weights = w
+        net.layers[0].bias = b
+        top = net.layers[1]
+        fresh = MLP(layers=[Layer(w, b, net.layers[0].spec), Layer(top.weights, top.bias, top.spec)])
+        taps, want = taps_of(net, batch, Estimator.GHOST), taps_of(fresh, batch, Estimator.GHOST)
+        assert np.array_equal(taps.logits, want.logits)
+        cfg = cfg_with(learning_rate=0.1)
+        stepped, _, _ = sgd_step(net, taps, cfg, None)
+        sgd_step(fresh, want, cfg, None)
+        for a, c in zip(stepped.layers, fresh.layers):
+            assert np.array_equal(a.params, c.params)
+        assert not np.array_equal(stepped.layers[0].weights, w)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_one_velocity_block_per_layer(self, momentum):
+        net = toy_net(dims=(3, 5, 2), seed=72)
+        taps = taps_of(net, toy_split(net, 6, seed=73), Estimator.GHOST)
+        cfg = cfg_with(learning_rate=0.1, momentum=momentum)
+        grads = sgd_step(net.copy(), taps, cfg_with(learning_rate=0.1), None)[1]
+        state = [np.full(l.params.shape, 0.5) for l in net.layers]
+        old = [l.params.copy() for l in net.layers]
+        net, velocity, _ = sgd_step(net, taps, cfg, state)
+        for layer, v, v0, g, p0 in zip(net.layers, velocity, state, grads, old):
+            assert (v.shape, g.shape) == (layer.params.shape,) * 2
+            assert (v0 == 0.5).all()  # the state passed in is left as it was
+            np.testing.assert_array_equal(v, momentum * v0 + g)
+            np.testing.assert_array_equal(layer.params, p0 - cfg.learning_rate * v)
+
+
 class TestReusedTaps:
     """A curated step makes one pass: the cache takes its first rows, the
     scorer the rest, and the SGD step the kept rows, where the step used to
@@ -469,16 +505,14 @@ class TestReusedTaps:
         kept = np.flatnonzero(decision.kept_mask)
         assert 0 < kept.size < len(batch)
         rng = np.random.default_rng(63)
-        state = [(rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape))
-                 for l in net.layers]
+        state = [rng.normal(size=l.params.shape) for l in net.layers]
         reused, state_a, loss_a = sgd_step(net.copy(), taps.rows(kept), cfg, state)
         rerun, state_b, loss_b = sgd_step(
             net.copy(), taps_of(net, batch[kept], Estimator.GHOST), cfg, state)
-        for a, b, (va, ba), (vb, bb) in zip(reused.layers, rerun.layers, state_a, state_b):
+        for a, b, va, vb in zip(reused.layers, rerun.layers, state_a, state_b):
             np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(a.bias, b.bias, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(va, vb, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(ba, bb, rtol=1e-12, atol=1e-15)
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
 
     @pytest.mark.parametrize("refresh", [1, 3])
@@ -567,6 +601,18 @@ class TestLedger:
         # precond_lai rescales the 3 members' and the 5 cached output gradients
         assert batch_cost(net, Estimator.PRECOND_LAI, 3, 5) == (
             3 * 4 + 5 * 4 + 3 * 5 * 48, 5 * (9 + 17 + 17 + 4) * 8)
+
+    def test_cached_cost_follows_the_specs(self):
+        # batch_cost is cached on the layer specs: every net, asked in turn, gets
+        # its own closed form, whatever was asked before it
+        nets = [toy_net(dims=dims, seed=48) for dims in ((3, 4, 2), (3, 5, 2), (3, 4, 2))]
+        nets.append(toy_net(dims=(3, 4, 2), acts=("tanh", "linear"), seed=49))
+        for _ in range(2):
+            for net in nets:
+                for est in (Estimator.IP, Estimator.GHOST, Estimator.LAI, Estimator.PRECOND_LAI):
+                    for cached in (True, False):
+                        assert batch_cost(net, est, 3, 5, cached) == \
+                            trainer._ledger_cost(net, est, 3, 5, cached)
 
     def test_cache_byte_closed_forms(self):
         net = toy_net(dims=(8, 16, 16, 4), acts=("relu", "relu", "linear"), seed=30)
