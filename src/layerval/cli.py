@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .data import load_bundle, make_noisy_blob_bundle, write_bundle
+from .data import SPLIT_FILES, load_bundle, make_noisy_blob_bundle, write_bundle
 from .evaluation import emit_reports, run_fidelity
 from .influence import Estimator, bound_diagnostics, variance_diagnostic
 from .network import MLP, batch_taps, load_checkpoint, save_checkpoint
@@ -155,19 +155,16 @@ def load_config(path: str | None) -> dict:
         raise ConfigError("--config", f"invalid JSON: {exc}") from exc
 
 
-_CSV_FILES = ("train.csv", "val.csv", "test.csv")
-
-
 def build_dataset(config: dict):
     """The CSV splits of dataset.dir, each with at least one row, or noisy blobs."""
     ds = config["dataset"]
     if _reads_csv(ds):
         d = Path(ds["dir"])
-        for name in _CSV_FILES:
+        for name in SPLIT_FILES:
             if not (d / name).exists():
                 raise FileNotFoundError(f"dataset file missing: {d / name}")
         bundle = load_bundle(d)
-        for name, rows in zip(_CSV_FILES, (bundle.train, bundle.validation, bundle.test)):
+        for name, rows in zip(SPLIT_FILES, (bundle.train, bundle.validation, bundle.test)):
             if not rows:
                 raise ValueError(f"{d / name}: no rows")
         return bundle
@@ -185,7 +182,7 @@ def _check_csv_fits_model(config: dict, bundle) -> None:
         return
     d, layer_dims = Path(config["dataset"]["dir"]), config["model"]["layer_dims"]
     in_dim, out_dim = layer_dims[0], layer_dims[-1]
-    for name, rows in zip(_CSV_FILES, (bundle.train, bundle.validation, bundle.test)):
+    for name, rows in zip(SPLIT_FILES, (bundle.train, bundle.validation, bundle.test)):
         if rows.features.shape[1] != in_dim:
             raise ValueError(f"{d / name}: feature dim {rows.features.shape[1]} "
                              f"!= model.layer_dims[0] = {in_dim}")
@@ -284,12 +281,14 @@ def cmd_diagnose(config: dict) -> int:
     _check_csv_fits_model(config, bundle)
     out = _prepare_out(config)
 
-    def taps(rows):
-        return batch_taps(net, rows.features, rows.labels, backward=True)
-
-    n = min(d["pair_count"], len(bundle.train))
-    bound = bound_diagnostics(taps(bundle.validation[np.arange(n) % len(bundle.validation)]),
-                              taps(bundle.train[:n]))
+    val, n = bundle.validation, min(d["pair_count"], len(bundle.train))
+    # the bound's pairs (validation row i % len(val), training row i), then the
+    # variance anchor (validation row 0) ahead of the validation pool, and its probe
+    bound_z, bound_j, var_z, var_j = (
+        batch_taps(net, rows.features, rows.labels, backward=True)
+        for rows in (val[np.arange(n) % len(val)], bundle.train[:n],
+                     val[np.r_[0, :len(val)]], bundle.train[:1]))
+    bound = bound_diagnostics(bound_z, bound_j)
     serialize.dump_json({
         "depth": bound.depth,
         "rho_hat": bound.rho_hat,
@@ -304,10 +303,9 @@ def cmd_diagnose(config: dict) -> int:
                              and math.isfinite(bound.bound_value)
                              and bound.measured_rel_gap <= bound.bound_value),
     }, out / "bound.json")
-    subset_size = min(d["subset_size"], len(bundle.validation))
-    var_ghost, var_lai = variance_diagnostic(
-        net, (bundle.validation[:1], bundle.train[:1]), bundle.validation,
-        resamples=d["resamples"], subset_size=subset_size, seed=config["seed"])
+    subset_size = min(d["subset_size"], len(val))
+    var_ghost, var_lai = variance_diagnostic(var_z, var_j, resamples=d["resamples"],
+                                             subset_size=subset_size, seed=config["seed"])
     serialize.dump_json({
         "var_ghost": var_ghost,
         "var_lai": var_lai,

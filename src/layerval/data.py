@@ -85,6 +85,9 @@ class DatasetBundle:
     test: Split
 
 
+SPLIT_FILES = ("train.csv", "val.csv", "test.csv")  # the files of train, validation, test
+
+
 class CsvFormatError(ValueError):
     """Raised on malformed dataset CSV; `kind` names the defect."""
 
@@ -212,9 +215,8 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path, seed: int, num_clas
     """Write train/val/test CSVs plus a manifest of the construction the caller states."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_csv(bundle.train, out / "train.csv")
-    save_csv(bundle.validation, out / "val.csv")
-    save_csv(bundle.test, out / "test.csv")
+    for rows, name in zip((bundle.train, bundle.validation, bundle.test), SPLIT_FILES):
+        save_csv(rows, out / name)
     manifest = {
         "seed": seed,
         "num_classes": num_classes,
@@ -231,4 +233,4 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path, seed: int, num_clas
 def load_bundle(dir_path: str | Path) -> DatasetBundle:
     """The train/val/test CSVs of a directory."""
     d = Path(dir_path)
-    return DatasetBundle(*(load_csv(d / name) for name in ("train.csv", "val.csv", "test.csv")))
+    return DatasetBundle(*(load_csv(d / name) for name in SPLIT_FILES))

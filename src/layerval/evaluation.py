@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import DatasetBundle, Split
 from .influence import Estimator, pair_matrix
-from .network import MLP, batch_taps
+from .network import MLP
 from .oracle import EXHAUSTIVE_MAX, UtilityFn, shapley_mc
 from .trainer import (
     CurationMode,
@@ -95,14 +95,6 @@ class FidelitySummary:
     mean_stderr_to_spread: float | None = None  # None: no checkpoint with a value spread
 
 
-def _benefit_scores(net: MLP, probe: Split, val: Split) -> dict[str, list[float]]:
-    """Aggregated benefit scores of each probe sample for the four estimators."""
-    val_taps = batch_taps(net, val.features, val.labels, backward=True)
-    probe_taps = batch_taps(net, probe.features, probe.labels, backward=True)
-    return {est.value: pair_matrix(est, val_taps, probe_taps).sum(axis=0).tolist()
-            for est in FIDELITY_ESTIMATORS}
-
-
 def _worker_count() -> int:
     """Usable CPUs: the caller trains on one, forked workers value checkpoints on the rest."""
     if hasattr(os, "sched_getaffinity"):
@@ -113,10 +105,11 @@ def _worker_count() -> int:
 def _checkpoint_record(k: int, step: int, snap: MLP, probe: Split, val: Split,
                        cfg: TrainerConfig, permutations: int, exhaustive: bool) -> FidelityRecord:
     """Correlate each estimator's probe scores at checkpoint k with its Shapley values."""
-    scores = _benefit_scores(snap, probe, val)
     utility = UtilityFn(snap, val, cfg.learning_rate)
     mc_seed = cfg.seed * 1_000_003 + 7919 * (k + 1)
     est = shapley_mc(utility, probe, permutations, seed=mc_seed, exhaustive=exhaustive)
+    scores = {e.value: pair_matrix(e, utility.val_taps, utility.bound_taps).sum(axis=0).tolist()
+              for e in FIDELITY_ESTIMATORS}
     shap = est.values.tolist()
     pearsons: dict[str, float | None] = {}
     spearmans: dict[str, float | None] = {}

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import MLP, BatchTaps, SampleTaps, batch_taps
+from .network import BatchTaps, SampleTaps
 
 
 class Estimator(str, Enum):
@@ -109,7 +109,8 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
 
     Products of Gram matrices are elementwise. With calibrate=True the LAI-family
     alpha(l) is divided by dim(a~(l-1)); Ghost and IP ignore it. Estimators
-    with full_backward need taps from a full backward pass.
+    with full_backward need taps from a full backward pass. Every estimator
+    adds its per-layer terms in layer order, each in place into the first.
     """
     depth = len(z_taps.acts)
     if len(j_taps.acts) != depth:
@@ -117,26 +118,29 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
     if estimator.full_backward and not (z_taps.full and j_taps.full):
         raise ValueError(f"{estimator.value} scoring needs taps from a full backward pass")
     if estimator is Estimator.IP:
-        return sum(z_taps.flat_grads(l) @ j_taps.flat_grads(l).T for l in range(depth))
-    if estimator is Estimator.GHOST:
-        return sum((az @ aj.T) * (gz @ gj.T) for az, aj, gz, gj in
-                   zip(z_taps.acts, j_taps.acts, z_taps.grads, j_taps.grads))
-    if estimator not in (Estimator.LAI, Estimator.LLI, Estimator.PRECOND_LAI):
+        terms = (z_taps.flat_grads(l) @ j_taps.flat_grads(l).T for l in range(depth))
+    elif estimator is Estimator.GHOST:
+        terms = ((az @ aj.T) * (gz @ gj.T) for az, aj, gz, gj in
+                 zip(z_taps.acts, j_taps.acts, z_taps.grads, j_taps.grads))
+    elif estimator in (Estimator.LAI, Estimator.LLI, Estimator.PRECOND_LAI):
+        first = depth - 1 if estimator is Estimator.LLI else 0  # LLI reads alpha(L) only
+        terms = (az @ aj.T / az.shape[1] if calibrate else az @ aj.T
+                 for az, aj in zip(z_taps.acts[first:], j_taps.acts[first:]))
+    else:
         raise ValueError(f"no pair scores for estimator {estimator.value}")
-    alpha = None  # the alpha(l) Gram terms, added in layer order
-    for l in [depth - 1] if estimator is Estimator.LLI else range(depth):
-        term = z_taps.acts[l] @ j_taps.acts[l].T
-        if calibrate:
-            term /= z_taps.acts[l].shape[1]
-        alpha = term if alpha is None else np.add(alpha, term, out=alpha)
+    total = next(terms)
+    for term in terms:
+        total += term
+    if estimator.full_backward:
+        return total
     gz, gj = z_taps.grads[-1], j_taps.grads[-1]
     if estimator is Estimator.PRECOND_LAI:
         if precond is None:
             raise ValueError("preconditioned scoring needs a preconditioner diagonal")
         scale = 1.0 / np.sqrt(precond)
         gz, gj = gz * scale, gj * scale
-    alpha *= gz @ gj.T
-    return alpha
+    total *= gz @ gj.T
+    return total
 
 
 def update_preconditioner(diag: np.ndarray, output_grads: np.ndarray, decay: float,
@@ -209,29 +213,25 @@ def bound_diagnostics(z_taps: BatchTaps, j_taps: BatchTaps) -> BoundReport:
     )
 
 
-def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
+def variance_diagnostic(z_taps: BatchTaps, j_taps: BatchTaps, resamples: int,
                         subset_size: int, seed: int) -> tuple[float, float]:
     """Spread of Ghost vs LAI totals under random validation subsets.
 
-    probe_pair is (anchor, probe), two one-row Splits. The anchor's score
-    against the probe enters every draw (a constant shift); each of
-    `resamples` draws adds a size-`subset_size` subset of the pool and the
-    Ghost/LAI totals are recorded. Returns the two sample variances. The
-    scores against the probe come from one batched pass over the anchor and
-    the pool and one over the probe.
+    Row 0 of z_taps is the anchor and the other rows are the validation pool;
+    j_taps is the one probe row; both come from full backward passes. The
+    anchor's score against the probe enters every draw (a constant shift);
+    each of `resamples` draws adds a size-`subset_size` subset of the pool
+    and the Ghost/LAI totals are recorded. Returns the two sample variances.
     """
+    pool = max(len(z_taps) - 1, 0)  # row 0 is the anchor
     if resamples < 2:
         raise ValueError("need at least two resamples for a variance")
-    if subset_size > len(val_pool):
+    if subset_size > pool:
         raise ValueError("subset_size exceeds the validation pool")
-    if not val_pool:
+    if pool < 1:
         raise ValueError("empty validation pool")
-    anchor, probe = probe_pair
-    if len(anchor) != 1 or len(probe) != 1:
+    if len(j_taps) != 1:
         raise ValueError("anchor and probe must be one row each")
-    z_taps = batch_taps(net, np.vstack([anchor.features, val_pool.features]),
-                        np.append(anchor.labels, val_pool.labels), backward=True)
-    j_taps = batch_taps(net, probe.features, probe.labels, backward=True)
     # influence sign: column 0 holds every row's score against the probe
     ghost = -pair_matrix(Estimator.GHOST, z_taps, j_taps)[:, 0]
     lai = -pair_matrix(Estimator.LAI, z_taps, j_taps)[:, 0]
@@ -239,7 +239,7 @@ def variance_diagnostic(net: MLP, probe_pair, val_pool, resamples: int,
     ghost_draws = np.empty(resamples)
     lai_draws = np.empty(resamples)
     for r in range(resamples):
-        idx = 1 + np.sort(rng.choice(len(val_pool), size=subset_size, replace=False))
+        idx = 1 + np.sort(rng.choice(pool, size=subset_size, replace=False))
         ghost_draws[r] = ghost[0] + float(ghost[idx].sum())
         lai_draws[r] = lai[0] + float(lai[idx].sum())
     return float(np.var(ghost_draws, ddof=1)), float(np.var(lai_draws, ddof=1))

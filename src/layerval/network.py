@@ -174,16 +174,12 @@ class ParamGrads:
 
 def _apply_activation(kind: Activation, s: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of s, written into out when it is given (out may be s itself)."""
+    """The activation of s; out, where a caller passes it, is s itself (in place)."""
     if kind is Activation.RELU:
         return np.maximum(s, 0.0, out=out)
     if kind is Activation.TANH:
         return np.tanh(s, out=out)
-    if out is None:
-        return s
-    if out is not s:
-        out[...] = s
-    return out
+    return s
 
 
 def _activation_derivative(kind: Activation, a: np.ndarray) -> np.ndarray:

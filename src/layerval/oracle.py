@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Split
-from .network import MLP, Activation, _apply_activation, batch_taps
+from .network import MLP, Activation, BatchTaps, _apply_activation, batch_taps
 
 
 EXHAUSTIVE_MAX = 8  # n! orderings, each with n prefixes, are held at once
@@ -51,9 +51,10 @@ class UtilityFn:
     row, so each layer's W a + b is one stacked matmul into a buffer reused by
     every block, activated by one pass over the whole buffer; the logits are
     class-major (C, b, V), so the softmax reduces over a leading class axis.
-    Evaluations are pure: the frozen parameters are never mutated.
-    Call bind_batch (or pass the batch to the Shapley helpers, which do it)
-    before querying subsets.
+    Evaluations are pure: the frozen parameters are never mutated. The game
+    keeps its two full passes: val_taps of the validation rows (their mean
+    loss is the base loss) and bound_taps of the bound batch. Call bind_batch
+    (or pass the batch to the Shapley helpers, which do it) before querying subsets.
     """
 
     # coalitions per block; utilities over the 20 checkpoints of configs/fidelity.json
@@ -71,22 +72,23 @@ class UtilityFn:
         self.net = net.copy()
         self.learning_rate = learning_rate
         self.val = val
-        self._base_loss = float(batch_taps(self.net, val.features, val.labels,
-                                           backward=False).losses.mean())
+        self.val_taps = batch_taps(self.net, val.features, val.labels, backward=True)
+        self._base_loss = float(self.val_taps.losses.mean())
         # [X^T; 1], C-contiguous: the first layer's bias rides in its matmul
-        self._val_a = np.ascontiguousarray(np.vstack([val.features.T, np.ones((1, len(val)))]))
+        self._val_a = np.ascontiguousarray(self.val_taps.acts[0].T)
         self._onehot = (np.arange(self.net.out_dim)[:, None] == val.labels).astype(np.float64)
         self._batch: Split | None = None
+        self.bound_taps: BatchTaps | None = None
         self._weight_rows: list[np.ndarray] | None = None
 
     def bind_batch(self, batch: Split) -> None:
-        """Take the batch's taps (one full batched pass) and weight rows E_l for subset queries."""
+        """Keep the batch's full pass as bound_taps and build weight rows E_l for subsets."""
         if not batch:
             raise ValueError("empty batch")
-        taps = batch_taps(self.net, batch.features, batch.labels, backward=True)
+        self.bound_taps = batch_taps(self.net, batch.features, batch.labels, backward=True)
         eta = self.learning_rate
         self._weight_rows = [
-            np.vstack([l.params.ravel(), -eta * taps.flat_grads(i)])
+            np.vstack([l.params.ravel(), -eta * self.bound_taps.flat_grads(i)])
             for i, l in enumerate(self.net.layers)]
         self._batch = batch
 

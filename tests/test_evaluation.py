@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerval import cli, evaluation
+from layerval import cli, evaluation, network
 from layerval.cli import main
 from layerval.data import make_noisy_blob_bundle
 from layerval.evaluation import (
+    FIDELITY_ESTIMATORS,
     DegenerateInputError,
     FidelityRecord,
     FidelitySummary,
@@ -32,8 +33,8 @@ from layerval.evaluation import (
     spearman,
     summarize_fidelity,
 )
-from layerval.influence import Estimator
-from layerval.network import MLP, Activation, Layer, LayerSpec
+from layerval.influence import Estimator, pair_matrix
+from layerval.network import MLP, Activation, Layer, LayerSpec, batch_taps
 from layerval.oracle import EXHAUSTIVE_MAX
 from layerval.serialize import fmt17, fmt17_column, read_csv
 from layerval.trainer import (
@@ -187,6 +188,32 @@ class TestRunFidelity:
         _, rows = read_csv(tmp_path / "shapley.csv")
         assert rows == [[str(r.step), str(sid), fmt17(v), fmt17(e)] for r in records
                         for sid, v, e in zip(ids, r.shapley, r.shapley_stderr)]
+
+    def test_a_checkpoint_takes_two_tap_passes(self, monkeypatch):
+        # the game's passes of the validation rows and of the probe, which the
+        # scores read too: they match scores from separate passes of those rows
+        bundle = tiny_bundle(seed=5)
+        net = MLP.initialize([4, 6, 3], ["relu", "linear"], seed=5)
+        cfg = TrainerConfig(learning_rate=0.05, batch_size=6, epochs=1,
+                            warmup_epochs=0, mode=CurationMode.OFF, seed=5)
+        probe, val = bundle.train[:4], bundle.validation
+        passes, real_taps = [], network._taps
+
+        def counted(net, X, labels, backward):
+            passes.append(len(X))
+            return real_taps(net, X, labels, backward)
+
+        with monkeypatch.context() as counting:
+            counting.setattr(network, "_taps", counted)
+            record = evaluation._checkpoint_record(0, 1, net, probe, val, cfg,
+                                                   permutations=4, exhaustive=False)
+        assert sorted(passes) == sorted([len(val), len(probe)])
+        val_taps, probe_taps = (batch_taps(net, rows.features, rows.labels, backward=True)
+                                for rows in (val, probe))
+        for est in FIDELITY_ESTIMATORS:
+            np.testing.assert_allclose(
+                record.scores[est.value],
+                pair_matrix(est, val_taps, probe_taps).sum(axis=0), rtol=1e-12, atol=0)
 
     def test_correlations_bounded(self):
         bundle = tiny_bundle(seed=4)
@@ -427,16 +454,16 @@ class TestFidelityWorkers:
         run = self.fidelity_run()
         workers(monkeypatch, 2)
         caller, raised_in = os.getpid(), tmp_path / "raised"
-        benefit_scores = evaluation._benefit_scores
+        score = evaluation.pair_matrix  # each checkpoint's scoring
 
         def fail_in_a_worker(*args):
             if os.getpid() == caller:
-                return benefit_scores(*args)
+                return score(*args)
             with open(raised_in, "a") as f:
                 f.write(f"{os.getpid()}\n")
             raise RuntimeError(f"scoring failed in process {os.getpid()}")
 
-        monkeypatch.setattr(evaluation, "_benefit_scores", fail_in_a_worker)
+        monkeypatch.setattr(evaluation, "pair_matrix", fail_in_a_worker)
         # training waits at the first checkpoint until a worker has raised
         train_with_hook(monkeypatch, lambda step: wait_for(raised_in) if step == 2 else None)
         threads_before = set(threading.enumerate())
@@ -596,6 +623,20 @@ class TestEmitReports:
         path = Path(__file__).resolve().parents[1] / "configs" / "fidelity.json"
         assert self.run_digest(tmp_path, ["fidelity", "--config", str(path)],
                                ["shapley.csv"]) == "0555ba529f349641"
+
+    def test_diagnose_outputs_pinned(self, tmp_path):
+        # diagnose on the checkpoint that train writes from the shipped curation config
+        path = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        self.run_digest(tmp_path, ["train", "--config", str(path)], [])
+        assert self.run_digest(tmp_path, ["diagnose", "--config", str(path)],
+                               ["bound.json", "variance.json", "cost.json"]) == "2800859d0fb43489"
+
+    def test_exhaustive_fidelity_outputs_pinned(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "configs" / "fidelity.json"
+        assert self.run_digest(
+            tmp_path, ["fidelity", "--config", str(path), "--set", "fidelity.exhaustive=true",
+                       "--set", "fidelity.probe_batch_size=6"],
+            ["fidelity.csv", "shapley.csv", "fidelity_summary.json"]) == "1667439bd67a8b75"
 
     def generate_twice(self, tmp_path):
         """generate from blobs into tmp_path/src, then from those CSVs into tmp_path/csv."""

@@ -351,6 +351,14 @@ def random_net_and_rows(data, rows):
     return net, toy_split(net, rows, seed)
 
 
+def variance_taps(net, anchor, probe, pool):
+    """variance_diagnostic's taps of the anchor, probe and pool Splits: one
+    full pass of the anchor's rows ahead of the pool's, and one of the probe's."""
+    z_taps = batch_taps(net, np.vstack([anchor.features, pool.features]),
+                        np.append(anchor.labels, pool.labels), backward=True)
+    return z_taps, batch_taps(net, probe.features, probe.labels, backward=True)
+
+
 def assert_close(got, want):
     """Equal within 1e-12 relative, or 1e-24 absolute for pure rounding noise."""
     assert got == want or abs(got - want) <= max(1e-12 * abs(want), 1e-24), (got, want)
@@ -383,9 +391,12 @@ class TestBatchedDiagnosticsMatchReference:
         net, samples = random_net_and_rows(data, pool_size + 1)
         subset_size = data.draw(st.integers(1, pool_size), label="subset")
         resamples = data.draw(st.integers(2, 20), label="resamples")
-        args = (net, (samples[1:2], samples[:1]), samples[1:], resamples, subset_size, 7)
-        for got, want in zip(variance_diagnostic(*args), reference.variance_diagnostic(*args)):
-            assert_close(got, want)
+        anchor, probe, pool = samples[1:2], samples[:1], samples[1:]
+        rest = (resamples, subset_size, 7)
+        got = variance_diagnostic(*variance_taps(net, anchor, probe, pool), *rest)
+        want = reference.variance_diagnostic(net, (anchor, probe), pool, *rest)
+        for g, w in zip(got, want):
+            assert_close(g, w)
 
 
 class TestVarianceDiagnostic:
@@ -395,38 +406,51 @@ class TestVarianceDiagnostic:
     def test_full_pool_subsets_give_zero_variance(self):
         net = MLP.initialize([2, 3, 2], ["relu", "linear"], seed=0)
         pool = self.pool(net, 6, seed=1)
-        vg, vl = variance_diagnostic(net, (pool[:1], pool[1:2]), pool,
+        vg, vl = variance_diagnostic(*variance_taps(net, pool[:1], pool[1:2], pool),
                                      resamples=8, subset_size=6, seed=3)
         assert vg == 0.0 and vl == 0.0
 
     def test_depth_one_variances_equal(self):
         net = MLP.initialize([3, 3], ["linear"], seed=2)
         pool = self.pool(net, 10, seed=4)
-        vg, vl = variance_diagnostic(net, (pool[:1], pool[1:2]), pool,
+        vg, vl = variance_diagnostic(*variance_taps(net, pool[:1], pool[1:2], pool),
                                      resamples=40, subset_size=3, seed=5)
         assert vg == pytest.approx(vl, rel=1e-12)
 
     def test_depth_three_run_reports_finite_variances(self):
         net = MLP.initialize([4, 8, 8, 3], ["relu", "relu", "linear"], seed=6)
         pool = self.pool(net, 64, seed=7)
-        vg, vl = variance_diagnostic(net, (pool[:1], pool[1:2]), pool,
+        vg, vl = variance_diagnostic(*variance_taps(net, pool[:1], pool[1:2], pool),
                                      resamples=200, subset_size=8, seed=8)
         assert np.isfinite(vg) and np.isfinite(vl)
         assert vg >= 0.0 and vl >= 0.0
         # var(LAI) <= var(Ghost) is an empirical observation, recorded not asserted
 
     def test_anchor_and_probe_must_be_one_row(self):
+        # row 0 of z_taps is the anchor, so only the probe can have another row count
         net = MLP.initialize([2, 3, 2], ["relu", "linear"], seed=0)
         pool = self.pool(net, 6, seed=1)
-        for pair in ((pool[:2], pool[2:3]), (pool[:1], pool[1:1])):
+        for probe in (pool[1:3], pool[1:1]):
             with pytest.raises(ValueError, match="one row each"):
-                variance_diagnostic(net, pair, pool, resamples=4, subset_size=2, seed=3)
+                variance_diagnostic(*variance_taps(net, pool[:1], probe, pool),
+                                    resamples=4, subset_size=2, seed=3)
+
+    def test_few_resamples_an_empty_pool_or_a_subset_over_the_pool_raise(self):
+        net = MLP.initialize([2, 3, 2], ["relu", "linear"], seed=0)
+        pool = self.pool(net, 6, seed=1)
+        for rows, resamples, subset_size, message in (
+                (pool, 1, 2, "at least two resamples"),
+                (pool[:0], 4, 0, "empty validation pool"),
+                (pool, 4, 7, "subset_size exceeds the validation pool")):
+            with pytest.raises(ValueError, match=message):
+                variance_diagnostic(*variance_taps(net, pool[:1], pool[1:2], rows),
+                                    resamples, subset_size, seed=3)
 
     def test_determinism(self):
         net = MLP.initialize([2, 4, 2], ["tanh", "linear"], seed=9)
         pool = self.pool(net, 12, seed=10)
-        a = variance_diagnostic(net, (pool[:1], pool[1:2]), pool, 20, 4, seed=11)
-        b = variance_diagnostic(net, (pool[:1], pool[1:2]), pool, 20, 4, seed=11)
+        a = variance_diagnostic(*variance_taps(net, pool[:1], pool[1:2], pool), 20, 4, seed=11)
+        b = variance_diagnostic(*variance_taps(net, pool[:1], pool[1:2], pool), 20, 4, seed=11)
         assert a == b
 
 
