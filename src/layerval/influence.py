@@ -46,11 +46,11 @@ class Estimator(str, Enum):
     PRECOND_LAI = "precond_lai"
     NONE = "none"
 
-    @property
-    def full_backward(self) -> bool:
-        """Whether scoring reads g(l) of every layer, so needs taps from a full
-        backward pass (Ghost, IP); the LAI family reads g(L) only."""
-        return self in (Estimator.GHOST, Estimator.IP)
+    def __init__(self, value: str):
+        # full_backward: whether scoring reads g(l) of every layer, so needs
+        # taps from a full backward pass (Ghost, IP); the LAI family reads g(L)
+        # only. A member attribute, read without a call on every step.
+        self.full_backward = value in ("ghost", "ip")
 
 
 @dataclass
@@ -115,23 +115,26 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
     depth = len(z_taps.acts)
     if len(j_taps.acts) != depth:
         raise ValueError("taps come from different architectures")
-    if estimator.full_backward and not (z_taps.full and j_taps.full):
+    full = estimator.full_backward
+    if full and not (z_taps.full and j_taps.full):
         raise ValueError(f"{estimator.value} scoring needs taps from a full backward pass")
-    if estimator is Estimator.IP:
-        terms = (z_taps.flat_grads(l) @ j_taps.flat_grads(l).T for l in range(depth))
-    elif estimator is Estimator.GHOST:
-        terms = ((az @ aj.T) * (gz @ gj.T) for az, aj, gz, gj in
-                 zip(z_taps.acts, j_taps.acts, z_taps.grads, j_taps.grads))
-    elif estimator in (Estimator.LAI, Estimator.LLI, Estimator.PRECOND_LAI):
-        first = depth - 1 if estimator is Estimator.LLI else 0  # LLI reads alpha(L) only
-        terms = (az @ aj.T / az.shape[1] if calibrate else az @ aj.T
-                 for az, aj in zip(z_taps.acts[first:], j_taps.acts[first:]))
-    else:
+    if estimator is Estimator.NONE:
         raise ValueError(f"no pair scores for estimator {estimator.value}")
-    total = next(terms)
-    for term in terms:
-        total += term
-    if estimator.full_backward:
+    total = None
+    for l in range(depth - 1 if estimator is Estimator.LLI else 0, depth):  # LLI: alpha(L) only
+        if estimator is Estimator.IP:
+            term = z_taps.flat_grads(l) @ j_taps.flat_grads(l).T
+        else:
+            term = z_taps.acts[l] @ j_taps.acts[l].T
+            if estimator is Estimator.GHOST:
+                term *= z_taps.grads[l] @ j_taps.grads[l].T
+            elif calibrate:
+                term /= z_taps.acts[l].shape[1]
+        if total is None:
+            total = term
+        else:
+            total += term
+    if full:
         return total
     gz, gj = z_taps.grads[-1], j_taps.grads[-1]
     if estimator is Estimator.PRECOND_LAI:

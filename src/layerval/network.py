@@ -12,8 +12,11 @@ batch_taps runs these passes for a whole batch at once and row-stacks every
 augmented activation [a(l-1), 1] and loss-to-pre-activation gradient g(l)
 in a BatchTaps; every command takes its taps from it. It is check_rows
 (rows must fit the net) then _taps, the check-free pass that the trainer
-runs on rows it checked once. backward_chain finishes the backward pass of
-any rows of forward-only taps. The per-sample functions (forward,
+runs on the augmented rows [X, 1] (augment) that it checked and stacked
+once. _taps is _logits (the forward pass; epoch evaluation runs it alone),
+_cross_entropy (losses and g(L)) and, for a full backward pass, _chain,
+which the SGD step also runs on the kept rows of forward-only taps;
+backward_chain is _chain for a BatchTaps. The per-sample functions (forward,
 loss_and_output_grad, backward_taps, param_grads, evaluate_sample and their
 SampleTaps/ParamGrads records) are called by no command. They stay because
 the benchmark tracer (perfbench/job.py) binds them by name, and the tests
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -293,16 +297,27 @@ class BatchTaps:
         return (g[:, :, None] * a[:, None, :]).reshape(len(self), -1)
 
     def rows(self, index) -> "BatchTaps":
-        """The taps of the rows a slice, an index array or a boolean mask selects."""
-        return BatchTaps([a[index] for a in self.acts], [g[index] for g in self.grads],
-                         self.losses[index], self.logits[index])
+        """The taps of the rows a slice, an index array or a boolean mask
+        selects; a mask is turned into its index array once, for every block."""
+        if isinstance(index, np.ndarray) and index.dtype == bool:
+            index = index.nonzero()[0]
+        pick = itemgetter(index)
+        return BatchTaps(list(map(pick, self.acts)), list(map(pick, self.grads)),
+                         pick(self.losses), pick(self.logits))
+
+
+def augment(X: np.ndarray) -> np.ndarray:
+    """[X, 1]: the rows with a 1 appended, the input block acts[0] of layer 1."""
+    return np.concatenate((X, np.ones((X.shape[0], 1))), 1)
 
 
 def batch_taps(net: MLP, X: np.ndarray, labels, backward: bool) -> BatchTaps:
     """Forward, loss and output gradient for every row of X; with backward=True
     also g(l) of every layer. Row i of each block matches evaluate_sample on
-    (X[i], labels[i]) up to rounding. Bad rows raise (see check_rows)."""
-    return _taps(net, *check_rows(net, X, labels), backward)
+    (X[i], labels[i]) up to rounding. Bad rows raise (see check_rows); the
+    rows are augmented once, to [X, 1], which becomes acts[0]."""
+    X, labels = check_rows(net, X, labels)
+    return _taps(net, augment(X), labels, backward)
 
 
 def check_rows(net: MLP, X, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -326,41 +341,73 @@ def check_rows(net: MLP, X, labels) -> tuple[np.ndarray, np.ndarray]:
     return X, labels
 
 
-def _taps(net: MLP, X: np.ndarray, labels: np.ndarray, backward: bool) -> BatchTaps:
-    """batch_taps without check_rows, for float64 rows that passed it."""
-    ones = np.ones((X.shape[0], 1))
-    acts = []
-    a = X
+def _taps(net: MLP, A: np.ndarray, labels: np.ndarray, backward: bool) -> BatchTaps:
+    """batch_taps without check_rows, on the augmented rows A = [X, 1] (see
+    augment) of float64 rows that passed it; A becomes acts[0]."""
+    acts = [A]
+    logits = _logits(net, A[:, :-1], acts)
+    losses, g = _cross_entropy(logits, labels, grad=True)
+    return BatchTaps(acts, _chain(net, acts, g) if backward else [g], losses, logits)
+
+
+def _logits(net: MLP, a: np.ndarray, acts: list[np.ndarray] | None = None) -> np.ndarray:
+    """The logits of the rows a: the forward pass alone, check-free; a
+    non-finite logit raises ValueError. With a list `acts`, each hidden
+    layer's activations are also copied into a new [a(l), 1] block appended
+    to it. Each layer works on contiguous blocks: numpy's elementwise loops
+    on the strided a(l) part of an [a(l), 1] block ran ~3x slower."""
+    last = net.layers[-1]
     for layer in net.layers:
-        acts.append(np.concatenate((a, ones), 1))
-        s = a @ layer.weights.T
-        s += layer.bias
+        p = layer.params
+        s = a @ p[:, :-1].T
+        s += p[:, -1]
         a = _apply_activation(layer.spec.activation, s, out=s)
-    logits = s
-    if not np.isfinite(logits).all():
+        if acts is not None and layer is not last:
+            acts.append(np.empty((a.shape[0], a.shape[1] + 1)))
+            acts[-1][:, :-1] = a
+            acts[-1][:, -1] = 1.0
+    if not np.logical_and.reduce(np.isfinite(a), None):
         raise ValueError("non-finite logits")
+    return a
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
+                   grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each row's loss -log softmax(logits)[label] and, with grad=True, its
+    gradient softmax(logits) - onehot(label) with respect to the logits."""
     shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     exp = np.exp(shifted)
     total = np.add.reduce(exp, 1)
     at = np.arange(0, shifted.size, shifted.shape[1]) + labels  # each row's label, flat
     losses = np.log(total) - shifted.ravel()[at]
-    g = exp / total[:, None]
-    g.ravel()[at] -= 1.0
-    taps = BatchTaps(acts=acts, grads=[g], losses=losses, logits=logits)
-    return backward_chain(net, taps) if backward else taps
+    if not grad:
+        return losses, None
+    exp /= total[:, None]
+    exp.ravel()[at] -= 1.0
+    return losses, exp
+
+
+def _chain(net: MLP, acts: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
+    """g(l) of every layer, from g(L) = g down through the [a, 1] blocks acts."""
+    grads = [g]
+    for l in range(len(acts) - 1, 0, -1):
+        g = g @ net.layers[l].params[:, :-1]
+        kind, a = net.layers[l - 1].spec.activation, acts[l][:, :-1]
+        if kind is Activation.RELU:
+            g *= a > 0.0
+        elif kind is Activation.TANH:
+            g *= 1.0 - a * a
+        grads.append(g)
+    grads.reverse()
+    return grads
 
 
 def backward_chain(net: MLP, taps: BatchTaps) -> BatchTaps:
     """Forward-only taps completed with g(l) of every layer; full taps as they are."""
     if taps.full:
         return taps
-    grads = list(taps.grads)
-    for l in range(net.depth - 1, 0, -1):
-        g = grads[0] @ net.layers[l].weights
-        kind, a = net.layers[l - 1].spec.activation, taps.acts[l][:, :-1]
-        g *= (a > 0.0) if kind is Activation.RELU else _activation_derivative(kind, a)
-        grads.insert(0, g)
-    return BatchTaps(acts=taps.acts, grads=grads, losses=taps.losses, logits=taps.logits)
+    return BatchTaps(taps.acts, _chain(net, taps.acts, taps.grads[-1]), taps.losses,
+                     taps.logits)
 
 
 def save_checkpoint(net: MLP, path: str | Path) -> None:

@@ -4,11 +4,13 @@ Each curated step scores the batch with curate_batch, against a cached
 validation subsample or, in self-influence mode, against the rest of the
 batch: one influence.pair_matrix call either way. It drops members whose
 benefit score falls below the threshold and applies the SGD update with the
-survivors. train checks the splits against the net once, stacks them, and
-makes one check-free network._taps pass per step, led by the validation
-subsample's rows at a cache refresh: the cache, the scores and the SGD step
-all read that pass, and where it stopped at g(L) (the LAI family) the step
-finishes the backward chain for the kept rows only. The report holds
+survivors. train checks the splits against the net once, stacks them as
+[X, 1], and makes one check-free network._taps pass per step, led by the
+validation subsample's rows at a cache refresh: the cache, the scores and
+the SGD step all read that pass, and where it stopped at g(L) (the LAI
+family) the step finishes the backward chain for the kept rows only. Each
+epoch's validation loss and test accuracy come from forward-only passes
+over blocks of at most batch_size rows. The report holds
 columns: an (epochs, n) inclusion array and one (step, id, benefit) row per
 scored sample, collected per step and joined once.
 A cost ledger keeps per-estimator totals of the multiply-accumulate work and
@@ -23,13 +25,14 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .data import DatasetBundle, Split
 from .influence import Estimator, pair_matrix, update_preconditioner
-from .network import MLP, BatchTaps, _taps, backward_chain, check_rows
+from .network import MLP, BatchTaps, _chain, _cross_entropy, _logits, _taps, augment, check_rows
 
 
 class CurationMode(str, Enum):
@@ -163,8 +166,9 @@ def pair_macs(net: MLP, estimator: Estimator) -> int:
     return cache_reals_per_sample(net, estimator) + products
 
 
-# batch_cost by (layer specs, estimator, n, m, cached); a run meets a handful of keys
+# batch_cost by (parameter block shapes, estimator, n, m, cached); a run meets a handful of keys
 _COSTS: dict[tuple, tuple[int, int]] = {}
+_SHAPE = attrgetter("params.shape")
 
 
 def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
@@ -181,10 +185,10 @@ def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
     once, n * m / 2 pairs: this is the paper's cost model, not the GEMM that
     runs, which forms the full n x n pair_matrix block. The bytes are
     cache_reals_per_sample 64-bit reals for each row held, the batch's own
-    n rows in self mode. The figure depends on the layer specs only, so it
-    is computed once per (specs, estimator, n, m, cached).
+    n rows in self mode. The figure depends on the layer dims only, so it
+    is computed once per (parameter block shapes, estimator, n, m, cached).
     """
-    key = (tuple([layer.spec for layer in net.layers]), estimator, n, m, cached)
+    key = (tuple(map(_SHAPE, net.layers)), estimator, n, m, cached)
     if key not in _COSTS:
         if len(_COSTS) >= 1024:  # a pure memo: dropping it only costs recomputation
             _COSTS.clear()
@@ -260,14 +264,15 @@ def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
                            step_id: int = 0) -> ValidationCache:
     """Keep the taps of the validation subsample (from a full backward pass
     for Ghost/IP) for scoring batches against it."""
-    if not len(val_taps):
+    m = len(val_taps.losses)
+    if not m:
         raise ValueError("validation subset must be nonempty")
     if estimator is Estimator.NONE:
         raise ValueError("cannot build a cache for estimator 'none'")
     if estimator.full_backward and not val_taps.full:
         raise ValueError(f"a {estimator.value} cache needs taps from a full backward pass")
     return ValidationCache(step_id=step_id, estimator=estimator, taps=val_taps,
-                           byte_size=batch_cost(net, estimator, 0, len(val_taps))[1])
+                           byte_size=batch_cost(net, estimator, 0, m)[1])
 
 
 # --- curation --------------------------------------------------------------
@@ -307,8 +312,8 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
                 f"(refresh every {cfg.cache_refresh_steps})")
     rows = taps if cache is None else cache.taps
     pair = pair_matrix(est, rows, taps, preconditioner, cfg.layer_calibration)
-    benefits = pair.sum(axis=0)
-    n, m = len(taps), len(rows)  # m: scoring rows per member
+    benefits = np.add.reduce(pair, 0)
+    n, m = len(taps.losses), len(rows.losses)  # m: scoring rows per member
     if cache is None:
         benefits -= np.diag(pair)
         m -= 1
@@ -342,39 +347,50 @@ def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
     left as it was), and the mean loss over the kept samples. With momentum
     0 the velocity is the gradient itself: the same bits as 0 * v + grad
     unless a parameter is -0.0, which neither MLP.initialize nor an update
-    makes. The per-layer sum over samples,
-    g(l)^T [a(l-1), 1], is a fixed-order einsum: it adds the samples in
-    order, as a per-sample loop would, and its bits do not depend on the
-    BLAS thread count. Every layer's gradient is checked finite before any
-    layer is updated, so a NonFiniteGradientError leaves the net as it was.
+    makes. The per-layer sum over samples, g(l)^T [a(l-1), 1], is a
+    fixed-order einsum: it adds the samples in order, as a per-sample loop
+    would, and its bits depend on neither its output order nor the BLAS
+    thread count. Every layer's gradient is checked finite before any layer
+    is updated, so a NonFiniteGradientError leaves the net as it was.
     """
-    if not len(kept):
+    n = len(kept.losses)
+    if not n:
         raise ValueError("sgd_step needs at least one sample")
-    taps = backward_chain(net, kept)
-    scale = 1.0 / len(kept)
-    # the block's longer side is laid out innermost: the same sums, in fewer, longer loops
-    grads = [np.einsum("bi,bj->ij", g, a, order="F" if g.shape[1] > a.shape[1] else "C",
-                       optimize=False) for a, g in zip(taps.acts, taps.grads)]
-    for layer, grad in zip(net.layers, grads):
+    layer_grads = kept.grads
+    if len(layer_grads) < len(kept.acts):
+        layer_grads = _chain(net, kept.acts, layer_grads[-1])
+    scale = 1.0 / n
+    velocity = []
+    for layer, a, g in zip(net.layers, kept.acts, layer_grads):
+        # A block with more rows than columns is summed with its rows innermost
+        # ("F"): the same sums in fewer, longer loops. Otherwise numpy's default
+        # "K": "C" made the 256x257 block of an 8-256-256-3 net ~3x slower.
+        grad = np.einsum("bi,bj->ij", g, a, order="F" if g.shape[1] > a.shape[1] else "K",
+                         optimize=False)
         grad *= scale
-        if not np.isfinite(grad).all():
+        if not np.logical_and.reduce(np.isfinite(grad), None):
             raise NonFiniteGradientError(
                 f"non-finite gradient in layer {layer.spec.in_dim}x{layer.spec.out_dim}; "
                 f"|grad W| max={np.abs(grad[:, :-1]).max()}")
-    velocity = grads
+        velocity.append(grad)
     if cfg.momentum:
-        velocity = [cfg.momentum * v + grad
-                    for v, grad in zip(state or init_momentum(net), grads)]
+        for v, old in zip(velocity, state or init_momentum(net)):
+            v += cfg.momentum * old
     for layer, v in zip(net.layers, velocity):
         layer.params -= cfg.learning_rate * v
-    return net, velocity, float(taps.losses.sum()) * scale
+    return net, velocity, float(np.add.reduce(kept.losses)) * scale
 
 
-def mean_loss_and_accuracy(net: MLP, rows: Split) -> tuple[float, float]:
-    """Mean cross-entropy and argmax accuracy (ties to the lowest index), check-free."""
-    taps = _taps(net, rows.features, rows.labels, backward=False)
-    hits = int(np.count_nonzero(np.argmax(taps.logits, axis=1) == rows.labels))
-    return float(taps.losses.mean()), hits / len(rows)
+def mean_loss_and_accuracy(net: MLP, rows: Split,
+                           block: int | None = None) -> tuple[float, float]:
+    """Mean cross-entropy and argmax accuracy (ties to the lowest index) of the
+    rows, check-free, from forward-only passes over blocks of at most `block`
+    rows (None: one block): the logits of a _taps pass over the same blocks."""
+    X, block = rows.features, block or len(rows)
+    logits = np.concatenate([_logits(net, X[i:i + block]) for i in range(0, len(X), block)])
+    losses = _cross_entropy(logits, rows.labels, grad=False)[0]
+    hits = int(np.count_nonzero(logits.argmax(1) == rows.labels))
+    return float(losses.mean()), hits / len(rows)
 
 
 # --- training loop ---------------------------------------------------------
@@ -462,7 +478,8 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     precond = (np.maximum(np.ones(net.out_dim), cfg.precond_floor)  # precond_lai's D
                if cfg.estimator is Estimator.PRECOND_LAI else None)
     n, ids = len(data.train), data.train.ids.copy()
-    X = np.concatenate([data.train.features, data.validation.features])  # validation from n on
+    # [X, 1] of the training rows, then the validation rows from n on
+    A = augment(np.concatenate([data.train.features, data.validation.features]))
     y = np.concatenate([data.train.labels, data.validation.labels])
     epoch_stats: list[EpochStats] = []
     inclusion = np.zeros((cfg.epochs, n), dtype=bool)
@@ -470,7 +487,8 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     score_benefits: list[np.ndarray] = []
     cache: ValidationCache | None = None  # stays None in self mode
     hook_steps = set(checkpoint_steps(cfg, n)) if checkpoint_hook is not None else set()
-    cache_size = cache_rows(cfg, len(data.validation))
+    val_size = len(data.validation)
+    cache_size = cache_rows(cfg, val_size)
     step = 0
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
@@ -485,10 +503,10 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             if curating and cfg.mode is CurationMode.VALIDATION and (
                     cache is None or step - cache.step_id >= cfg.cache_refresh_steps):
                 k = cache_size
-                idx = rng_val.choice(len(data.validation), size=k, replace=False)
+                idx = rng_val.choice(val_size, size=k, replace=False)
                 idx.sort()
                 rows = np.concatenate((idx + n, batch))
-            taps = _taps(net, X.take(rows, 0), y.take(rows), backward)
+            taps = _taps(net, A.take(rows, 0), y.take(rows), backward)
             if k:
                 cache = build_validation_cache(net, taps.rows(slice(0, k)), cfg.estimator, step)
                 taps = taps.rows(slice(k, None))
@@ -509,7 +527,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                     kept = taps.rows(kept_flags)
             else:
                 inclusion[epoch, batch] = True
-            if len(kept):
+            if len(kept.losses):
                 net, state, mean_loss = sgd_step(net, kept, cfg, state)
                 if not curating:
                     # repeat so the epoch mean weights every sample equally
@@ -522,8 +540,8 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         epoch_stats.append(EpochStats(
             epoch=epoch,
             train_loss=float(np.concatenate(epoch_losses).mean()),
-            val_loss=mean_loss_and_accuracy(net, data.validation)[0],
-            test_accuracy=mean_loss_and_accuracy(net, data.test)[1],
+            val_loss=mean_loss_and_accuracy(net, data.validation, cfg.batch_size)[0],
+            test_accuracy=mean_loss_and_accuracy(net, data.test, cfg.batch_size)[1],
             kept_count=int(np.count_nonzero(inclusion[epoch])),
             scored_count=benefits.size,
             histogram_edges=edges,

@@ -619,6 +619,16 @@ class TestEmitReports:
             ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
         ) == digest
 
+    def test_depth_three_train_outputs_pinned(self, tmp_path):
+        # train on an 8-32-16-3 net: two hidden layers of different widths and
+        # activations, where the backward chain runs below more than one layer
+        path = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        assert self.run_digest(
+            tmp_path, ["train", "--config", str(path), "--set", "model.layer_dims=[8, 32, 16, 3]",
+                       "--set", 'model.activations=["tanh", "relu", "linear"]'],
+            ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
+        ) == "c21e3b6fd882d8d1"
+
     def test_shapley_csv_pinned(self, tmp_path):
         path = Path(__file__).resolve().parents[1] / "configs" / "fidelity.json"
         assert self.run_digest(tmp_path, ["fidelity", "--config", str(path)],

@@ -10,6 +10,9 @@ from layerval.network import (
     Activation,
     Layer,
     LayerSpec,
+    _logits,
+    _taps,
+    augment,
     backward_chain,
     backward_taps,
     batch_taps,
@@ -370,3 +373,49 @@ class TestBatchTaps:
     def test_bad_input_rejected(self, X, labels, match):
         with pytest.raises(ValueError, match=match):
             batch_taps(identity_net(), X, labels, backward=True)
+
+
+class TestForwardOnly:
+    """The forward-only pass that epoch evaluation runs gives the logits of a
+    full tap pass over the same rows, bit for bit."""
+
+    @pytest.mark.parametrize("act", ALL_ACTS)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 5, 16, 37])
+    def test_logits_match_the_tap_pass(self, act, depth, batch):
+        dims = [5, 12, 7, 4][:depth] + [3]
+        net = seeded_net(dims, [act] * (depth - 1) + ["linear"], seed=depth * 10 + batch)
+        rng = np.random.default_rng(batch)
+        X, labels = 3.0 * rng.normal(size=(batch, 5))[:, :dims[0]], rng.integers(3, size=batch)
+        got = _logits(net, X)
+        for backward in (False, True):
+            assert np.array_equal(got, batch_taps(net, X, labels, backward).logits)
+            assert np.array_equal(got, _taps(net, augment(X), labels, backward).logits)
+
+    def test_non_finite_logits_raise_with_the_tap_pass_message(self):
+        spec = LayerSpec(2, 2, Activation.LINEAR)
+        net = MLP(layers=[Layer(np.full((2, 2), 1e200), np.zeros(2), spec)])
+        X, labels = np.array([[1.0, 0.0], [1e200, 1e200]]), np.array([0, 1])
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+            batch_taps(net, X, labels, backward=False)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+            _logits(net, X)
+        assert str(got.value) == str(want.value) == "non-finite logits"
+
+    @given(st.integers(0, 2 ** 16), st.integers(1, 12), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_of_a_mask_and_of_its_index_array_agree(self, seed, batch, backward, data):
+        rng = np.random.default_rng(seed)
+        net = seeded_net([3, 6, 4, 3], ["tanh", "relu", "linear"], seed=seed)
+        taps = batch_taps(net, rng.normal(size=(batch, 3)), rng.integers(3, size=batch),
+                          backward)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=batch, max_size=batch),
+                                  label="mask"))
+        by_mask, by_index = taps.rows(mask), taps.rows(np.flatnonzero(mask))
+        for blocks in ("acts", "grads"):
+            for got, want, whole in zip(getattr(by_mask, blocks), getattr(by_index, blocks),
+                                        getattr(taps, blocks)):
+                assert np.array_equal(got, want) and np.array_equal(got, whole[mask])
+        for block in ("losses", "logits"):
+            got, want = getattr(by_mask, block), getattr(by_index, block)
+            assert np.array_equal(got, want) and np.array_equal(got, getattr(taps, block)[mask])

@@ -555,25 +555,37 @@ class TestReusedTaps:
                                                (CurationMode.VALIDATION, 3),
                                                (CurationMode.SELF, 1)])
     def test_one_pass_per_step_plus_two_per_epoch(self, monkeypatch, mode, refresh):
-        calls = []
+        # one _taps pass per step; the two evaluations of each epoch (the
+        # validation loss, the test accuracy) are forward-only passes over
+        # blocks of at most batch_size rows that cover each split once
+        calls, evaluated = [], []
 
         def counting(*args, **kwargs):
             calls.append(args[1].shape[0])
             return network._taps(*args, **kwargs)
 
+        def forward_only(net, a, *rest):
+            evaluated.append(a.copy())
+            return network._logits(net, a, *rest)
+
         monkeypatch.setattr(trainer, "_taps", counting)
+        monkeypatch.setattr(trainer, "_logits", forward_only)
         data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
                                       fractions=(0.7, 0.15, 0.15), seed=64)
         cfg = cfg_with(mode=mode, epochs=4, warmup_epochs=1, batch_size=8,
                        cache_refresh_steps=refresh)
         report, _ = train(toy_net(dims=(4, 8, 3), seed=64), cfg, data)
-        assert len(calls) == report.steps_total + 2 * cfg.epochs
+        assert len(calls) == report.steps_total
         k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
         batches = math.ceil(len(data.train) / cfg.batch_size)
         refreshes = math.ceil(batches * (cfg.epochs - 1) / refresh) \
             if mode is CurationMode.VALIDATION else 0
-        assert sum(calls) == cfg.epochs * (len(data.train) + len(data.validation)
-                                           + len(data.test)) + refreshes * k
+        assert sum(calls) == cfg.epochs * len(data.train) + refreshes * k
+        assert all(0 < len(block) <= cfg.batch_size for block in evaluated)
+        assert len(evaluated) == cfg.epochs * sum(
+            math.ceil(len(split) / cfg.batch_size) for split in (data.validation, data.test))
+        epoch = np.vstack([data.validation.features, data.test.features])
+        assert np.array_equal(np.vstack(evaluated), np.vstack([epoch] * cfg.epochs))
 
 
 class TestLedger:
