@@ -105,9 +105,9 @@ def _worker_count() -> int:
 def _checkpoint_record(k: int, step: int, snap: MLP, probe: Split, val: Split,
                        cfg: TrainerConfig, permutations: int, exhaustive: bool) -> FidelityRecord:
     """Correlate each estimator's probe scores at checkpoint k with its Shapley values."""
-    utility = UtilityFn(snap, val, cfg.learning_rate)
+    utility = UtilityFn(snap, val, probe, cfg.learning_rate)
     mc_seed = cfg.seed * 1_000_003 + 7919 * (k + 1)
-    est = shapley_mc(utility, probe, permutations, seed=mc_seed, exhaustive=exhaustive)
+    est = shapley_mc(utility, permutations, seed=mc_seed, exhaustive=exhaustive)
     scores = {e.value: pair_matrix(e, utility.val_taps, utility.bound_taps).sum(axis=0).tolist()
               for e in FIDELITY_ESTIMATORS}
     shap = est.values.tolist()
@@ -331,9 +331,9 @@ def emit_reports(records: list[FidelityRecord] | None,
                  summary: FidelitySummary | None,
                  report: TrainingReport | None,
                  out_dir: str | Path) -> list[Path]:
-    """Write fidelity.csv and shapley.csv / fidelity_summary.json /
-    training_report.json, inclusion.csv and scores.csv for whichever inputs
-    are present."""
+    """Write, for whichever inputs are present: fidelity.csv, shapley.csv and
+    scores.csv (records), fidelity_summary.json (summary), and
+    training_report.json, inclusion.csv and scores.csv (report)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -353,6 +353,14 @@ def emit_reports(records: list[FidelityRecord] | None,
         serialize.write_csv(path, ["step", "sample_id", "value", "stderr"], [
             [r.step, sid, value, stderr] for r in records
             for sid, value, stderr in zip(r.probe_ids, r.shapley, r.shapley_stderr)])
+        written.append(path)
+        path = out / "scores.csv"
+        # one row per checkpoint, probe sample and estimator (in fidelity.csv's order)
+        cells = [(f"{r.step},{sid},{name},", r.scores[name][i]) for r in records
+                 for i, sid in enumerate(r.probe_ids) for name in sorted(r.scores)]
+        serialize.write_lines(path, ["step", "sample_id", "estimator", "benefit"], [
+            head + benefit for (head, _), benefit
+            in zip(cells, serialize.fmt17_column([b for _, b in cells]))])
         written.append(path)
     if summary is not None:
         path = out / "fidelity_summary.json"

@@ -15,12 +15,12 @@ in a BatchTaps; every command takes its taps from it. It is check_rows
 runs on the augmented rows [X, 1] (augment) that it checked and stacked
 once. _taps is _logits (the forward pass; epoch evaluation runs it alone),
 _cross_entropy (losses and g(L)) and, for a full backward pass, _chain,
-which the SGD step also runs on the kept rows of forward-only taps;
-backward_chain is _chain for a BatchTaps. The per-sample functions (forward,
-loss_and_output_grad, backward_taps, param_grads, evaluate_sample and their
-SampleTaps/ParamGrads records) are called by no command. They stay because
-the benchmark tracer (perfbench/job.py) binds them by name, and the tests
-check batch_taps against them. All arithmetic is float64.
+which the SGD step also runs on the kept rows of forward-only taps. The
+per-sample functions (forward, loss_and_output_grad, backward_taps,
+param_grads, evaluate_sample and their SampleTaps/ParamGrads records) are
+called by no command. They stay because the benchmark tracer
+(perfbench/job.py) binds them by name, and the tests check batch_taps
+against them. All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -392,22 +392,14 @@ def _chain(net: MLP, acts: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
     grads = [g]
     for l in range(len(acts) - 1, 0, -1):
         g = g @ net.layers[l].params[:, :-1]
-        kind, a = net.layers[l - 1].spec.activation, acts[l][:, :-1]
+        kind, a = net.layers[l - 1].spec.activation, acts[l]
         if kind is Activation.RELU:
-            g *= a > 0.0
+            g *= (a > 0.0)[:, :-1]  # the whole block's mask, sliced: the strided view's is slower
         elif kind is Activation.TANH:
-            g *= 1.0 - a * a
+            g *= 1.0 - a[:, :-1] * a[:, :-1]
         grads.append(g)
     grads.reverse()
     return grads
-
-
-def backward_chain(net: MLP, taps: BatchTaps) -> BatchTaps:
-    """Forward-only taps completed with g(l) of every layer; full taps as they are."""
-    if taps.full:
-        return taps
-    return BatchTaps(taps.acts, _chain(net, taps.acts, taps.grads[-1]), taps.losses,
-                     taps.logits)
 
 
 def save_checkpoint(net: MLP, path: str | Path) -> None:

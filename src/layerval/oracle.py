@@ -11,8 +11,9 @@ player exactly: it leaves every coalition's step unchanged.
 Shapley values of this game are the fidelity reference the influence
 estimators are correlated against, estimated by Monte-Carlo sampling of
 antithetic pairs of orderings (exhaustive over every ordering up to
-EXHAUSTIVE_MAX members). A batch and the validation rows are data.Split
-records.
+EXHAUSTIVE_MAX members). A game (UtilityFn) is built on its checkpoint, the
+validation rows and the batch, both data.Split records, and stays bound to
+that batch.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Split
-from .network import MLP, Activation, BatchTaps, _apply_activation, batch_taps
+from .network import MLP, Activation, _apply_activation, batch_taps
 
 
 EXHAUSTIVE_MAX = 8  # n! orderings, each with n prefixes, are held at once
@@ -41,7 +42,7 @@ class UtilityFn:
     """One-step validation-loss-decrease game over a frozen checkpoint.
 
     A coalition's step is rank-1 per member and layer: with D_l[i] the flat
-    g_l(i) (x) a~_l(i) (the bound batch's BatchTaps.flat_grads rows), a
+    g_l(i) (x) a~_l(i) (the batch's BatchTaps.flat_grads rows), a
     coalition's flat weights [W|b] - eta * sum_{i in S} D_l[i] are the
     product of the row [1, M] (M its 0/1 membership) with
     E_l = [ravel([W|b]); -eta * D_l].
@@ -52,9 +53,9 @@ class UtilityFn:
     every block, activated by one pass over the whole buffer; the logits are
     class-major (C, b, V), so the softmax reduces over a leading class axis.
     Evaluations are pure: the frozen parameters are never mutated. The game
-    keeps its two full passes: val_taps of the validation rows (their mean
-    loss is the base loss) and bound_taps of the bound batch. Call bind_batch
-    (or pass the batch to the Shapley helpers, which do it) before querying subsets.
+    is bound to its batch when it is built and keeps its two full passes:
+    val_taps of the validation rows (their mean loss is the base loss) and
+    bound_taps of the batch.
     """
 
     # coalitions per block; utilities over the 20 checkpoints of configs/fidelity.json
@@ -64,7 +65,7 @@ class UtilityFn:
     # spread of repeated sweeps (up to 15%); every size gives the same bits.
     BLOCK = 64
 
-    def __init__(self, net: MLP, val: Split, learning_rate: float):
+    def __init__(self, net: MLP, val: Split, batch: Split, learning_rate: float):
         if learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
         if not val:
@@ -77,12 +78,11 @@ class UtilityFn:
         # [X^T; 1], C-contiguous: the first layer's bias rides in its matmul
         self._val_a = np.ascontiguousarray(self.val_taps.acts[0].T)
         self._onehot = (np.arange(self.net.out_dim)[:, None] == val.labels).astype(np.float64)
-        self._batch: Split | None = None
-        self.bound_taps: BatchTaps | None = None
-        self._weight_rows: list[np.ndarray] | None = None
+        self.bind_batch(batch)
 
     def bind_batch(self, batch: Split) -> None:
-        """Keep the batch's full pass as bound_taps and build weight rows E_l for subsets."""
+        """Keep the batch's full pass as bound_taps and build weight rows E_l for subsets;
+        only __init__ calls it (public for the tracer in perfbench/job.py)."""
         if not batch:
             raise ValueError("empty batch")
         self.bound_taps = batch_taps(self.net, batch.features, batch.labels, backward=True)
@@ -90,18 +90,11 @@ class UtilityFn:
         self._weight_rows = [
             np.vstack([l.params.ravel(), -eta * self.bound_taps.flat_grads(i)])
             for i, l in enumerate(self.net.layers)]
-        self._batch = batch
-
-    def _ensure_batch(self, batch: Split | None = None) -> Split:
-        if batch is not None and batch is not self._batch:
-            self.bind_batch(batch)
-        if self._batch is None:
-            raise ValueError("no batch bound to the utility; call bind_batch first")
-        return self._batch
+        self.batch = batch
 
     def utilities(self, masks: np.ndarray) -> np.ndarray:
-        """v(S) for every row of an (m, n) boolean membership matrix over the bound batch."""
-        n = len(self._ensure_batch())
+        """v(S) for every row of an (m, n) boolean membership matrix over the batch."""
+        n = len(self.batch)
         masks = np.asarray(masks)
         if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
             raise ValueError(f"need an (m, {n}) boolean membership matrix, "
@@ -148,16 +141,16 @@ class UtilityFn:
         return values
 
     def utility_of_mask(self, mask: int) -> float:
-        """v(S) for the subset encoded as a bitmask over bound-batch positions."""
-        n = len(self._ensure_batch())
+        """v(S) for the subset encoded as a bitmask over batch positions."""
+        n = len(self.batch)
         if not 0 <= mask < 1 << n:
             raise ValueError(f"mask {mask:#x} has bits outside the {n}-sample batch")
         return float(self.utilities(np.array([[mask >> i & 1 for i in range(n)]], dtype=bool))[0])
 
 
-def shapley_mc(u: UtilityFn, batch: Split, permutations: int, seed: int,
+def shapley_mc(u: UtilityFn, permutations: int, seed: int,
                exhaustive: bool = False) -> ShapleyEstimate:
-    """Monte-Carlo permutation Shapley over antithetic pairs of orderings.
+    """Monte-Carlo permutation Shapley of u's batch over antithetic pairs of orderings.
 
     ceil(permutations / 2) orderings are drawn, each with its reverse, so an
     odd count rounds up to whole pairs (permutations_used is 2 * pairs). A
@@ -170,12 +163,11 @@ def shapley_mc(u: UtilityFn, batch: Split, permutations: int, seed: int,
     Every ordering prefix is a coalition (a reverse's prefixes complement its
     forward's); the distinct ones are evaluated in one utilities call.
     """
-    n = len(batch)
+    n = len(u.batch)
     if exhaustive and n > EXHAUSTIVE_MAX:
         raise ValueError(f"exhaustive permutations limited to {EXHAUSTIVE_MAX} samples, got {n}")
     if not exhaustive and permutations < 1:
         raise ValueError("need at least one permutation")
-    u._ensure_batch(batch)
     rng = np.random.default_rng(seed)
     if exhaustive:
         orders = np.array(list(itertools.permutations(range(n))))

@@ -5,8 +5,8 @@ time and returns plain floats with the influence sign (leading minus:
 negative means beneficial). Tests compare the batched, shipped forms
 (influence.pair_matrix, bound_diagnostics, variance_diagnostic) against them.
 backward_from_pre_activations is the batched backward pass with act' taken
-from the pre-activations s(l), the form network.backward_chain (which takes
-it from the activations) must reproduce bit for bit. shapley_mc is the
+from the pre-activations s(l), the form network._chain (which takes it
+from the activations) must reproduce bit for bit. shapley_mc is the
 antithetic Monte-Carlo Shapley estimate with its prefixes deduplicated as a
 bool (draws, n, n) tensor keyed by packbits, which oracle.shapley_mc's
 bitmask codes must reproduce bit for bit; plain_shapley_mc is the same
@@ -236,11 +236,10 @@ def _estimate(means: np.ndarray, draws: int) -> ShapleyEstimate:
     return ShapleyEstimate(values=means.mean(axis=0), stderr=stderr, permutations_used=draws)
 
 
-def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
+def shapley_mc(u: UtilityFn, permutations: int, seed: int,
                exhaustive: bool = False) -> ShapleyEstimate:
     """oracle.shapley_mc with each ordering's prefixes held as bool rows."""
-    n = len(batch)
-    u._ensure_batch(batch)
+    n = len(u.batch)
     if exhaustive:
         orders = np.array(list(itertools.permutations(range(n))))
         return _estimate(_ordering_marginals(u, orders), len(orders))
@@ -251,18 +250,17 @@ def shapley_mc(u: UtilityFn, batch, permutations: int, seed: int,
     return _estimate((marginals[:pairs] + marginals[pairs:]) / 2, 2 * pairs)
 
 
-def plain_shapley_mc(u: UtilityFn, batch, permutations: int, seed: int) -> ShapleyEstimate:
+def plain_shapley_mc(u: UtilityFn, permutations: int, seed: int) -> ShapleyEstimate:
     """Monte-Carlo Shapley over `permutations` independent orderings, no reverses."""
-    u._ensure_batch(batch)
     rng = np.random.default_rng(seed)
-    orders = rng.permuted(np.tile(np.arange(len(batch)), (permutations, 1)), axis=1)
+    orders = rng.permuted(np.tile(np.arange(len(u.batch)), (permutations, 1)), axis=1)
     return _estimate(_ordering_marginals(u, orders), permutations)
 
 
 def utilities_stacked(u: UtilityFn, masks) -> np.ndarray:
     """UtilityFn.utilities over a vstacked [X^T; 1] with (m, C, V) logits,
     blocks of u.BLOCK coalitions; masks is a valid (m, n) bool matrix."""
-    n = len(u._ensure_batch())
+    n = len(u.batch)
     V = len(u.val)
     b = min(u.BLOCK, len(masks))
     values = np.zeros(len(masks))
@@ -294,13 +292,12 @@ def utilities_stacked(u: UtilityFn, masks) -> np.ndarray:
     return values
 
 
-def shapley_exact(u: UtilityFn, batch) -> ShapleyEstimate:
-    """Exact Shapley values by 2^n subset enumeration (n <= 10): the exact
-    reference of oracle.shapley_mc."""
-    n = len(batch)
+def shapley_exact(u: UtilityFn) -> ShapleyEstimate:
+    """Exact Shapley values of u's batch by 2^n subset enumeration (n <= 10):
+    the exact reference of oracle.shapley_mc."""
+    n = len(u.batch)
     if n > 10:
         raise ValueError(f"exact enumeration limited to 10 samples, got {n}")
-    u._ensure_batch(batch)
     codes = np.arange(1 << n)
     masks = (codes[:, None] >> np.arange(n) & 1).astype(bool)
     v = u.utilities(masks)
@@ -314,8 +311,8 @@ def shapley_exact(u: UtilityFn, batch) -> ShapleyEstimate:
     return ShapleyEstimate(values=values, stderr=np.zeros(n), permutations_used=0)
 
 
-def loo_influence(u: UtilityFn, batch) -> np.ndarray:
-    """One-step leave-one-out: v(B) - v(B without i) per member."""
-    n = len(u._ensure_batch(batch))
+def loo_influence(u: UtilityFn) -> np.ndarray:
+    """One-step leave-one-out: v(B) - v(B without i) per member of u's batch B."""
+    n = len(u.batch)
     v = u.utilities(np.vstack([np.ones((1, n), dtype=bool), ~np.eye(n, dtype=bool)]))
     return v[0] - v[1:]

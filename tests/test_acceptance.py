@@ -182,9 +182,8 @@ def test_criterion_4_shapley_efficiency_and_mc():
                                      label=int(rng.integers(3))) for i in range(8)])
         val = from_samples([Sample(id=100 + i, features=rng.normal(size=4),
                                    label=int(rng.integers(3))) for i in range(6)])
-        u = UtilityFn(net, val, learning_rate=0.1)
-        est = shapley_exact(u, batch)
-        u.bind_batch(batch)
+        u = UtilityFn(net, val, batch, learning_rate=0.1)
+        est = shapley_exact(u)
         grand = u.utilities(np.ones((1, 8), dtype=bool))[0]
         eff_worst = max(eff_worst, abs(est.values.sum() - grand))
     mc_worst = 0.0
@@ -195,10 +194,10 @@ def test_criterion_4_shapley_efficiency_and_mc():
                                      label=int(rng.integers(3))) for i in range(6)])
         val = from_samples([Sample(id=100 + i, features=rng.normal(size=4),
                                    label=int(rng.integers(3))) for i in range(6)])
-        u = UtilityFn(net, val, learning_rate=0.1)
-        exact = shapley_exact(u, batch)
+        u = UtilityFn(net, val, batch, learning_rate=0.1)
+        exact = shapley_exact(u)
         spread = float(exact.values.max() - exact.values.min())
-        mc = shapley_mc(u, batch, permutations=1000, seed=seed)
+        mc = shapley_mc(u, permutations=1000, seed=seed)
         mc_worst = max(mc_worst, float(np.max(np.abs(mc.values - exact.values))) / spread)
     elapsed = time.time() - t0
     report_line(4, eff_worst <= 1e-9 and mc_worst <= 0.05 and elapsed < 300,

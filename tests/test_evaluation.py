@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from layerval import cli, evaluation, network
 from layerval.cli import main
-from layerval.data import make_noisy_blob_bundle
+from layerval.data import Split, make_noisy_blob_bundle
 from layerval.evaluation import (
     FIDELITY_ESTIMATORS,
     DegenerateInputError,
@@ -338,7 +338,7 @@ class TestFidelityWorkers:
             self.leaves_nothing_running(threads_before)
             assert records == reference
             emit_reports(records, summary, None, tmp_path / str(count))
-            for name in ("fidelity.csv", "shapley.csv", "fidelity_summary.json"):
+            for name in ("fidelity.csv", "shapley.csv", "scores.csv", "fidelity_summary.json"):
                 assert ((tmp_path / str(count) / name).read_bytes()
                         == (tmp_path / "0" / name).read_bytes())
 
@@ -502,7 +502,7 @@ class TestShippedReferenceAccuracy:
     CHECKPOINTS = 3  # the first few; all 20 would add seconds per seed
 
     def shipped_games(self, monkeypatch, seed):
-        """(utility, probe, seed) of each checkpoint of a shipped fidelity run."""
+        """(utility, seed) of each checkpoint of a shipped fidelity run."""
         config = cli.resolve_config({
             **json.loads((Path(__file__).resolve().parents[1] / "configs" / "fidelity.json")
                          .read_text()),
@@ -510,9 +510,9 @@ class TestShippedReferenceAccuracy:
         games = []
         shapley_mc = evaluation.shapley_mc
 
-        def capture(u, batch, permutations, seed, exhaustive=False):
-            games.append((u, batch, seed))
-            return shapley_mc(u, batch, permutations, seed, exhaustive)
+        def capture(u, permutations, seed, exhaustive=False):
+            games.append((u, seed))
+            return shapley_mc(u, permutations, seed, exhaustive)
 
         no_workers(monkeypatch)
         monkeypatch.setattr(evaluation, "shapley_mc", capture)
@@ -522,18 +522,18 @@ class TestShippedReferenceAccuracy:
                      cli.build_dataset(config), probe_batch_size=f["probe_batch_size"],
                      checkpoint_every=f["checkpoint_every"], permutations=f["permutations"])
         # the caller values the checkpoints from the back; each seed grows with k
-        return sorted(games, key=lambda game: game[2])[:self.CHECKPOINTS]
+        return sorted(games, key=lambda game: game[1])[:self.CHECKPOINTS]
 
     @pytest.mark.parametrize("seed", [0, 13])
     def test_fifty_pairs_no_worse_than_a_thousand_plain_orderings(self, monkeypatch, seed):
         paired, plain = [], []
-        for u, probe, mc_seed in self.shipped_games(monkeypatch, seed):
+        for u, mc_seed in self.shipped_games(monkeypatch, seed):
             # independent of both estimates' orderings; its own error is about
             # half that of 1000 plain orderings
-            ref = reference.plain_shapley_mc(u, probe, 4000, seed=[mc_seed, 1]).values
+            ref = reference.plain_shapley_mc(u, 4000, seed=[mc_seed, 1]).values
             spread = ref.max() - ref.min()
-            for errors, est in ((paired, evaluation.shapley_mc(u, probe, 100, mc_seed)),
-                                (plain, reference.plain_shapley_mc(u, probe, 1000, mc_seed))):
+            for errors, est in ((paired, evaluation.shapley_mc(u, 100, mc_seed)),
+                                (plain, reference.plain_shapley_mc(u, 1000, mc_seed))):
                 errors.append(np.max(np.abs(est.values - ref)) / spread)
         assert np.mean(paired) <= np.mean(plain)
 
@@ -714,9 +714,59 @@ class TestEmitReports:
         doc = json.loads((tmp_path / "fidelity_summary.json").read_text())
         assert doc["mean_stderr_to_spread"] == 0.002 / (0.03 - 0.01)
 
+    def test_fidelity_scores_csv_rows(self, tmp_path):
+        record = FidelityRecord(
+            step=7, scores={"lai": [0.1, -2.0], "ghost": [0.3, 1e17]},
+            shapley=[0.01, 0.03], shapley_stderr=[0.001, 0.003],
+            pearson={"lai": 1.0, "ghost": 1.0}, spearman={"lai": 1.0, "ghost": 1.0},
+            probe_ids=[41, 5])
+        emit_reports([record, replace(record, step=9)], None, None, tmp_path)
+        header, rows = read_csv(tmp_path / "scores.csv")
+        assert header == ["step", "sample_id", "estimator", "benefit"]
+        assert rows == [[step, sid, name, benefit] for step in ("7", "9")
+                        for sid, cells in (("41", [("ghost", "0.29999999999999999"),
+                                                   ("lai", "0.10000000000000001")]),
+                                           ("5", [("ghost", "1e+17"), ("lai", "-2.0")]))
+                        for name, benefit in cells]
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_fidelity_csv_recomputed_from_scores_and_shapley(self, tmp_path, duplicated):
+        # fidelity.csv is each checkpoint's correlation of scores.csv with shapley.csv
+        bundle = tiny_bundle(seed=6)
+        if duplicated:  # every training row the same sample: constant scores, empty fields
+            n = len(bundle.train)
+            bundle = replace(bundle, train=Split(
+                ids=bundle.train.ids, features=np.repeat(bundle.train.features[:1], n, axis=0),
+                labels=np.repeat(bundle.train.labels[:1], n)))
+        net = MLP.initialize([4, 6, 3], ["relu", "linear"], seed=6)
+        cfg = TrainerConfig(learning_rate=0.05, batch_size=6, epochs=2,
+                            warmup_epochs=0, mode=CurationMode.OFF, seed=6)
+        records, summary = run_fidelity(net, cfg, bundle, probe_batch_size=5,
+                                        checkpoint_every=2, permutations=20)
+        emit_reports(records, summary, None, tmp_path)
+        scores, shapley = {}, {}
+        for step, sid, name, benefit in read_csv(tmp_path / "scores.csv")[1]:
+            scores.setdefault((step, name), []).append((sid, float(benefit)))
+        for step, sid, value, _ in read_csv(tmp_path / "shapley.csv")[1]:
+            shapley.setdefault(step, []).append((sid, float(value)))
+        written = read_csv(tmp_path / "fidelity.csv")[1]
+        assert len(written) == len(scores) == len(records) * len(FIDELITY_ESTIMATORS)
+        for step, name, *fields in written:
+            ids, xs = zip(*scores[step, name])
+            assert list(ids) == [sid for sid, _ in shapley[step]]
+            ys = [value for _, value in shapley[step]]
+            try:  # either correlation undefined marks the checkpoint degenerate
+                want = [fmt17(pearson(xs, ys)), fmt17(spearman(xs, ys))]
+            except DegenerateInputError:
+                want = ["", ""]
+            assert fields == want
+        assert all(fields == ["", ""] if duplicated else "" not in fields
+                   for _, _, *fields in written)
+
     def test_no_spread_gives_null_stderr_to_spread(self, tmp_path):
         emit_reports([], summarize_fidelity([]), None, tmp_path)
         assert (tmp_path / "shapley.csv").read_text() == "step,sample_id,value,stderr\n"
+        assert (tmp_path / "scores.csv").read_text() == "step,sample_id,estimator,benefit\n"
         doc = json.loads((tmp_path / "fidelity_summary.json").read_text())
         assert doc["mean_stderr_to_spread"] is None
 

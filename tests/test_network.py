@@ -10,10 +10,10 @@ from layerval.network import (
     Activation,
     Layer,
     LayerSpec,
+    _chain,
     _logits,
     _taps,
     augment,
-    backward_chain,
     backward_taps,
     batch_taps,
     evaluate_sample,
@@ -352,13 +352,13 @@ class TestBatchTaps:
             assert np.array_equal(got, want)
         kept = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=batch,
                                                  max_size=batch), label="kept"))
-        chained = backward_chain(net, forward_only.rows(kept))
-        assert chained.full and len(chained) == kept.size
-        for got, want in zip(chained.grads, full.grads):
+        part = forward_only.rows(kept)
+        chained = _chain(net, part.acts, part.grads[-1])
+        assert len(chained) == net.depth and all(len(g) == kept.size for g in chained)
+        for got, want in zip(chained, full.grads):
             np.testing.assert_allclose(got, want[kept], rtol=1e-12, atol=1e-15)
-        for got, want in zip(chained.acts, full.acts):
+        for got, want in zip(part.acts, full.acts):
             assert np.array_equal(got, want[kept])
-        assert backward_chain(net, full) is full
 
     @pytest.mark.parametrize("X, labels, match", [
         (np.array([[0.0, 1.0], [np.nan, 0.0]]), [0, 1], "non-finite input in row 1"),

@@ -25,7 +25,7 @@ def toy_net(seed=0, dims=(3, 4, 2), acts=("relu", "linear")):
 
 
 def subset_value(u, n, subset):
-    """v(S) for an index subset of the n-sample bound batch, through UtilityFn.utilities."""
+    """v(S) for an index subset of the game's n-sample batch, through UtilityFn.utilities."""
     mask = np.zeros((1, n), dtype=bool)
     mask[0, list(subset)] = True
     return float(u.utilities(mask)[0])
@@ -76,10 +76,9 @@ class ReferenceGame:
         return self.val_loss(self.theta) - self.val_loss(self.theta - self.learning_rate * step)
 
 
-def permutation_average_shapley(u, batch):
+def permutation_average_shapley(u):
     """Independent oracle: enumerate all n! orderings and average marginals."""
-    n = len(batch)
-    u.bind_batch(batch)
+    n = len(u.batch)
     totals = np.zeros(n)
     count = 0
     for order in itertools.permutations(range(n)):
@@ -115,16 +114,15 @@ def walked_pair_means(u, n, pairs, seed):
 class TestSubsetUtility:
     def test_empty_subset_is_zero(self):
         net = toy_net()
-        u = UtilityFn(net, toy_split(net, 4, seed=1), learning_rate=0.1)
-        u.bind_batch(toy_split(net, 3, seed=2))
+        u = UtilityFn(net, toy_split(net, 4, seed=1), toy_split(net, 3, seed=2),
+                      learning_rate=0.1)
         assert subset_value(u, 3, set()) == 0.0
 
     def test_tiny_learning_rate_vanishes(self):
         # eta -> 0 makes every subset worthless (the probe step goes nowhere)
         net = toy_net()
         batch = toy_split(net, 3, seed=2)
-        u = UtilityFn(net, toy_split(net, 4, seed=1), learning_rate=1e-300)
-        u.bind_batch(batch)
+        u = UtilityFn(net, toy_split(net, 4, seed=1), batch, learning_rate=1e-300)
         for subset in ([0], [0, 1], [0, 1, 2]):
             assert subset_value(u, len(batch), subset) == pytest.approx(0.0, abs=1e-12)
 
@@ -137,8 +135,7 @@ class TestSubsetUtility:
             [param_grads(evaluate_sample(net, s.features, s.label)).flatten() for s in val],
             axis=0)
         for eta in (1e-3, 5e-4):
-            u = UtilityFn(net, val, learning_rate=eta)
-            u.bind_batch(batch)
+            u = UtilityFn(net, val, batch, learning_rate=eta)
             for j, s in enumerate(batch):
                 g_j = param_grads(evaluate_sample(net, s.features, s.label)).flatten()
                 linear = eta * float(np.dot(g_val, g_j))
@@ -149,9 +146,8 @@ class TestSubsetUtility:
     def test_frozen_net_never_mutates(self):
         net = toy_net(seed=6)
         before = [l.weights.copy() for l in net.layers]
-        u = UtilityFn(net, toy_split(net, 4, seed=7), learning_rate=0.5)
         batch = toy_split(net, 3, seed=8)
-        u.bind_batch(batch)
+        u = UtilityFn(net, toy_split(net, 4, seed=7), batch, learning_rate=0.5)
         v1 = subset_value(u, len(batch), [0, 1])
         v2 = subset_value(u, len(batch), [0, 1])
         assert v1 == v2
@@ -173,8 +169,7 @@ class TestBatchedUtilities:
         val = toy_split(net, int(rng.integers(1, 7)), seed=seed + 1)
         batch = toy_split(net, n, seed=seed + 2)
         masks = rng.random((m, n)) < 0.5
-        u = UtilityFn(net, val, learning_rate=eta)
-        u.bind_batch(batch)
+        u = UtilityFn(net, val, batch, learning_rate=eta)
         ref = ReferenceGame(net, val, batch, eta)
         want = [ref.value(row) for row in masks]
         np.testing.assert_allclose(u.utilities(masks), want, rtol=0, atol=1e-12)
@@ -182,8 +177,7 @@ class TestBatchedUtilities:
     def test_blocks_equal_one_mask_at_a_time(self):
         net = toy_net(seed=40, dims=(3, 5, 4, 3), acts=("tanh", "relu", "linear"))
         batch = toy_split(net, 9, seed=41)
-        u = UtilityFn(net, toy_split(net, 6, seed=42), learning_rate=0.3)
-        u.bind_batch(batch)
+        u = UtilityFn(net, toy_split(net, 6, seed=42), batch, learning_rate=0.3)
         codes = np.random.default_rng(43).choice(1 << 9, size=2 * UtilityFn.BLOCK + 37,
                                                  replace=False)
         masks = (codes[:, None] >> np.arange(9) & 1).astype(bool)
@@ -192,8 +186,8 @@ class TestBatchedUtilities:
 
     def test_any_block_size_gives_identical_values(self, monkeypatch):
         net = toy_net(seed=47, dims=(3, 5, 4, 3), acts=("tanh", "relu", "linear"))
-        u = UtilityFn(net, toy_split(net, 6, seed=48), learning_rate=0.3)
-        u.bind_batch(toy_split(net, 9, seed=49))
+        u = UtilityFn(net, toy_split(net, 6, seed=48), toy_split(net, 9, seed=49),
+                      learning_rate=0.3)
         masks = np.random.default_rng(50).random((2 * 64 + 37, 9)) < 0.5
         got = []
         for block in (1, 5, 64):
@@ -212,8 +206,7 @@ class TestBatchedUtilities:
         val = toy_split(net, 60, seed=53)
         batch = toy_split(net, 16, seed=54)
         masks = np.vstack([np.ones((1, 16), dtype=bool), rng.random((150, 16)) < 0.5])
-        u = UtilityFn(net, val, learning_rate=0.05)
-        u.bind_batch(batch)
+        u = UtilityFn(net, val, batch, learning_rate=0.05)
         ref = ReferenceGame(net, val, batch, 0.05)
         np.testing.assert_allclose(u.utilities(masks), [ref.value(row) for row in masks],
                                    rtol=0, atol=1e-12)
@@ -223,8 +216,8 @@ class TestBatchedUtilities:
     def test_row_placement_invariant(self, dims, acts):
         # a coalition's value is the same bits wherever its row sits in the matrix
         net = toy_net(seed=55, dims=dims, acts=acts)
-        u = UtilityFn(net, toy_split(net, 60, seed=56), learning_rate=0.05)
-        u.bind_batch(toy_split(net, 16, seed=57))
+        u = UtilityFn(net, toy_split(net, 60, seed=56), toy_split(net, 16, seed=57),
+                      learning_rate=0.05)
         rng = np.random.default_rng(58)
         masks = rng.random((3 * UtilityFn.BLOCK + 29, 16)) < 0.5
         p = rng.permutation(len(masks))
@@ -245,8 +238,8 @@ class TestBatchedUtilities:
         rng = np.random.default_rng(60)
         for layer in net.layers:
             layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
-        u = UtilityFn(net, toy_split(net, 60, seed=61), learning_rate=0.05)
-        u.bind_batch(toy_split(net, 16, seed=62))
+        u = UtilityFn(net, toy_split(net, 60, seed=61), toy_split(net, 16, seed=62),
+                      learning_rate=0.05)
         masks = np.vstack([np.ones((1, 16), dtype=bool),
                            rng.random((3 * 64 + 28, 16)) < 0.5])  # 3 blocks of 64 and 29 rows
         assert u.utilities(masks).tobytes() == reference.utilities_stacked(u, masks).tobytes()
@@ -259,15 +252,14 @@ class TestBatchedUtilities:
         features = np.asfortranarray(X[:60, :8]) if layout == "fortran" else X[::2, 3:11]
         val = rows(features, rng.integers(3, size=60))
         assert not val.features.flags.c_contiguous
-        u = UtilityFn(net, val, learning_rate=0.05)
-        u.bind_batch(toy_split(net, 16, seed=65))
+        u = UtilityFn(net, val, toy_split(net, 16, seed=65), learning_rate=0.05)
         masks = rng.random((2 * 64 + 7, 16)) < 0.5
         assert u.utilities(masks).tobytes() == reference.utilities_stacked(u, masks).tobytes()
 
     def test_empty_coalition_exactly_zero(self):
         net = toy_net(seed=44)
-        u = UtilityFn(net, toy_split(net, 4, seed=45), learning_rate=0.5)
-        u.bind_batch(toy_split(net, 3, seed=46))
+        u = UtilityFn(net, toy_split(net, 4, seed=45), toy_split(net, 3, seed=46),
+                      learning_rate=0.5)
         masks = np.array([[False] * 3, [True] * 3, [False] * 3])
         v = u.utilities(masks)
         assert v[0] == 0.0 and v[2] == 0.0 and v[1] != 0.0
@@ -287,37 +279,39 @@ class TestBoundary:
     def test_val_label_minus_one_rejected(self):
         net = toy_net()
         with pytest.raises(ValueError, match="row 1: negative label -1"):
-            UtilityFn(net, self.val_with(net, label=-1), learning_rate=0.1)
+            UtilityFn(net, self.val_with(net, label=-1), toy_split(net, 1, seed=0),
+                      learning_rate=0.1)
 
     def test_val_nan_feature_rejected(self):
         net = toy_net()
         with pytest.raises(ValueError, match="row 1: non-finite feature"):
             UtilityFn(net, self.val_with(net, features=np.array([0.0, np.nan, 1.0])),
-                      learning_rate=0.1)
+                      toy_split(net, 1, seed=0), learning_rate=0.1)
 
     def test_val_label_past_last_logit_rejected(self):
         net = toy_net()
         with pytest.raises(ValueError, match="label 2 in row 1"):
-            UtilityFn(net, self.val_with(net, label=net.out_dim), learning_rate=0.1)
+            UtilityFn(net, self.val_with(net, label=net.out_dim), toy_split(net, 1, seed=0),
+                      learning_rate=0.1)
 
     def test_bad_batch_sample_rejected(self):
         net = toy_net()
-        u = UtilityFn(net, toy_split(net, 3, seed=51), learning_rate=0.1)
         with pytest.raises(ValueError, match="label 5 in row 0"):
-            u.bind_batch(rows(np.zeros((1, 3)), [5]))
+            UtilityFn(net, toy_split(net, 3, seed=51), rows(np.zeros((1, 3)), [5]),
+                      learning_rate=0.1)
 
     def test_mask_bits_outside_batch_rejected(self):
         net = toy_net()
-        u = UtilityFn(net, toy_split(net, 3, seed=52), learning_rate=0.1)
-        u.bind_batch(toy_split(net, 1, seed=53))
+        u = UtilityFn(net, toy_split(net, 3, seed=52), toy_split(net, 1, seed=53),
+                      learning_rate=0.1)
         for mask in (0b11, 0b10, -1):
             with pytest.raises(ValueError, match="outside the 1-sample batch"):
                 u.utility_of_mask(mask)
 
     def test_membership_matrix_shape_and_dtype_checked(self):
         net = toy_net()
-        u = UtilityFn(net, toy_split(net, 3, seed=54), learning_rate=0.1)
-        u.bind_batch(toy_split(net, 1, seed=55))
+        u = UtilityFn(net, toy_split(net, 3, seed=54), toy_split(net, 1, seed=55),
+                      learning_rate=0.1)
         for masks in (np.ones((2, 2), dtype=bool), np.ones(1, dtype=bool), np.ones((2, 1))):
             with pytest.raises(ValueError, match="boolean membership matrix"):
                 u.utilities(masks)
@@ -329,8 +323,8 @@ class TestShapleyExact:
         rng = np.random.default_rng(10)
         x = rng.normal(size=net.in_dim)
         batch = rows([x, x, rng.normal(size=net.in_dim)], [1, 1, 0])
-        u = UtilityFn(net, toy_split(net, 5, seed=11), learning_rate=0.1)
-        est = shapley_exact(u, batch)
+        u = UtilityFn(net, toy_split(net, 5, seed=11), batch, learning_rate=0.1)
+        est = shapley_exact(u)
         assert est.values[0] == pytest.approx(est.values[1], abs=1e-12)
 
     def test_null_player_near_zero(self):
@@ -340,41 +334,41 @@ class TestShapleyExact:
         net.layers[0].bias = np.zeros(2)
         # row 0 is the null player: margin 80
         batch = rows([[2.0, 0.0], [0.05, 0.2], [-0.1, 0.4]], [0, 1, 0])
-        u = UtilityFn(net, batch[1:], learning_rate=1e-3)
-        est = shapley_exact(u, batch)
+        u = UtilityFn(net, batch[1:], batch, learning_rate=1e-3)
+        est = shapley_exact(u)
         assert abs(est.values[0]) < 1e-6
 
     def test_matches_permutation_enumeration_oracle(self):
         net = toy_net(seed=12)
         batch = toy_split(net, 4, seed=13)
-        u = UtilityFn(net, toy_split(net, 6, seed=14), learning_rate=0.2)
-        est = shapley_exact(u, batch)
-        oracle = permutation_average_shapley(u, batch)
+        u = UtilityFn(net, toy_split(net, 6, seed=14), batch, learning_rate=0.2)
+        est = shapley_exact(u)
+        oracle = permutation_average_shapley(u)
         np.testing.assert_allclose(est.values, oracle, atol=1e-9)
 
     def test_efficiency_axiom(self):
         net = toy_net(seed=15)
         batch = toy_split(net, 6, seed=16)
-        u = UtilityFn(net, toy_split(net, 5, seed=17), learning_rate=0.3)
-        est = shapley_exact(u, batch)
-        u.bind_batch(batch)
+        u = UtilityFn(net, toy_split(net, 5, seed=17), batch, learning_rate=0.3)
+        est = shapley_exact(u)
         assert est.values.sum() == pytest.approx(
             subset_value(u, len(batch), range(6)), abs=1e-9)
 
     def test_batch_too_large(self):
         net = toy_net()
-        u = UtilityFn(net, toy_split(net, 3, seed=0), learning_rate=0.1)
+        u = UtilityFn(net, toy_split(net, 3, seed=0), toy_split(net, 11, seed=1),
+                      learning_rate=0.1)
         with pytest.raises(ValueError):
-            shapley_exact(u, toy_split(net, 11, seed=1))
+            shapley_exact(u)
 
 
 class TestShapleyMC:
     def test_exhaustive_equals_exact(self):
         net = toy_net(seed=18)
         batch = toy_split(net, 3, seed=19)
-        u = UtilityFn(net, toy_split(net, 5, seed=20), learning_rate=0.2)
-        exact = shapley_exact(u, batch)
-        mc = shapley_mc(u, batch, permutations=6, seed=0, exhaustive=True)
+        u = UtilityFn(net, toy_split(net, 5, seed=20), batch, learning_rate=0.2)
+        exact = shapley_exact(u)
+        mc = shapley_mc(u, permutations=6, seed=0, exhaustive=True)
         np.testing.assert_allclose(mc.values, exact.values, atol=1e-9)
         assert mc.permutations_used == math.factorial(3)
 
@@ -384,11 +378,10 @@ class TestShapleyMC:
 
         monkeypatch.setattr(itertools, "permutations", unreachable)
         net = toy_net()
-        u = UtilityFn(net, toy_split(net, 3, seed=0), learning_rate=0.1)
+        u = UtilityFn(net, toy_split(net, 3, seed=0), toy_split(net, 9, seed=1),
+                      learning_rate=0.1)
         with pytest.raises(ValueError, match="limited to 8 samples, got 9"):
-            shapley_mc(u, toy_split(net, 9, seed=1), permutations=1, seed=0,
-                       exhaustive=True)
-        assert u._batch is None
+            shapley_mc(u, permutations=1, seed=0, exhaustive=True)
 
     def test_duplicates_within_three_stderr(self):
         net = toy_net(seed=21)
@@ -396,8 +389,8 @@ class TestShapleyMC:
         x = rng.normal(size=net.in_dim)
         rest = toy_split(net, 3, seed=23)
         batch = rows(np.vstack([x, x, rest.features]), np.append([0, 0], rest.labels))
-        u = UtilityFn(net, toy_split(net, 5, seed=24), learning_rate=0.2)
-        est = shapley_mc(u, batch, permutations=400, seed=25)
+        u = UtilityFn(net, toy_split(net, 5, seed=24), batch, learning_rate=0.2)
+        est = shapley_mc(u, permutations=400, seed=25)
         gap = abs(est.values[0] - est.values[1])
         assert gap <= 3.0 * (est.stderr[0] + est.stderr[1]) + 1e-12
 
@@ -413,10 +406,10 @@ class TestShapleyMC:
 
         net = toy_net(seed=26)
         batch = drawn_per_sample(6, seed=27)
-        u = UtilityFn(net, drawn_per_sample(6, seed=28), learning_rate=0.2)
-        exact = shapley_exact(u, batch)
+        u = UtilityFn(net, drawn_per_sample(6, seed=28), batch, learning_rate=0.2)
+        exact = shapley_exact(u)
         spread = exact.values.max() - exact.values.min()
-        mc = shapley_mc(u, batch, permutations=1000, seed=29)
+        mc = shapley_mc(u, permutations=1000, seed=29)
         assert np.max(np.abs(mc.values - exact.values)) <= 0.05 * spread
 
     def test_mc_within_four_stderr_of_exact_on_block_draws(self):
@@ -426,9 +419,9 @@ class TestShapleyMC:
             s = 26 + 4 * k
             net = toy_net(seed=s)
             batch = toy_split(net, 6, seed=s + 1)
-            u = UtilityFn(net, toy_split(net, 6, seed=s + 2), learning_rate=0.2)
-            exact = shapley_exact(u, batch)
-            mc = shapley_mc(u, batch, permutations=1000, seed=s + 3)
+            u = UtilityFn(net, toy_split(net, 6, seed=s + 2), batch, learning_rate=0.2)
+            exact = shapley_exact(u)
+            mc = shapley_mc(u, permutations=1000, seed=s + 3)
             assert np.all(np.abs(mc.values - exact.values) <= 4.0 * mc.stderr), s
 
     def test_mc_within_five_percent_of_range_on_block_draws(self):
@@ -438,10 +431,10 @@ class TestShapleyMC:
             s = 26 + 4 * k
             net = toy_net(seed=s)
             batch = toy_split(net, 6, seed=s + 1)
-            u = UtilityFn(net, toy_split(net, 6, seed=s + 2), learning_rate=0.2)
-            exact = shapley_exact(u, batch)
+            u = UtilityFn(net, toy_split(net, 6, seed=s + 2), batch, learning_rate=0.2)
+            exact = shapley_exact(u)
             spread = exact.values.max() - exact.values.min()
-            mc = shapley_mc(u, batch, permutations=1000, seed=s + 3)
+            mc = shapley_mc(u, permutations=1000, seed=s + 3)
             assert np.max(np.abs(mc.values - exact.values)) <= 0.05 * spread, s
 
     def test_equals_one_permutation_at_a_time(self):
@@ -449,8 +442,8 @@ class TestShapleyMC:
         # each drawn ordering and its reverse bit for bit
         net = toy_net(seed=60)
         batch = toy_split(net, 5, seed=61)
-        u = UtilityFn(net, toy_split(net, 4, seed=62), learning_rate=0.3)
-        est = shapley_mc(u, batch, permutations=30, seed=63)
+        u = UtilityFn(net, toy_split(net, 4, seed=62), batch, learning_rate=0.3)
+        est = shapley_mc(u, permutations=30, seed=63)
         pair_means = walked_pair_means(u, 5, pairs=15, seed=63)
         assert np.array_equal(est.values, pair_means.mean(axis=0))
         assert np.array_equal(est.stderr, pair_means.std(axis=0, ddof=1) / math.sqrt(15))
@@ -460,8 +453,8 @@ class TestShapleyMC:
         # the same walk at the shipped probe size, where prefixes share blocks
         net = toy_net(seed=64, dims=(8, 16, 3))
         batch = toy_split(net, 16, seed=65)
-        u = UtilityFn(net, toy_split(net, 60, seed=66), learning_rate=0.05)
-        est = shapley_mc(u, batch, permutations=40, seed=67)
+        u = UtilityFn(net, toy_split(net, 60, seed=66), batch, learning_rate=0.05)
+        est = shapley_mc(u, permutations=40, seed=67)
         pair_means = walked_pair_means(u, 16, pairs=20, seed=67)
         assert np.array_equal(est.values, pair_means.mean(axis=0))
         assert np.array_equal(est.stderr, pair_means.std(axis=0, ddof=1) / math.sqrt(20))
@@ -469,9 +462,9 @@ class TestShapleyMC:
     def test_odd_count_rounds_up_to_whole_pairs(self):
         net = toy_net(seed=76)
         batch = toy_split(net, 5, seed=77)
-        u = UtilityFn(net, toy_split(net, 4, seed=78), learning_rate=0.3)
-        odd = shapley_mc(u, batch, permutations=7, seed=79)
-        even = shapley_mc(u, batch, permutations=8, seed=79)
+        u = UtilityFn(net, toy_split(net, 4, seed=78), batch, learning_rate=0.3)
+        odd = shapley_mc(u, permutations=7, seed=79)
+        even = shapley_mc(u, permutations=8, seed=79)
         assert odd.permutations_used == even.permutations_used == 8
         assert odd.values.tobytes() == even.values.tobytes()
         assert odd.stderr.tobytes() == even.stderr.tobytes()
@@ -482,8 +475,8 @@ class TestShapleyMC:
     def test_one_or_two_permutations_are_one_pair_with_zero_stderr(self, permutations):
         net = toy_net(seed=80)
         batch = toy_split(net, 5, seed=81)
-        u = UtilityFn(net, toy_split(net, 4, seed=82), learning_rate=0.3)
-        est = shapley_mc(u, batch, permutations=permutations, seed=83)
+        u = UtilityFn(net, toy_split(net, 4, seed=82), batch, learning_rate=0.3)
+        est = shapley_mc(u, permutations=permutations, seed=83)
         assert est.permutations_used == 2
         assert np.array_equal(est.values, walked_pair_means(u, 5, pairs=1, seed=83)[0])
         assert np.array_equal(est.stderr, np.zeros(5))
@@ -493,8 +486,8 @@ class TestShapleyMC:
         # estimate the paired draw replaced; every ordering is still visited once
         net = toy_net(seed=72, dims=(8, 16, 3))
         batch = toy_split(net, 6, seed=73)
-        u = UtilityFn(net, toy_split(net, 30, seed=74), learning_rate=0.05)
-        est = shapley_mc(u, batch, permutations=1, seed=75, exhaustive=True)
+        u = UtilityFn(net, toy_split(net, 30, seed=74), batch, learning_rate=0.05)
+        est = shapley_mc(u, permutations=1, seed=75, exhaustive=True)
         assert est.permutations_used == math.factorial(6)
         digest = hashlib.sha256(est.values.tobytes() + est.stderr.tobytes()).hexdigest()
         assert digest[:16] == "a9328814217c48db"
@@ -504,9 +497,9 @@ class TestShapleyMC:
         # past 64 members a prefix code spans two words
         net = toy_net(seed=68, dims=(8, 16, 3))
         batch = toy_split(net, n, seed=69)
-        u = UtilityFn(net, toy_split(net, 30, seed=70), learning_rate=0.05)
-        got = shapley_mc(u, batch, permutations=25, seed=71, exhaustive=exhaustive)
-        want = reference.shapley_mc(u, batch, permutations=25, seed=71, exhaustive=exhaustive)
+        u = UtilityFn(net, toy_split(net, 30, seed=70), batch, learning_rate=0.05)
+        got = shapley_mc(u, permutations=25, seed=71, exhaustive=exhaustive)
+        want = reference.shapley_mc(u, permutations=25, seed=71, exhaustive=exhaustive)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
         assert got.permutations_used == want.permutations_used
@@ -514,26 +507,25 @@ class TestShapleyMC:
     def test_seed_determinism(self):
         net = toy_net(seed=30)
         batch = toy_split(net, 4, seed=31)
-        u = UtilityFn(net, toy_split(net, 4, seed=32), learning_rate=0.1)
-        a = shapley_mc(u, batch, permutations=50, seed=33)
-        b = shapley_mc(u, batch, permutations=50, seed=33)
+        u = UtilityFn(net, toy_split(net, 4, seed=32), batch, learning_rate=0.1)
+        a = shapley_mc(u, permutations=50, seed=33)
+        b = shapley_mc(u, permutations=50, seed=33)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.stderr, b.stderr)
 
     def test_empty_batch_rejected(self):
         net = toy_net()
-        u = UtilityFn(net, toy_split(net, 3, seed=0), learning_rate=0.1)
-        with pytest.raises(ValueError):
-            shapley_mc(u, toy_split(net, 0, seed=0), permutations=10, seed=0)
+        with pytest.raises(ValueError, match="empty batch"):
+            UtilityFn(net, toy_split(net, 3, seed=0), toy_split(net, 0, seed=0),
+                      learning_rate=0.1)
 
 
 class TestLeaveOneOut:
     def test_single_member(self):
         net = toy_net(seed=34)
         batch = toy_split(net, 1, seed=35)
-        u = UtilityFn(net, toy_split(net, 4, seed=36), learning_rate=0.2)
-        loo = loo_influence(u, batch)
-        u.bind_batch(batch)
+        u = UtilityFn(net, toy_split(net, 4, seed=36), batch, learning_rate=0.2)
+        loo = loo_influence(u)
         assert loo[0] == pytest.approx(subset_value(u, len(batch), [0]), abs=1e-15)
 
     def test_zero_gradient_member(self):
@@ -541,16 +533,15 @@ class TestLeaveOneOut:
         net.layers[0].weights = np.array([[20.0, 0.0], [-20.0, 0.0]])
         net.layers[0].bias = np.zeros(2)
         batch = rows([[2.0, 0.0], [0.05, 0.2], [-0.1, 0.4]], [0, 1, 0])
-        u = UtilityFn(net, batch[1:], learning_rate=1e-3)
-        loo = loo_influence(u, batch)
+        u = UtilityFn(net, batch[1:], batch, learning_rate=1e-3)
+        loo = loo_influence(u)
         assert abs(loo[0]) < 1e-6
 
     def test_matches_direct_differencing(self):
         net = toy_net(seed=37)
         batch = toy_split(net, 5, seed=38)
-        u = UtilityFn(net, toy_split(net, 5, seed=39), learning_rate=0.25)
-        loo = loo_influence(u, batch)
-        u.bind_batch(batch)
+        u = UtilityFn(net, toy_split(net, 5, seed=39), batch, learning_rate=0.25)
+        loo = loo_influence(u)
         full = subset_value(u, len(batch), range(5))
         for i in range(5):
             rest = [k for k in range(5) if k != i]

@@ -191,8 +191,7 @@ class TestCurateBatch:
         decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(batch_size=8))
         assert decision.benefit_scores[-1] < 0.0
         assert not decision.kept_mask[-1]
-        u = UtilityFn(net, bundle.validation, learning_rate=1e-3)
-        u.bind_batch(batch[-1:])
+        u = UtilityFn(net, bundle.validation, batch[-1:], learning_rate=1e-3)
         assert u.utilities(np.ones((1, 1), dtype=bool))[0] < 0.0  # one-step utility agrees
 
     @pytest.mark.parametrize("estimator", [Estimator.IP, Estimator.GHOST,
