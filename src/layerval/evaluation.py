@@ -42,7 +42,8 @@ def pearson(xs, ys) -> float:
     yc = ys - ys.mean()
     nx = float(np.linalg.norm(xc))
     ny = float(np.linalg.norm(yc))
-    if nx == 0.0 or ny == 0.0:
+    # the mean of equal doubles can round, so a constant vector's centred one need not be 0
+    if xs.min() == xs.max() or ys.min() == ys.max() or nx == 0.0 or ny == 0.0:
         raise DegenerateInputError("correlation undefined for constant input")
     return float(np.dot(xc, yc) / (nx * ny))
 
@@ -96,10 +97,8 @@ class FidelitySummary:
 
 
 def _worker_count() -> int:
-    """Usable CPUs: the caller trains on one, forked workers value checkpoints on the rest."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """Linux's usable CPUs: the caller trains on one, forked workers value checkpoints on the rest."""
+    return len(os.sched_getaffinity(0))
 
 
 def _checkpoint_record(k: int, step: int, snap: MLP, probe: Split, val: Split,
@@ -252,9 +251,10 @@ def run_fidelity(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         send_all((step, snap))
 
     records: dict[int, FidelityRecord] = {}
-    forks = min(_worker_count(), len(checkpoint_steps(vanilla, len(data.train)))) - 1
+    forks = (min(_worker_count(), len(checkpoint_steps(vanilla, len(data.train)))) - 1
+             if sys.platform.startswith("linux") else 0)
     try:
-        if sys.platform.startswith("linux") and forks > 0:
+        if forks > 0:
             import mmap
             import multiprocessing
 

@@ -9,8 +9,8 @@ act' comes from a = act(s) (relu: a > 0, tanh: 1 - a^2, linear: 1): the same bit
 Each Layer keeps [W(l) | b(l)] as one block, the shape of [dW(l) | db(l)].
 
 batch_taps runs these passes for a whole batch at once and row-stacks every
-augmented activation [a(l-1), 1] and loss-to-pre-activation gradient g(l)
-in a BatchTaps; every command takes its taps from it. It is check_rows
+augmented activation [a(l-1), 1], loss-to-pre-activation gradient g(l) and
+loss in a BatchTaps; every command takes its taps from it. It is check_rows
 (rows must fit the net) then _taps, the check-free pass that the trainer
 runs on the augmented rows [X, 1] (augment) that it checked and stacked
 once. _taps is _logits (the forward pass; epoch evaluation runs it alone),
@@ -56,8 +56,9 @@ class Layer:
     """One dense layer. Its parameters are one block params = [W | b], shaped
     (out_dim, in_dim + 1): a per-sample gradient g(l) [a(l-1), 1]^T has this
     shape, so the SGD step updates the block at once. weights and bias are
-    views of the block, and assigning either one writes into it. Layer(weights,
-    bias, spec) copies both into a new block; a shape off the spec raises."""
+    views of the block with no setter: params is the one write path, and a
+    slice write such as layer.weights[:] = w lands in it. Layer(weights, bias,
+    spec) copies both into a new block; a shape off the spec raises."""
 
     __slots__ = ("params", "spec")
 
@@ -76,17 +77,9 @@ class Layer:
     def weights(self) -> np.ndarray:
         return self.params[:, :-1]
 
-    @weights.setter
-    def weights(self, value) -> None:
-        self.params[:, :-1] = value
-
     @property
     def bias(self) -> np.ndarray:
         return self.params[:, -1]
-
-    @bias.setter
-    def bias(self, value) -> None:
-        self.params[:, -1] = value
 
 
 @dataclass
@@ -167,13 +160,6 @@ class SampleTaps:
 class ParamGrads:
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
-
-    def flatten(self) -> np.ndarray:
-        parts: list[np.ndarray] = []
-        for w, b in zip(self.weight_grads, self.bias_grads):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
 
 
 def _apply_activation(kind: Activation, s: np.ndarray,
@@ -275,13 +261,13 @@ class BatchTaps:
 
     acts[l-1] is the augmented activation block [a(l-1), 1] of layer l, for
     l = 1..L. grads holds the g(l) blocks of every layer after a full
-    backward pass, and only [g(L)] otherwise.
+    backward pass, and only [g(L)] otherwise. No logits are kept: the
+    softmax probabilities are g(L) + onehot(label).
     """
 
     acts: list[np.ndarray]
     grads: list[np.ndarray]
     losses: np.ndarray
-    logits: np.ndarray
 
     def __len__(self) -> int:
         return self.losses.shape[0]
@@ -303,7 +289,7 @@ class BatchTaps:
             index = index.nonzero()[0]
         pick = itemgetter(index)
         return BatchTaps(list(map(pick, self.acts)), list(map(pick, self.grads)),
-                         pick(self.losses), pick(self.logits))
+                         pick(self.losses))
 
 
 def augment(X: np.ndarray) -> np.ndarray:
@@ -345,9 +331,8 @@ def _taps(net: MLP, A: np.ndarray, labels: np.ndarray, backward: bool) -> BatchT
     """batch_taps without check_rows, on the augmented rows A = [X, 1] (see
     augment) of float64 rows that passed it; A becomes acts[0]."""
     acts = [A]
-    logits = _logits(net, A[:, :-1], acts)
-    losses, g = _cross_entropy(logits, labels, grad=True)
-    return BatchTaps(acts, _chain(net, acts, g) if backward else [g], losses, logits)
+    losses, g = _cross_entropy(_logits(net, A[:, :-1], acts), labels, grad=True)
+    return BatchTaps(acts, _chain(net, acts, g) if backward else [g], losses)
 
 
 def _logits(net: MLP, a: np.ndarray, acts: list[np.ndarray] | None = None) -> np.ndarray:

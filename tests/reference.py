@@ -6,7 +6,8 @@ negative means beneficial). Tests compare the batched, shipped forms
 (influence.pair_matrix, bound_diagnostics, variance_diagnostic) against them.
 backward_from_pre_activations is the batched backward pass with act' taken
 from the pre-activations s(l), the form network._chain (which takes it
-from the activations) must reproduce bit for bit. shapley_mc is the
+from the activations) must reproduce bit for bit. flat is a ParamGrads
+as one parameter-order vector. shapley_mc is the
 antithetic Monte-Carlo Shapley estimate with its prefixes deduplicated as a
 bool (draws, n, n) tensor keyed by packbits, which oracle.shapley_mc's
 bitmask codes must reproduce bit for bit; plain_shapley_mc is the same
@@ -84,6 +85,12 @@ def backward_from_pre_activations(net: MLP, X: np.ndarray, labels) -> list[np.nd
     for l in range(net.depth - 1, 0, -1):
         grads.insert(0, (grads[0] @ net.layers[l].weights) * derivs[l - 1])
     return grads
+
+
+def flat(grads: ParamGrads) -> np.ndarray:
+    """Every layer's [dW.ravel(), db] in layer order, as one vector."""
+    return np.concatenate([part for w, b in zip(grads.weight_grads, grads.bias_grads)
+                           for part in (w.ravel(), b)])
 
 
 def ip_influence(pg_z: ParamGrads, pg_j: ParamGrads) -> float:

@@ -726,11 +726,12 @@ class TestStartMethods:
 
 class TestImports:
     def test_cli_import_loads_no_process_pool(self):
-        """Only run_fidelity imports the pool, so `train` and `diagnose` load none of it."""
+        """Only run_fidelity imports the pool (and a worker's traceback), so `train`
+        and `diagnose` load none of it."""
         code = ("import sys\n"
                 "import layerval.cli\n"
-                "print(sorted(m for m in sys.modules\n"
-                "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+                "print(sorted(m for m in sys.modules if m.split('.')[0]\n"
+                "             in ('multiprocessing', 'concurrent', 'mmap', 'traceback')))\n")
         done = subprocess.run([sys.executable, "-c", code], env=package_env(),
                               capture_output=True, text=True, check=True, timeout=120)
         assert done.stdout.strip() == "[]"

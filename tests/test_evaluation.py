@@ -60,8 +60,11 @@ class TestPearson:
         assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
 
     def test_constant_input_flagged(self):
-        with pytest.raises(DegenerateInputError):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        # the second: the mean of five copies rounds, so the centred vector is not zero
+        for xs, ys in (([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                       ([31.117004038685334] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])):
+            with pytest.raises(DegenerateInputError):
+                pearson(xs, ys)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -44,8 +44,8 @@ class ReferenceGame:
         self.val_y = val.labels
         self.theta = np.concatenate(
             [np.concatenate([l.weights.ravel(), l.bias]) for l in net.layers])
-        self.grads = np.stack([param_grads(evaluate_sample(net, s.features, s.label)).flatten()
-                               for s in batch])
+        self.grads = np.stack([
+            reference.flat(param_grads(evaluate_sample(net, s.features, s.label))) for s in batch])
 
     def val_loss(self, theta):
         """Mean softmax cross-entropy over the validation block at parameters theta."""
@@ -132,12 +132,12 @@ class TestSubsetUtility:
         val = toy_split(net, 5, seed=4)
         batch = toy_split(net, 3, seed=5)
         g_val = np.mean(
-            [param_grads(evaluate_sample(net, s.features, s.label)).flatten() for s in val],
+            [reference.flat(param_grads(evaluate_sample(net, s.features, s.label))) for s in val],
             axis=0)
         for eta in (1e-3, 5e-4):
             u = UtilityFn(net, val, batch, learning_rate=eta)
             for j, s in enumerate(batch):
-                g_j = param_grads(evaluate_sample(net, s.features, s.label)).flatten()
+                g_j = reference.flat(param_grads(evaluate_sample(net, s.features, s.label)))
                 linear = eta * float(np.dot(g_val, g_j))
                 # curvature bound: generous constant times eta^2
                 assert subset_value(u, len(batch), [j]) == pytest.approx(
@@ -165,7 +165,7 @@ class TestBatchedUtilities:
         dims = [int(d) for d in rng.integers(1, 7, size=len(hidden_acts) + 1)] + [3]
         net = MLP.initialize(dims, hidden_acts + ["linear"], seed=seed)
         for layer in net.layers:
-            layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
+            layer.bias[:] = rng.normal(scale=0.3, size=layer.bias.shape)
         val = toy_split(net, int(rng.integers(1, 7)), seed=seed + 1)
         batch = toy_split(net, n, seed=seed + 2)
         masks = rng.random((m, n)) < 0.5
@@ -202,7 +202,7 @@ class TestBatchedUtilities:
         net = toy_net(seed=51, dims=dims, acts=acts)
         rng = np.random.default_rng(52)
         for layer in net.layers:
-            layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
+            layer.bias[:] = rng.normal(scale=0.3, size=layer.bias.shape)
         val = toy_split(net, 60, seed=53)
         batch = toy_split(net, 16, seed=54)
         masks = np.vstack([np.ones((1, 16), dtype=bool), rng.random((150, 16)) < 0.5])
@@ -237,7 +237,7 @@ class TestBatchedUtilities:
         net = toy_net(seed=59, dims=dims, acts=acts)
         rng = np.random.default_rng(60)
         for layer in net.layers:
-            layer.bias = rng.normal(scale=0.3, size=layer.bias.shape)
+            layer.bias[:] = rng.normal(scale=0.3, size=layer.bias.shape)
         u = UtilityFn(net, toy_split(net, 60, seed=61), toy_split(net, 16, seed=62),
                       learning_rate=0.05)
         masks = np.vstack([np.ones((1, 16), dtype=bool),
@@ -330,8 +330,8 @@ class TestShapleyExact:
     def test_null_player_near_zero(self):
         # a sample whose logit margin is huge has a numerically zero gradient
         net = MLP.initialize([2, 2], ["linear"], seed=0)
-        net.layers[0].weights = np.array([[20.0, 0.0], [-20.0, 0.0]])
-        net.layers[0].bias = np.zeros(2)
+        net.layers[0].weights[:] = np.array([[20.0, 0.0], [-20.0, 0.0]])
+        net.layers[0].bias[:] = np.zeros(2)
         # row 0 is the null player: margin 80
         batch = rows([[2.0, 0.0], [0.05, 0.2], [-0.1, 0.4]], [0, 1, 0])
         u = UtilityFn(net, batch[1:], batch, learning_rate=1e-3)
@@ -530,8 +530,8 @@ class TestLeaveOneOut:
 
     def test_zero_gradient_member(self):
         net = MLP.initialize([2, 2], ["linear"], seed=0)
-        net.layers[0].weights = np.array([[20.0, 0.0], [-20.0, 0.0]])
-        net.layers[0].bias = np.zeros(2)
+        net.layers[0].weights[:] = np.array([[20.0, 0.0], [-20.0, 0.0]])
+        net.layers[0].bias[:] = np.zeros(2)
         batch = rows([[2.0, 0.0], [0.05, 0.2], [-0.1, 0.4]], [0, 1, 0])
         u = UtilityFn(net, batch[1:], batch, learning_rate=1e-3)
         loo = loo_influence(u)

@@ -169,8 +169,8 @@ class TestCurateBatch:
     def test_zero_gradient_sample_kept_at_boundary(self):
         # margin 1600 underflows softmax residues: the gradient is exactly zero
         net = MLP.initialize([2, 2], ["linear"], seed=0)
-        net.layers[0].weights = np.array([[400.0, 0.0], [-400.0, 0.0]])
-        net.layers[0].bias = np.zeros(2)
+        net.layers[0].weights[:] = np.array([[400.0, 0.0], [-400.0, 0.0]])
+        net.layers[0].bias[:] = np.zeros(2)
         batch = rows([[2.0, 0.0], [0.1, 0.5]], [0, 1])  # row 0 is the null sample
         cache = build_validation_cache(net, taps_of(net, batch[1:]), Estimator.LAI)
         decision = curate_batch(net, taps_of(net, batch), cache,
@@ -391,8 +391,8 @@ class TestSgdStep:
 
     def test_zero_gradient_leaves_parameters(self):
         net = MLP.initialize([2, 2], ["linear"], seed=0)
-        net.layers[0].weights = np.array([[400.0, 0.0], [-400.0, 0.0]])
-        net.layers[0].bias = np.zeros(2)
+        net.layers[0].weights[:] = np.array([[400.0, 0.0], [-400.0, 0.0]])
+        net.layers[0].bias[:] = np.zeros(2)
         w = net.layers[0].weights.copy()
         net, _, _ = sgd_step(net, taps_of(net, rows([[2.0, 0.0]], [0])), cfg_with(), None)
         assert np.array_equal(net.layers[0].weights, w)
@@ -409,13 +409,13 @@ class TestSgdStep:
         # closed-form recursion recomputed by hand on the reference copy
         g1 = param_grads(evaluate_sample(reference, sample.features, sample.label))
         v1w, v1b = g1.weight_grads[0], g1.bias_grads[0]
-        reference.layers[0].weights -= 0.2 * v1w
-        reference.layers[0].bias -= 0.2 * v1b
+        reference.layers[0].weights[:] -= 0.2 * v1w
+        reference.layers[0].bias[:] -= 0.2 * v1b
         g2 = param_grads(evaluate_sample(reference, sample.features, sample.label))
         v2w = 0.9 * v1w + g2.weight_grads[0]
         v2b = 0.9 * v1b + g2.bias_grads[0]
-        reference.layers[0].weights -= 0.2 * v2w
-        reference.layers[0].bias -= 0.2 * v2b
+        reference.layers[0].weights[:] -= 0.2 * v2w
+        reference.layers[0].bias[:] -= 0.2 * v2b
         np.testing.assert_allclose(net.layers[0].weights, reference.layers[0].weights,
                                    atol=1e-15)
         np.testing.assert_allclose(net.layers[0].bias, reference.layers[0].bias,
@@ -431,7 +431,7 @@ class TestSgdStep:
         before = net.copy()
         taps = BatchTaps(acts=[np.ones((1, 3)), np.array([[1e200, 0.0, 0.0, 1.0]])],
                          grads=[np.ones((1, 3)), np.array([[1e200, -1e200]])],
-                         losses=np.ones(1), logits=np.zeros((1, 2)))
+                         losses=np.ones(1))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError, match="3x2"):
             sgd_step(net, taps, cfg_with(), None)
         for got, want in zip(net.layers, before.layers):
@@ -446,12 +446,12 @@ class TestParamBlock:
         net = toy_net(dims=(3, 5, 2), seed=70)
         batch = toy_split(net, 6, seed=71)
         w, b = np.arange(15.0).reshape(5, 3) / 10.0, np.linspace(-1.0, 1.0, 5)
-        net.layers[0].weights = w
-        net.layers[0].bias = b
+        net.layers[0].weights[:] = w
+        net.layers[0].bias[:] = b
         top = net.layers[1]
         fresh = MLP(layers=[Layer(w, b, net.layers[0].spec), Layer(top.weights, top.bias, top.spec)])
         taps, want = taps_of(net, batch, Estimator.GHOST), taps_of(fresh, batch, Estimator.GHOST)
-        assert np.array_equal(taps.logits, want.logits)
+        assert np.array_equal(taps.losses, want.losses)
         cfg = cfg_with(learning_rate=0.1)
         stepped, _, _ = sgd_step(net, taps, cfg, None)
         sgd_step(fresh, want, cfg, None)
