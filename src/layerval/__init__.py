@@ -7,7 +7,7 @@ fidelity checks, and batch-curation training policies.
 
 from .data import DatasetBundle, Split
 from .influence import Estimator, pair_matrix
-from .network import MLP, Activation, BatchTaps, LayerSpec, batch_taps
+from .network import MLP, Activation, BatchTaps, batch_taps
 from .oracle import ShapleyEstimate, UtilityFn, shapley_mc
 from .trainer import (
     CostLedger,

@@ -273,7 +273,7 @@ def cmd_diagnose(config: dict) -> int:
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
     net = load_checkpoint(ckpt_path)
-    dims = [net.in_dim] + [layer.spec.out_dim for layer in net.layers]
+    dims = [net.in_dim] + [layer.out_dim for layer in net.layers]
     if dims != config["model"]["layer_dims"]:
         raise ValueError(f"{ckpt_path}: layer dims {dims} != model.layer_dims = "
                          f"{config['model']['layer_dims']}")

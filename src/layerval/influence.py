@@ -44,7 +44,6 @@ class Estimator(str, Enum):
     LAI = "lai"
     LLI = "lli"
     PRECOND_LAI = "precond_lai"
-    NONE = "none"
 
     def __init__(self, value: str):
         # full_backward: whether scoring reads g(l) of every layer, so needs
@@ -118,8 +117,6 @@ def pair_matrix(estimator: Estimator, z_taps: BatchTaps, j_taps: BatchTaps,
     full = estimator.full_backward
     if full and not (z_taps.full and j_taps.full):
         raise ValueError(f"{estimator.value} scoring needs taps from a full backward pass")
-    if estimator is Estimator.NONE:
-        raise ValueError(f"no pair scores for estimator {estimator.value}")
     total = None
     for l in range(depth - 1 if estimator is Estimator.LLI else 0, depth):  # LLI: alpha(L) only
         if estimator is Estimator.IP:

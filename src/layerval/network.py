@@ -6,7 +6,8 @@ Backward:  g(L) = softmax(logits) - onehot(label)
 Grads:     dW(l) = g(l) a(l-1)^T,   db(l) = g(l)
 
 act' comes from a = act(s) (relu: a > 0, tanh: 1 - a^2, linear: 1): the same bits.
-Each Layer keeps [W(l) | b(l)] as one block, the shape of [dW(l) | db(l)].
+Each Layer keeps [W(l) | b(l)] as one block, the shape of [dW(l) | db(l)],
+and reads its in_dim and out_dim off that block's shape.
 
 batch_taps runs these passes for a whole batch at once and row-stacks every
 augmented activation [a(l-1), 1], loss-to-pre-activation gradient g(l) and
@@ -41,37 +42,37 @@ class Activation(str, Enum):
     TANH = "tanh"
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: Activation
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError(f"layer dims must be positive, got {self.in_dim}x{self.out_dim}")
-
-
 class Layer:
-    """One dense layer. Its parameters are one block params = [W | b], shaped
-    (out_dim, in_dim + 1): a per-sample gradient g(l) [a(l-1), 1]^T has this
-    shape, so the SGD step updates the block at once. weights and bias are
-    views of the block with no setter: params is the one write path, and a
-    slice write such as layer.weights[:] = w lands in it. Layer(weights, bias,
-    spec) copies both into a new block; a shape off the spec raises."""
+    """One dense layer: its activation and one parameter block params =
+    [W | b], shaped (out_dim, in_dim + 1). A per-sample gradient
+    g(l) [a(l-1), 1]^T has this shape, so the SGD step updates the block at
+    once, and the block is the layer's only record of its dims. weights and
+    bias are views of the block with no setter: params is the one write
+    path, and a slice write such as layer.weights[:] = w lands in it.
+    Layer(weights, bias, activation) copies both into a new block; an empty
+    weight matrix, or a bias whose length is not the number of weight rows,
+    raises."""
 
-    __slots__ = ("params", "spec")
+    __slots__ = ("params", "activation")
 
-    def __init__(self, weights, bias, spec: LayerSpec):
+    def __init__(self, weights, bias, activation: Activation):
         weights, bias = np.asarray(weights, dtype=np.float64), np.asarray(bias, dtype=np.float64)
-        if weights.shape != (spec.out_dim, spec.in_dim):
-            raise ValueError(f"weight shape {weights.shape} != spec")
-        if bias.shape != (spec.out_dim,):
-            raise ValueError(f"bias shape {bias.shape} != spec")
-        self.params = np.empty((spec.out_dim, spec.in_dim + 1))
+        if weights.ndim != 2 or not weights.size:
+            raise ValueError(f"weight shape {weights.shape} is not a nonempty matrix")
+        if bias.shape != weights.shape[:1]:
+            raise ValueError(f"bias shape {bias.shape} != {weights.shape[:1]}")
+        self.params = np.empty((weights.shape[0], weights.shape[1] + 1))
         self.params[:, :-1] = weights
         self.params[:, -1] = bias
-        self.spec = spec
+        self.activation = Activation(activation)
+
+    @property
+    def in_dim(self) -> int:
+        return self.params.shape[1] - 1
+
+    @property
+    def out_dim(self) -> int:
+        return self.params.shape[0]
 
     @property
     def weights(self) -> np.ndarray:
@@ -84,6 +85,10 @@ class Layer:
 
 @dataclass
 class MLP:
+    """A stack of layers, each one's in_dim the previous one's out_dim, with
+    finite parameters and a linear last layer (its outputs are the logits);
+    the net's dims are its first layer's in_dim and its last layer's out_dim."""
+
     layers: list[Layer]
     seed: int = 0
 
@@ -91,14 +96,11 @@ class MLP:
         if not self.layers:
             raise ValueError("network needs at least one layer")
         for i, layer in enumerate(self.layers):
-            spec = layer.spec
-            if layer.params.shape != (spec.out_dim, spec.in_dim + 1):
-                raise ValueError(f"layer {i}: parameter shape {layer.params.shape} != spec")
-            if i > 0 and spec.in_dim != self.layers[i - 1].spec.out_dim:
-                raise ValueError(f"layer {i}: in_dim {spec.in_dim} != previous out_dim")
+            if i > 0 and layer.in_dim != self.layers[i - 1].out_dim:
+                raise ValueError(f"layer {i}: in_dim {layer.in_dim} != previous out_dim")
             if not np.isfinite(layer.params).all():
                 raise ValueError(f"layer {i}: non-finite parameters")
-        if self.layers[-1].spec.activation is not Activation.LINEAR:
+        if self.layers[-1].activation is not Activation.LINEAR:
             raise ValueError("final layer activation must be linear (logits feed softmax)")
 
     @property
@@ -107,11 +109,11 @@ class MLP:
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].spec.in_dim
+        return self.layers[0].in_dim
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].spec.out_dim
+        return self.layers[-1].out_dim
 
     @property
     def num_params(self) -> int:
@@ -119,7 +121,7 @@ class MLP:
 
     def copy(self) -> "MLP":
         """A net with the same parameters in new blocks: it shares no memory with this one."""
-        return MLP(layers=[Layer(l.weights, l.bias, l.spec) for l in self.layers],
+        return MLP(layers=[Layer(l.weights, l.bias, l.activation) for l in self.layers],
                    seed=self.seed)
 
     @staticmethod
@@ -129,15 +131,14 @@ class MLP:
             raise ValueError("dims must list input plus at least one layer output")
         if len(activations) != len(dims) - 1:
             raise ValueError("need one activation per layer")
+        if min(dims) < 1:
+            raise ValueError(f"layer dims must be positive, got {dims}")
         rng = np.random.default_rng(seed)
         layers = []
-        for i in range(len(dims) - 1):
-            act = Activation(activations[i])
-            spec = LayerSpec(dims[i], dims[i + 1], act)
-            bound = 1.0 / np.sqrt(spec.in_dim)
-            w = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim))
-            b = np.zeros(spec.out_dim)
-            layers.append(Layer(w, b, spec))
+        for in_dim, out_dim, act in zip(dims, dims[1:], activations):
+            bound = 1.0 / np.sqrt(in_dim)
+            w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+            layers.append(Layer(w, np.zeros(out_dim), act))
         return MLP(layers=layers, seed=seed)
 
 
@@ -194,7 +195,7 @@ def forward(net: MLP, x: np.ndarray) -> tuple[np.ndarray, SampleTaps]:
     for i, layer in enumerate(net.layers):
         s = layer.weights @ a + layer.bias
         pre_activations.append(s)
-        a = _apply_activation(layer.spec.activation, s)
+        a = _apply_activation(layer.activation, s)
         if i < net.depth - 1:
             activations.append(a)
     logits = pre_activations[-1]
@@ -232,7 +233,7 @@ def backward_taps(net: MLP, taps: SampleTaps, output_grad: np.ndarray) -> Sample
     for l in range(net.depth - 1, 0, -1):
         upstream = net.layers[l].weights.T @ grads[0]
         grads.insert(0, upstream * _activation_derivative(
-            net.layers[l - 1].spec.activation, taps.activations[l]))
+            net.layers[l - 1].activation, taps.activations[l]))
     taps.output_grad = g
     taps.layer_grads = grads
     return taps
@@ -346,7 +347,7 @@ def _logits(net: MLP, a: np.ndarray, acts: list[np.ndarray] | None = None) -> np
         p = layer.params
         s = a @ p[:, :-1].T
         s += p[:, -1]
-        a = _apply_activation(layer.spec.activation, s, out=s)
+        a = _apply_activation(layer.activation, s, out=s)
         if acts is not None and layer is not last:
             acts.append(np.empty((a.shape[0], a.shape[1] + 1)))
             acts[-1][:, :-1] = a
@@ -377,7 +378,7 @@ def _chain(net: MLP, acts: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
     grads = [g]
     for l in range(len(acts) - 1, 0, -1):
         g = g @ net.layers[l].params[:, :-1]
-        kind, a = net.layers[l - 1].spec.activation, acts[l]
+        kind, a = net.layers[l - 1].activation, acts[l]
         if kind is Activation.RELU:
             g *= (a > 0.0)[:, :-1]  # the whole block's mask, sliced: the strided view's is slower
         elif kind is Activation.TANH:
@@ -394,9 +395,9 @@ def save_checkpoint(net: MLP, path: str | Path) -> None:
         "seed": net.seed,
         "layers": [
             {
-                "in_dim": l.spec.in_dim,
-                "out_dim": l.spec.out_dim,
-                "activation": l.spec.activation.value,
+                "in_dim": l.in_dim,
+                "out_dim": l.out_dim,
+                "activation": l.activation.value,
                 "weights": l.weights.tolist(),
                 "bias": l.bias.tolist(),
             }
@@ -414,13 +415,16 @@ def load_checkpoint(path: str | Path) -> MLP:
     from .trainer import check_setting  # the config type rule; trainer imports this module
 
     def layer(i: int, e: dict) -> Layer:
-        spec = LayerSpec(*(check_setting(f"layers[{i}].{name}", default, None, e[name])
-                           for name, default in (("in_dim", 1), ("out_dim", 1),
-                                                 ("activation", Activation.LINEAR))))
+        in_dim, out_dim, act = (check_setting(f"layers[{i}].{name}", default, None, e[name])
+                                for name, default in (("in_dim", 1), ("out_dim", 1),
+                                                      ("activation", Activation.LINEAR)))
         try:
-            return Layer(e["weights"], e["bias"], spec)
+            layer = Layer(e["weights"], e["bias"], act)
+            if layer.params.shape != (out_dim, in_dim + 1):
+                raise ValueError(f"weight shape {layer.weights.shape} != ({out_dim}, {in_dim})")
         except ValueError as exc:
             raise ValueError(f"layer {i}: {exc}") from exc
+        return layer
 
     try:
         return MLP(layers=[layer(i, e) for i, e in enumerate(doc["layers"])],

@@ -124,8 +124,8 @@ class UtilityFn:
                 h = buf[:m]
                 np.matmul(w, a, out=h[:, :out_dim])
                 # one pass over the whole contiguous buffer; relu keeps the ones row
-                _apply_activation(l.spec.activation, h, out=h)
-                if l.spec.activation is not Activation.RELU:
+                _apply_activation(l.activation, h, out=h)
+                if l.activation is not Activation.RELU:
                     h[:, -1] = 1.0
                 a = h
             # einsum sums in memory order: each row reads its own contiguous (C, V)

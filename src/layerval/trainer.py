@@ -139,23 +139,21 @@ class TrainerConfig:
 
 def backward_extra_macs(net: MLP) -> int:
     """MACs of the backward chain below the logits: matvec plus gating per layer."""
-    return sum((layer.spec.out_dim + 1) * layer.spec.in_dim for layer in net.layers[1:])
+    return sum((layer.out_dim + 1) * layer.in_dim for layer in net.layers[1:])
 
 
 def cache_reals_per_sample(net: MLP, estimator: Estimator) -> int:
     """Cached 64-bit reals per validation sample: the tap blocks the estimator's
     pair_matrix branch reads, each [a(l-1), 1] (LLI: the last) and g(L) for the
     LAI family, every block for Ghost, and the flattened gradients for IP."""
-    aug = [layer.spec.in_dim + 1 for layer in net.layers]
+    aug = [layer.in_dim + 1 for layer in net.layers]
     if estimator in (Estimator.LAI, Estimator.PRECOND_LAI):
         return sum(aug) + net.out_dim
     if estimator is Estimator.LLI:
         return aug[-1] + net.out_dim
     if estimator is Estimator.GHOST:
-        return sum(aug) + sum(layer.spec.out_dim for layer in net.layers)
-    if estimator is Estimator.IP:
-        return net.num_params
-    raise ValueError(f"no cache layout for estimator {estimator}")
+        return sum(aug) + sum(layer.out_dim for layer in net.layers)
+    return net.num_params  # IP
 
 
 def pair_macs(net: MLP, estimator: Estimator) -> int:
@@ -200,7 +198,7 @@ def _ledger_cost(net: MLP, estimator: Estimator, n: int, m: int,
                  cached: bool) -> tuple[int, int]:
     extra = backward_extra_macs(net) if estimator.full_backward else 0
     if estimator is Estimator.IP:  # and the per-sample weight gradients g(l) a(l-1)^T
-        extra += sum(layer.spec.out_dim * layer.spec.in_dim for layer in net.layers)
+        extra += sum(layer.out_dim * layer.in_dim for layer in net.layers)
     elif estimator is Estimator.PRECOND_LAI:
         extra = net.out_dim
     macs = n * extra
@@ -267,8 +265,6 @@ def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
     m = len(val_taps.losses)
     if not m:
         raise ValueError("validation subset must be nonempty")
-    if estimator is Estimator.NONE:
-        raise ValueError("cannot build a cache for estimator 'none'")
     if estimator.full_backward and not val_taps.full:
         raise ValueError(f"a {estimator.value} cache needs taps from a full backward pass")
     return ValidationCache(step_id=step_id, estimator=estimator, taps=val_taps,
@@ -300,8 +296,6 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
     precond_lai scores with the diagonal D in `preconditioner`.
     """
     est = cfg.estimator
-    if est is Estimator.NONE:
-        raise ValueError("estimator 'none' cannot curate; use mode 'off' instead")
     if cache is not None:
         if cache.estimator is not est:
             raise ValueError(f"cache was built for {cache.estimator.value}, not {est.value}")
@@ -370,7 +364,7 @@ def sgd_step(net: MLP, kept: BatchTaps, cfg: TrainerConfig,
         grad *= scale
         if not np.logical_and.reduce(np.isfinite(grad), None):
             raise NonFiniteGradientError(
-                f"non-finite gradient in layer {layer.spec.in_dim}x{layer.spec.out_dim}; "
+                f"non-finite gradient in layer {layer.in_dim}x{layer.out_dim}; "
                 f"|grad W| max={np.abs(grad[:, :-1]).max()}")
         velocity.append(grad)
     if cfg.momentum:
@@ -494,8 +488,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
         order = rng_shuffle.permutation(n)
         epoch_losses: list[np.ndarray] = []
         first_scored = len(score_benefits)
-        curating = (epoch >= cfg.warmup_epochs and cfg.mode is not CurationMode.OFF
-                    and cfg.estimator is not Estimator.NONE)
+        curating = epoch >= cfg.warmup_epochs and cfg.mode is not CurationMode.OFF
         backward = cfg.estimator.full_backward or not curating
         for start in range(0, n, cfg.batch_size):
             rows = batch = order[start:start + cfg.batch_size]

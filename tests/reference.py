@@ -79,7 +79,7 @@ def backward_from_pre_activations(net: MLP, X: np.ndarray, labels) -> list[np.nd
     """g(l) of every layer for the rows of X, with act'(s) computed from s itself."""
     a, derivs = np.asarray(X, dtype=np.float64), []
     for layer in net.layers:
-        a, d = _act_and_derivative(layer.spec.activation, a @ layer.weights.T + layer.bias)
+        a, d = _act_and_derivative(layer.activation, a @ layer.weights.T + layer.bias)
         derivs.append(d)
     grads = [batch_taps(net, X, labels, backward=False).grads[-1]]
     for l in range(net.depth - 1, 0, -1):
@@ -286,7 +286,7 @@ def utilities_stacked(u: UtilityFn, masks) -> np.ndarray:
             h = buf[:m]
             np.matmul(w, a, out=h[:, :out_dim])
             if l is not layers[-1]:
-                _apply_activation(l.spec.activation, h, out=h)
+                _apply_activation(l.activation, h, out=h)
                 h[:, -1] = 1.0
             a = h
         top = a.max(axis=1)

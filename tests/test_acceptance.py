@@ -15,7 +15,7 @@ from layerval.cli import main
 from layerval.data import Sample, make_noisy_blob_bundle
 from layerval.evaluation import run_fidelity
 from layerval.influence import Estimator, bound_diagnostics, pair_matrix
-from layerval.network import MLP, Activation, Layer, LayerSpec, batch_taps
+from layerval.network import MLP, Activation, Layer, batch_taps
 from layerval.oracle import UtilityFn, shapley_mc
 from layerval.trainer import (
     CostLedger,
@@ -62,7 +62,7 @@ def sample_off_kinks(net, rng, margin=1e-3, tries=200):
         x = rng.normal(size=net.in_dim)
         taps = row_taps(net, x, 0, backward=False)
         # s(l) = [W|b](l) [a(l-1), 1] from the augmented activation block
-        if all(layer.spec.activation is not Activation.RELU
+        if all(layer.activation is not Activation.RELU
                or np.min(np.abs(a @ np.hstack([layer.weights, layer.bias[:, None]]).T)) >= margin
                for layer, a in zip(net.layers, taps.acts)):
             return x
@@ -287,8 +287,7 @@ def scaled_orthogonal_net(width, depth, scale, seed):
     layers = []
     for _ in range(depth):
         q, _ = np.linalg.qr(rng.normal(size=(width, width)))
-        layers.append(Layer(scale * q, np.zeros(width),
-                            LayerSpec(width, width, Activation.LINEAR)))
+        layers.append(Layer(scale * q, np.zeros(width), Activation.LINEAR))
     return MLP(layers=layers, seed=seed)
 
 

@@ -486,6 +486,14 @@ class TestTrain:
         assert err["error"] == "config"
         assert err["path"] == "trainer.warmup_epochs"
 
+    def test_estimator_none_is_a_config_error(self, tmp_path, capsys):
+        # mode=off is the one way to train without scoring
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["train", "--config", str(cfg_path), "--set", "trainer.estimator=none"]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "config", "path": "trainer.estimator", "message": "invalid value 'none'"}
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "out")
         cfg["dataset"]["kind"] = "csv"
@@ -799,7 +807,8 @@ class TestDiagnose:
     @pytest.mark.parametrize("edit, detail", [
         (lambda doc: doc["layers"][1].pop("out_dim"), "missing field 'out_dim'"),
         (lambda doc: "nonsense", "invalid JSON"),
-        (lambda doc: doc["layers"][0]["weights"].pop(), "layer 0: weight shape (5, 4) != spec"),
+        (lambda doc: doc["layers"][0]["weights"].pop(), "layer 0: bias shape (6,) != (5,)"),
+        (lambda doc: doc["layers"][0].update(in_dim=5), "layer 0: weight shape (6, 4) != (6, 5)"),
         (lambda doc: doc["layers"][0].update(in_dim=4.0), "layers[0].in_dim: invalid value 4.0"),
         (lambda doc: doc["layers"][0].update(in_dim=True), "layers[0].in_dim: invalid value True"),
         (lambda doc: doc["layers"][1].update(out_dim="3"), "layers[1].out_dim: invalid value '3'"),
@@ -808,8 +817,8 @@ class TestDiagnose:
         (lambda doc: doc.update(seed=7.9), "seed: invalid value 7.9"),
         (lambda doc: doc.update(seed="7"), "seed: invalid value '7'"),
         (lambda doc: doc.update(seed=True), "seed: invalid value True"),
-    ], ids=["missing_field", "not_json", "bad_shape", "real_dim", "bool_dim", "string_dim",
-            "unknown_activation", "real_seed", "string_seed", "bool_seed"])
+    ], ids=["missing_field", "not_json", "bad_shape", "dims_off_arrays", "real_dim", "bool_dim",
+            "string_dim", "unknown_activation", "real_seed", "string_seed", "bool_seed"])
     def test_malformed_checkpoint_named(self, tmp_path, capsys, edit, detail):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["train", "--config", str(cfg_path)]) == 0

@@ -34,7 +34,7 @@ from layerval.evaluation import (
     summarize_fidelity,
 )
 from layerval.influence import Estimator, pair_matrix
-from layerval.network import MLP, Activation, Layer, LayerSpec, batch_taps
+from layerval.network import MLP, Activation, Layer, batch_taps
 from layerval.oracle import EXHAUSTIVE_MAX
 from layerval.serialize import fmt17, fmt17_column, read_csv
 from layerval.trainer import (
@@ -111,8 +111,7 @@ def accuracy(net, features, labels):
 
 class TestAccuracy:
     def identity_net(self):
-        spec = LayerSpec(2, 2, Activation.LINEAR)
-        return MLP(layers=[Layer(np.eye(2), np.zeros(2), spec)])
+        return MLP(layers=[Layer(np.eye(2), np.zeros(2), Activation.LINEAR)])
 
     def test_all_correct(self):
         net = self.identity_net()

@@ -18,7 +18,6 @@ from layerval.network import (
     Activation,
     BatchTaps,
     Layer,
-    LayerSpec,
     backward_taps,
     batch_taps,
     evaluate_sample,
@@ -40,8 +39,7 @@ SCORED = [Estimator.IP, Estimator.GHOST, Estimator.LAI, Estimator.LLI, Estimator
 
 
 def identity_net(dim=2):
-    spec = LayerSpec(dim, dim, Activation.LINEAR)
-    return MLP(layers=[Layer(np.eye(dim), np.zeros(dim), spec)])
+    return MLP(layers=[Layer(np.eye(dim), np.zeros(dim), Activation.LINEAR)])
 
 
 def taps_for(net, x, label):
@@ -273,8 +271,7 @@ def scaled_orthogonal_net(dims, scale, seed):
         m = rng.normal(size=(max(dims[i + 1], dims[i]), max(dims[i + 1], dims[i])))
         q, _ = np.linalg.qr(m)
         w = scale * q[:dims[i + 1], :dims[i]]
-        layers.append(Layer(w, np.zeros(dims[i + 1]),
-                            LayerSpec(dims[i], dims[i + 1], Activation.LINEAR)))
+        layers.append(Layer(w, np.zeros(dims[i + 1]), Activation.LINEAR))
     return MLP(layers=layers, seed=seed)
 
 
@@ -309,8 +306,8 @@ class TestBoundDiagnostics:
         v = np.array([0.3, 0.4, 0.5])
         w2 = np.outer(u, v)
         net = MLP(layers=[
-            Layer(w1, b1, LayerSpec(2, h, Activation.RELU)),
-            Layer(w2, np.zeros(3), LayerSpec(h, 3, Activation.LINEAR)),
+            Layer(w1, b1, Activation.RELU),
+            Layer(w2, np.zeros(3), Activation.LINEAR),
         ])
         tz = row_taps(net, ([0.9, 0.1], 1))
         tj = row_taps(net, ([-0.3, 0.8], 2))

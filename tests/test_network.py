@@ -9,7 +9,6 @@ from layerval.network import (
     MLP,
     Activation,
     Layer,
-    LayerSpec,
     _chain,
     _cross_entropy,
     _logits,
@@ -31,8 +30,7 @@ ALL_ACTS = ["linear", "relu", "tanh"]
 
 
 def identity_net(dim=2):
-    spec = LayerSpec(dim, dim, Activation.LINEAR)
-    return MLP(layers=[Layer(np.eye(dim), np.zeros(dim), spec)])
+    return MLP(layers=[Layer(np.eye(dim), np.zeros(dim), Activation.LINEAR)])
 
 
 def seeded_net(dims, acts, seed):
@@ -72,8 +70,7 @@ class TestForward:
         np.testing.assert_array_equal(taps.activations[0], [1.0, 2.0])
 
     def test_zero_network(self):
-        spec = LayerSpec(2, 2, Activation.LINEAR)
-        net = MLP(layers=[Layer(np.zeros((2, 2)), np.zeros(2), spec)])
+        net = MLP(layers=[Layer(np.zeros((2, 2)), np.zeros(2), Activation.LINEAR)])
         logits, _ = forward(net, np.array([1.0, 0.0]))
         np.testing.assert_array_equal(logits, [0.0, 0.0])
 
@@ -155,9 +152,9 @@ class TestBackward:
         np.testing.assert_array_equal(taps.layer_grads[0], gl)
 
     def test_identity_jacobian_two_layers(self):
-        specs = [LayerSpec(2, 2, Activation.LINEAR), LayerSpec(2, 2, Activation.LINEAR)]
-        net = MLP(layers=[Layer(np.array([[1.0, 2.0], [0.5, -1.0]]), np.zeros(2), specs[0]),
-                          Layer(np.eye(2), np.zeros(2), specs[1])])
+        net = MLP(layers=[
+            Layer(np.array([[1.0, 2.0], [0.5, -1.0]]), np.zeros(2), Activation.LINEAR),
+            Layer(np.eye(2), np.zeros(2), Activation.LINEAR)])
         logits, taps = forward(net, np.array([0.3, 0.7]))
         _, gl = loss_and_output_grad(logits, 1)
         taps = backward_taps(net, taps, gl)
@@ -233,12 +230,19 @@ class TestParamBlock:
         assert np.shares_memory(layer.weights, layer.params)
         assert np.shares_memory(layer.bias, layer.params)
 
-    def test_shape_off_the_spec_rejected(self):
-        spec = LayerSpec(3, 2, Activation.LINEAR)
-        with pytest.raises(ValueError, match="weight shape"):
-            Layer(np.zeros((3, 2)), np.zeros(2), spec)
-        with pytest.raises(ValueError, match="bias shape"):
-            Layer(np.zeros((2, 3)), np.zeros(3), spec)
+    def test_empty_weights_or_wrong_bias_length_rejected(self):
+        for weights in (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(3)):
+            with pytest.raises(ValueError, match=r"weight shape .* is not a nonempty matrix"):
+                Layer(weights, np.zeros(weights.shape[:1]), Activation.LINEAR)
+        with pytest.raises(ValueError, match=r"bias shape \(3,\) != \(2,\)"):
+            Layer(np.zeros((2, 3)), np.zeros(3), Activation.LINEAR)
+        layer = Layer(np.zeros((2, 3)), np.zeros(2), Activation.LINEAR)
+        assert (layer.in_dim, layer.out_dim, layer.params.shape) == (3, 2, (2, 4))
+
+    @pytest.mark.parametrize("dims", [[0, 3], [3, 0], [-1, 3]])
+    def test_initialize_rejects_nonpositive_dims(self, dims):
+        with pytest.raises(ValueError, match="layer dims must be positive"):
+            MLP.initialize(dims, ["linear"])
 
     def test_copy_shares_no_memory(self):
         net = seeded_net([4, 7, 3], ["tanh", "linear"], seed=9)
@@ -284,13 +288,11 @@ class TestDeterminismAndCheckpoint:
         for a, b in zip(net.layers, loaded.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
-            assert a.spec == b.spec
+            assert a.activation is b.activation and a.params.shape == b.params.shape
 
     def test_relu_derivative_zero_at_zero(self):
-        spec1 = LayerSpec(1, 1, Activation.RELU)
-        spec2 = LayerSpec(1, 1, Activation.LINEAR)
-        net = MLP(layers=[Layer(np.array([[1.0]]), np.zeros(1), spec1),
-                          Layer(np.array([[1.0]]), np.zeros(1), spec2)])
+        net = MLP(layers=[Layer(np.array([[1.0]]), np.zeros(1), Activation.RELU),
+                          Layer(np.array([[1.0]]), np.zeros(1), Activation.LINEAR)])
         taps = forward(net, np.array([0.0]))[1]  # s1 == 0 exactly
         taps = backward_taps(net, taps, np.array([1.0]))
         assert taps.layer_grads[0][0] == 0.0
@@ -397,8 +399,7 @@ class TestForwardOnly:
                 assert np.array_equal(losses, taps.losses) and np.array_equal(g, taps.grads[-1])
 
     def test_non_finite_logits_raise_with_the_tap_pass_message(self):
-        spec = LayerSpec(2, 2, Activation.LINEAR)
-        net = MLP(layers=[Layer(np.full((2, 2), 1e200), np.zeros(2), spec)])
+        net = MLP(layers=[Layer(np.full((2, 2), 1e200), np.zeros(2), Activation.LINEAR)])
         X, labels = np.array([[1.0, 0.0], [1e200, 1e200]]), np.array([0, 1])
         with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
             batch_taps(net, X, labels, backward=False)

@@ -52,7 +52,7 @@ class ReferenceGame:
         a = self.val_x
         offset = 0
         for layer in self.net.layers:
-            (out_dim, in_dim), act = layer.weights.shape, layer.spec.activation
+            (out_dim, in_dim), act = layer.weights.shape, layer.activation
             w = theta[offset:offset + out_dim * in_dim].reshape(out_dim, in_dim)
             offset += out_dim * in_dim
             b = theta[offset:offset + out_dim]

@@ -13,7 +13,6 @@ from layerval.network import (
     Activation,
     BatchTaps,
     Layer,
-    LayerSpec,
     batch_taps,
     evaluate_sample,
     param_grads,
@@ -98,8 +97,7 @@ def benefit_by_pairwise_ops(net, sample, val_subset, estimator, precond=None,
 
 class TestValidationCache:
     def test_identity_net_contents(self):
-        spec = LayerSpec(2, 2, Activation.LINEAR)
-        net = MLP(layers=[Layer(np.eye(2), np.zeros(2), spec)])
+        net = MLP(layers=[Layer(np.eye(2), np.zeros(2), Activation.LINEAR)])
         x = np.array([0.3, -0.7])
         cache = build_validation_cache(net, taps_of(net, rows([x], [0])), Estimator.LAI)
         np.testing.assert_array_equal(cache.taps.acts[0][0], np.append(x, 1.0))
@@ -218,15 +216,6 @@ class TestCurateBatch:
             curate_batch(net, taps_of(net, batch), cache, cfg_with(cache_refresh_steps=1),
                          step_id=1)
 
-    def test_estimator_none_rejected(self):
-        net = toy_net(seed=14)
-        batch = toy_split(net, 2, seed=15)
-        cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI, step_id=0)
-        cfg = cfg_with(mode=CurationMode.OFF)
-        cfg.estimator = Estimator.NONE
-        with pytest.raises(ValueError):
-            curate_batch(net, taps_of(net, batch), cache, cfg)
-
     def test_threshold_monotonicity_nested_kept_sets(self):
         net = toy_net(seed=16)
         batch = toy_split(net, 8, seed=17)
@@ -338,8 +327,7 @@ class TestSelfInfluence:
     def test_antipodal_twins_split_inside_majority_batch(self):
         # L=1, zero weights: logits are always [0,0], so twins with the same
         # features and opposite labels have exactly opposite output gradients.
-        spec = LayerSpec(2, 2, Activation.LINEAR)
-        net = MLP(layers=[Layer(np.zeros((2, 2)), np.zeros(2), spec)])
+        net = MLP(layers=[Layer(np.zeros((2, 2)), np.zeros(2), Activation.LINEAR)])
         x = np.array([0.6, 0.8])
         # twins with labels 0 and 1, then a majority of three at label 0
         batch = rows([x, x] + [[0.5, 0.9]] * 3, [0, 1, 0, 0, 0])
@@ -449,7 +437,8 @@ class TestParamBlock:
         net.layers[0].weights[:] = w
         net.layers[0].bias[:] = b
         top = net.layers[1]
-        fresh = MLP(layers=[Layer(w, b, net.layers[0].spec), Layer(top.weights, top.bias, top.spec)])
+        fresh = MLP(layers=[Layer(w, b, net.layers[0].activation),
+                            Layer(top.weights, top.bias, top.activation)])
         taps, want = taps_of(net, batch, Estimator.GHOST), taps_of(fresh, batch, Estimator.GHOST)
         assert np.array_equal(taps.losses, want.losses)
         cfg = cfg_with(learning_rate=0.1)
