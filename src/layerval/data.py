@@ -189,6 +189,10 @@ def load_csv(path: str | Path) -> Split:
         except ValueError as exc:
             raise CsvFormatError("non_numeric",
                                  f"{path}: line {lineno}: non-numeric field ({exc})") from exc
+        for name, value in (("id", ids[-1]), ("label", labels[-1])):
+            if not -2**63 <= value < 2**63:
+                raise CsvFormatError("out_of_range",
+                                     f"{path}: line {lineno}: {name} {value} outside int64")
         if has_noisy:
             if row[-1] not in ("0", "1"):
                 raise CsvFormatError("bad_noisy", f"{path}: line {lineno}: "

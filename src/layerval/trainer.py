@@ -13,9 +13,9 @@ epoch's validation loss and test accuracy come from forward-only passes
 over blocks of at most batch_size rows. The report holds
 columns: an (epochs, n) inclusion array and one (step, id, benefit) row per
 scored sample, collected per step and joined once.
-A cost ledger keeps per-estimator totals of the multiply-accumulate work and
-cache footprint of the scoring pass; batch_cost is their one closed form,
-which `diagnose` also reads for cost.json without scoring anything.
+After its loop train works out the cost ledger of its scoring (MACs, cache
+bytes) once, from one batch_cost per scored batch size; batch_cost is their
+one closed form, which `diagnose` also reads for cost.json.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -164,11 +164,6 @@ def pair_macs(net: MLP, estimator: Estimator) -> int:
     return cache_reals_per_sample(net, estimator) + products
 
 
-# batch_cost by (parameter block shapes, estimator, n, m, cached); a run meets a handful of keys
-_COSTS: dict[tuple, tuple[int, int]] = {}
-_SHAPE = attrgetter("params.shape")
-
-
 def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
                cached: bool = True) -> tuple[int, int]:
     """Ledger MACs and cache bytes of scoring n batch members against m rows each.
@@ -183,19 +178,8 @@ def batch_cost(net: MLP, estimator: Estimator, n: int, m: int,
     once, n * m / 2 pairs: this is the paper's cost model, not the GEMM that
     runs, which forms the full n x n pair_matrix block. The bytes are
     cache_reals_per_sample 64-bit reals for each row held, the batch's own
-    n rows in self mode. The figure depends on the layer dims only, so it
-    is computed once per (parameter block shapes, estimator, n, m, cached).
+    n rows in self mode.
     """
-    key = (tuple(map(_SHAPE, net.layers)), estimator, n, m, cached)
-    if key not in _COSTS:
-        if len(_COSTS) >= 1024:  # a pure memo: dropping it only costs recomputation
-            _COSTS.clear()
-        _COSTS[key] = _ledger_cost(net, estimator, n, m, cached)
-    return _COSTS[key]
-
-
-def _ledger_cost(net: MLP, estimator: Estimator, n: int, m: int,
-                 cached: bool) -> tuple[int, int]:
     extra = backward_extra_macs(net) if estimator.full_backward else 0
     if estimator is Estimator.IP:  # and the per-sample weight gradients g(l) a(l-1)^T
         extra += sum(layer.out_dim * layer.in_dim for layer in net.layers)
@@ -211,28 +195,17 @@ def _ledger_cost(net: MLP, estimator: Estimator, n: int, m: int,
     return macs, (m if cached else n) * cache_reals_per_sample(net, estimator) * 8
 
 
-_TOTALS = ("macs", "cache_bytes", "samples_scored", "samples_kept", "steps")
-
-
 @dataclass
 class CostLedger:
-    """Running scoring-cost totals per method (an estimator's value)."""
+    """A run's scoring-cost totals per method (an estimator's value), which
+    train works out once, after its loop."""
 
     by_method: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def record(self, method: str, macs: int, cache_bytes: int, scored: int,
-               kept: int) -> None:
-        """Add one scored step; cache_bytes keeps the largest cache seen."""
-        t = self.by_method.setdefault(method, dict.fromkeys(_TOTALS, 0))
-        t["macs"] += macs
-        t["cache_bytes"] = max(t["cache_bytes"], cache_bytes)
-        t["samples_scored"] += scored
-        t["samples_kept"] += kept
-        t["steps"] += 1
-
     def totals(self, method: str) -> dict[str, int]:
-        """A copy of the method's totals, all 0 if it recorded no step."""
-        return dict(self.by_method.get(method, dict.fromkeys(_TOTALS, 0)))
+        """A copy of the method's totals, all 0 if it scored no step."""
+        zero = dict.fromkeys(("macs", "cache_bytes", "samples_scored", "samples_kept", "steps"), 0)
+        return dict(self.by_method.get(method, zero))
 
 
 # --- validation cache ------------------------------------------------------
@@ -249,8 +222,8 @@ class ValidationCache:
     step_id: int
     estimator: Estimator
     taps: BatchTaps
-    # The ledger's analytic figure (batch_cost's cache bytes), not what the
-    # taps hold: an LLI cache keeps every layer, an IP cache keeps taps.
+    # The ledger's analytic figure, m * cache_reals_per_sample * 8 bytes, not
+    # what the taps hold: an LLI cache keeps every layer, an IP cache keeps taps.
     byte_size: int
 
     @property
@@ -268,7 +241,7 @@ def build_validation_cache(net: MLP, val_taps: BatchTaps, estimator: Estimator,
     if estimator.full_backward and not val_taps.full:
         raise ValueError(f"a {estimator.value} cache needs taps from a full backward pass")
     return ValidationCache(step_id=step_id, estimator=estimator, taps=val_taps,
-                           byte_size=batch_cost(net, estimator, 0, m)[1])
+                           byte_size=m * cache_reals_per_sample(net, estimator) * 8)
 
 
 # --- curation --------------------------------------------------------------
@@ -280,9 +253,8 @@ class CurationDecision:
     benefit_scores: np.ndarray  # float64, one per batch row
 
 
-def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
-                 cfg: TrainerConfig, step_id: int = 0,
-                 ledger: CostLedger | None = None,
+def curate_batch(taps: BatchTaps, cache: ValidationCache | None, cfg: TrainerConfig,
+                 step_id: int = 0,
                  preconditioner: np.ndarray | None = None) -> CurationDecision:
     """Score the taps of a batch's members against the cached validation
     subsample or, with cache=None (self-influence mode), against the rest of
@@ -292,7 +264,7 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
     rows, less its self-pair in self mode; it is kept when benefit >=
     cfg.threshold (inclusive boundary). A self-scored batch of one has no
     other row to be scored against: its member gets benefit 0.0 and is kept.
-    A ledger records the step's batch_cost with the scored and kept counts.
+    It records nothing: train works out the run's cost ledger after its loop.
     precond_lai scores with the diagonal D in `preconditioner`.
     """
     est = cfg.estimator
@@ -307,16 +279,11 @@ def curate_batch(net: MLP, taps: BatchTaps, cache: ValidationCache | None,
     rows = taps if cache is None else cache.taps
     pair = pair_matrix(est, rows, taps, preconditioner, cfg.layer_calibration)
     benefits = np.add.reduce(pair, 0)
-    n, m = len(taps.losses), len(rows.losses)  # m: scoring rows per member
     if cache is None:
         benefits -= np.diag(pair)
-        m -= 1
     kept = benefits >= cfg.threshold
-    if m == 0:  # a lone self-scored row
+    if cache is None and len(benefits) == 1:  # a lone self-scored row
         kept[:] = True
-    if ledger is not None:
-        ledger.record(est.value, *batch_cost(net, est, n, m, cache is not None),
-                      n, int(np.count_nonzero(kept)))
     return CurationDecision(kept_mask=kept, benefit_scores=benefits)
 
 
@@ -468,7 +435,6 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     rng_shuffle = np.random.default_rng(shuffle_ss)
     rng_val = np.random.default_rng(val_ss)
     state: MomentumState | None = None
-    ledger = CostLedger()
     precond = (np.maximum(np.ones(net.out_dim), cfg.precond_floor)  # precond_lai's D
                if cfg.estimator is Estimator.PRECOND_LAI else None)
     n, ids = len(data.train), data.train.ids.copy()
@@ -478,6 +444,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
     epoch_stats: list[EpochStats] = []
     inclusion = np.zeros((cfg.epochs, n), dtype=bool)
     scored: list[tuple[int, np.ndarray]] = []  # (step, batch positions) of each scored step
+    passed = 0  # scored rows at or above the threshold, before keep_top1's fallback
     score_benefits: list[np.ndarray] = []
     cache: ValidationCache | None = None  # stays None in self mode
     hook_steps = set(checkpoint_steps(cfg, n)) if checkpoint_hook is not None else set()
@@ -505,7 +472,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                 taps = taps.rows(slice(k, None))
             kept = taps
             if curating:
-                decision = curate_batch(net, taps, cache, cfg, step, ledger, precond)
+                decision = curate_batch(taps, cache, cfg, step, precond)
                 if precond is not None:
                     precond = update_preconditioner(precond, taps.grads[-1],
                                                     cfg.precond_decay, cfg.precond_floor)
@@ -513,6 +480,7 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
                 scored.append((step, batch))
                 score_benefits.append(decision.benefit_scores)
                 kept_flags = decision.kept_mask
+                passed += int(np.count_nonzero(kept_flags))
                 if cfg.empty_batch_policy is EmptyBatchPolicy.KEEP_TOP1 and not kept_flags.any():
                     kept_flags = np.arange(len(batch)) == np.argmax(decision.benefit_scores)
                 inclusion[epoch, batch] = kept_flags
@@ -540,6 +508,17 @@ def train(net: MLP, cfg: TrainerConfig, data: DatasetBundle,
             histogram_edges=edges,
             histogram_counts=counts,
         ))
+    ledger = CostLedger()
+    if scored:  # every scored step of one batch size costs the same
+        sizes = Counter(len(batch) for _, batch in scored)
+        cached = cfg.mode is CurationMode.VALIDATION
+        costs = {b: batch_cost(net, cfg.estimator, b, cache_size if cached else b - 1, cached)
+                 for b in sizes}
+        ledger.by_method[cfg.estimator.value] = {
+            "macs": sum(sizes[b] * macs for b, (macs, _) in costs.items()),
+            "cache_bytes": max(nbytes for _, nbytes in costs.values()),
+            "samples_scored": sum(b * count for b, count in sizes.items()),
+            "samples_kept": passed, "steps": len(scored)}
     report = TrainingReport(
         epoch_stats=epoch_stats, sample_ids=ids, inclusion=inclusion,
         score_steps=np.repeat(np.array([st for st, _ in scored], dtype=np.int64),

@@ -18,7 +18,6 @@ from layerval.influence import Estimator, bound_diagnostics, pair_matrix
 from layerval.network import MLP, Activation, Layer, batch_taps
 from layerval.oracle import UtilityFn, shapley_mc
 from layerval.trainer import (
-    CostLedger,
     CurationMode,
     TrainerConfig,
     build_validation_cache,
@@ -373,7 +372,7 @@ def test_criterion_10_threshold_monotonicity():
         cfg = TrainerConfig(learning_rate=0.5, batch_size=16, epochs=1,
                             warmup_epochs=0, estimator=Estimator.LAI,
                             mode=CurationMode.VALIDATION, threshold=thr, seed=6)
-        decision = curate_batch(net, batch, cache, cfg)
+        decision = curate_batch(batch, cache, cfg)
         kept_sets.append({i for i, k in enumerate(decision.kept_mask) if k})
     nested = kept_sets[0] >= kept_sets[1] >= kept_sets[2]
     strict = len(kept_sets[0]) > len(kept_sets[1]) > len(kept_sets[2])

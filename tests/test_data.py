@@ -306,6 +306,24 @@ class TestCsv:
         assert err.value.kind == "negative_label"
         assert str(path) in str(err.value) and "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("row, field", [("99999999999999999999,0.5,0", "id"),
+                                            ("1,0.5,99999999999999999999", "label"),
+                                            ("-9223372036854775809,0.5,0", "id")])
+    def test_int64_overflow_named_line(self, tmp_path, row, field):
+        path = tmp_path / "big.csv"
+        path.write_text(f"id,f1,label\n0,0.5,1\n{row}\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert err.value.kind == "out_of_range"
+        assert str(path) in str(err.value) and "line 3" in str(err.value)
+        assert f"{field} " in str(err.value)
+
+    def test_int64_bounds_load(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("id,f1,label\n-9223372036854775808,0.5,9223372036854775807\n")
+        loaded = load_csv(path)
+        assert loaded.ids.tolist() == [-2**63] and loaded.labels.tolist() == [2**63 - 1]
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("идентификатор,f1,label\n")

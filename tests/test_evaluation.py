@@ -621,6 +621,23 @@ class TestEmitReports:
             ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
         ) == digest
 
+    @pytest.mark.parametrize("settings, digest", [
+        (["trainer.empty_batch_policy=keep_top1", "trainer.threshold=5"], "a6df3445cf349e9a"),
+        (["trainer.cache_refresh_steps=3"], "4e4927714c200da6")],
+        ids=["keep_top1", "cache_refresh_steps"])
+    def test_ledger_path_outputs_pinned(self, tmp_path, settings, digest):
+        # keep_top1's fallback, whose picks the ledger's samples_kept leaves out
+        # (953 of the 973 rows kept in curated epochs), and a cache kept for
+        # three steps, each from the shipped curation config
+        path = Path(__file__).resolve().parents[1] / "configs" / "curation.json"
+        argv = ["train", "--config", str(path)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert self.run_digest(
+            tmp_path, argv,
+            ["training_report.json", "inclusion.csv", "scores.csv", "checkpoint_final.json"],
+        ) == digest
+
     def test_depth_three_train_outputs_pinned(self, tmp_path):
         # train on an 8-32-16-3 net: two hidden layers of different widths and
         # activations, where the backward chain runs below more than one layer

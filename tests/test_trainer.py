@@ -21,7 +21,6 @@ from layerval import network, serialize, trainer
 from layerval.evaluation import emit_reports
 from layerval.oracle import UtilityFn
 from layerval.trainer import (
-    CostLedger,
     CurationMode,
     EmptyBatchPolicy,
     NonFiniteGradientError,
@@ -160,7 +159,7 @@ class TestCurateBatch:
         center = np.array([0.5, -0.3, 0.8])
         batch = rows(center + 0.01 * rng.normal(size=(4, 3)), [1] * 4)
         cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI)
-        decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(estimator=Estimator.LAI))
+        decision = curate_batch(taps_of(net, batch), cache, cfg_with(estimator=Estimator.LAI))
         assert all(b > 0 for b in decision.benefit_scores)
         assert all(decision.kept_mask)
 
@@ -171,7 +170,7 @@ class TestCurateBatch:
         net.layers[0].bias[:] = np.zeros(2)
         batch = rows([[2.0, 0.0], [0.1, 0.5]], [0, 1])  # row 0 is the null sample
         cache = build_validation_cache(net, taps_of(net, batch[1:]), Estimator.LAI)
-        decision = curate_batch(net, taps_of(net, batch), cache,
+        decision = curate_batch(taps_of(net, batch), cache,
                                 cfg_with(batch_size=2, threshold=0.0))
         assert decision.benefit_scores[0] == 0.0
         assert decision.kept_mask[0]
@@ -186,7 +185,7 @@ class TestCurateBatch:
         batch = bundle.train[np.r_[1:8, 0]]
         batch.labels[-1] = 1 - batch.labels[-1]  # row 0 again, its label flipped
         cache = build_validation_cache(net, taps_of(net, bundle.validation), Estimator.LAI)
-        decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(batch_size=8))
+        decision = curate_batch(taps_of(net, batch), cache, cfg_with(batch_size=8))
         assert decision.benefit_scores[-1] < 0.0
         assert not decision.kept_mask[-1]
         u = UtilityFn(net, bundle.validation, batch[-1:], learning_rate=1e-3)
@@ -202,7 +201,7 @@ class TestCurateBatch:
         precond = np.array([1.5, 0.5, 2.0]) \
             if estimator is Estimator.PRECOND_LAI else None
         cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
-        decision = curate_batch(net, taps_of(net, batch, estimator), cache,
+        decision = curate_batch(taps_of(net, batch, estimator), cache,
                                 cfg_with(estimator=estimator), preconditioner=precond)
         for got, s in zip(decision.benefit_scores, batch):
             want = benefit_by_pairwise_ops(net, s, val, estimator, precond)
@@ -213,7 +212,7 @@ class TestCurateBatch:
         batch = toy_split(net, 2, seed=15)
         cache = build_validation_cache(net, taps_of(net, batch), Estimator.LAI, step_id=0)
         with pytest.raises(StaleCacheError):
-            curate_batch(net, taps_of(net, batch), cache, cfg_with(cache_refresh_steps=1),
+            curate_batch(taps_of(net, batch), cache, cfg_with(cache_refresh_steps=1),
                          step_id=1)
 
     def test_threshold_monotonicity_nested_kept_sets(self):
@@ -223,7 +222,7 @@ class TestCurateBatch:
         cache = build_validation_cache(net, taps_of(net, val), Estimator.LAI)
         kept_sets = []
         for thr in (-0.1, 0.0, 0.1):
-            decision = curate_batch(net, taps_of(net, batch), cache, cfg_with(threshold=thr))
+            decision = curate_batch(taps_of(net, batch), cache, cfg_with(threshold=thr))
             kept_sets.append({i for i, k in enumerate(decision.kept_mask) if k})
         assert kept_sets[0] >= kept_sets[1] >= kept_sets[2]
 
@@ -241,7 +240,7 @@ class TestLayerCalibration:
         batch = toy_split(net, 4, seed=51)
         val = toy_split(net, 5, seed=52)
         cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
-        decision = curate_batch(net, taps_of(net, batch, estimator), cache,
+        decision = curate_batch(taps_of(net, batch, estimator), cache,
                                 cfg_with(estimator=estimator, layer_calibration=True),
                                 preconditioner=self.PRECOND)
         for got, s in zip(decision.benefit_scores, batch):
@@ -255,7 +254,7 @@ class TestLayerCalibration:
         net = toy_net(dims=self.NET_DIMS, acts=self.NET_ACTS, seed=53)
         batch = toy_split(net, 5, seed=54)
         decision = curate_batch(
-            net, taps_of(net, batch, estimator), None,
+            taps_of(net, batch, estimator), None,
             cfg_with(estimator=estimator, mode=CurationMode.SELF, layer_calibration=True),
             preconditioner=self.PRECOND)
         for i, s in enumerate(batch):
@@ -275,7 +274,7 @@ class TestLayerCalibration:
             scores = []
             for calibrate in (False, True):
                 cfg = cfg_with(estimator=estimator, mode=mode, layer_calibration=calibrate)
-                scores.append(curate_batch(net, taps, scoring_cache, cfg).benefit_scores)
+                scores.append(curate_batch(taps, scoring_cache, cfg).benefit_scores)
             assert np.array_equal(scores[0], scores[1])
 
 
@@ -286,7 +285,7 @@ class TestSelfInfluence:
         net = toy_net(seed=19)
         x = np.array([0.4, -0.2, 0.9])
         batch = rows([x] * 4, [1] * 4)
-        decision = curate_batch(net, taps_of(net, batch), None, cfg_with(mode=CurationMode.SELF))
+        decision = curate_batch(taps_of(net, batch), None, cfg_with(mode=CurationMode.SELF))
         assert all(decision.kept_mask)
         assert all(b == pytest.approx(decision.benefit_scores[0], rel=1e-12)
                    for b in decision.benefit_scores)
@@ -295,16 +294,13 @@ class TestSelfInfluence:
     def test_batch_of_one_kept_and_ledgered(self):
         # a lone row has no other row to be scored against: kept at any threshold
         net = toy_net(seed=20)
-        ledger = CostLedger()
-        decision = curate_batch(net, taps_of(net, toy_split(net, 1, seed=21)), None,
-                                cfg_with(mode=CurationMode.SELF, threshold=0.5),
-                                step_id=4, ledger=ledger)
+        decision = curate_batch(taps_of(net, toy_split(net, 1, seed=21)), None,
+                                cfg_with(mode=CurationMode.SELF, threshold=0.5), step_id=4)
         assert decision.kept_mask.tolist() == [True]
         assert decision.benefit_scores.tolist() == [0.0]
-        # one member scored against m = 0 rows, its own row held
-        assert ledger.totals(Estimator.LAI.value) == {
-            "macs": 0, "cache_bytes": cache_reals_per_sample(net, Estimator.LAI) * 8,
-            "samples_scored": 1, "samples_kept": 1, "steps": 1}
+        # the ledger charges one member scored against m = 0 rows, its own row held
+        assert batch_cost(net, Estimator.LAI, 1, 0, cached=False) == (
+            0, cache_reals_per_sample(net, Estimator.LAI) * 8)
 
     def test_train_ledgers_a_trailing_batch_of_one(self):
         data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
@@ -332,7 +328,7 @@ class TestSelfInfluence:
         # twins with labels 0 and 1, then a majority of three at label 0
         batch = rows([x, x] + [[0.5, 0.9]] * 3, [0, 1, 0, 0, 0])
         twin_pos, twin_neg = batch[0], batch[1]
-        decision = curate_batch(net, taps_of(net, batch), None,
+        decision = curate_batch(taps_of(net, batch), None,
                                 cfg_with(mode=CurationMode.SELF, batch_size=5))
         b_pos, b_neg = decision.benefit_scores[0], decision.benefit_scores[1]
         # mutual twin term is identical for both; the rest is exactly antisymmetric
@@ -351,7 +347,7 @@ class TestSelfInfluence:
         _, net = train(net, cfg, bundle)
         batch = bundle.train[np.arange(16)]
         batch.labels[5] = 1 - batch.labels[5]
-        decision = curate_batch(net, taps_of(net, batch), None, cfg_with(mode=CurationMode.SELF))
+        decision = curate_batch(taps_of(net, batch), None, cfg_with(mode=CurationMode.SELF))
         assert int(np.argmin(decision.benefit_scores)) == 5
         # exhaustive pairwise recomputation through the per-pair ops
         taps = [evaluate_sample(net, s.features, s.label) for s in batch]
@@ -486,10 +482,10 @@ class TestReusedTaps:
                                      np.append(val.labels, batch.labels)), estimator)
             cache = build_validation_cache(net, taps.rows(slice(0, len(val))), estimator)
             taps = taps.rows(slice(len(val), None))
-            decision = curate_batch(net, taps, cache, cfg, preconditioner=precond)
+            decision = curate_batch(taps, cache, cfg, preconditioner=precond)
         else:
             taps = taps_of(net, batch, estimator)
-            decision = curate_batch(net, taps, None, cfg, preconditioner=precond)
+            decision = curate_batch(taps, None, cfg, preconditioner=precond)
         kept = np.flatnonzero(decision.kept_mask)
         assert 0 < kept.size < len(batch)
         rng = np.random.default_rng(63)
@@ -532,9 +528,9 @@ class TestReusedTaps:
                 assert len(args[1]) == k
                 assert all(row.tobytes() in val_rows for row in inputs(args[1]))
             elif name == "curate_batch":
-                step, decision = args[4], out
+                step, decision = args[3], out
                 want = np.stack([features[sid] for sid in ids_by_step[step]])
-                assert np.array_equal(inputs(args[1]), want)
+                assert np.array_equal(inputs(args[0]), want)
             elif decision is not None:  # a curated step trains on its kept rows
                 assert np.array_equal(inputs(args[1]), want[decision.kept_mask])
         assert sum(name == "curate_batch" for name, _, _ in seen) == len(ids_by_step)
@@ -577,12 +573,6 @@ class TestReusedTaps:
 
 
 class TestLedger:
-    def run_method(self, net, batch, val, estimator, ledger):
-        cache = build_validation_cache(net, taps_of(net, val, estimator), estimator)
-        curate_batch(net, taps_of(net, batch, estimator), cache,
-                     cfg_with(estimator=estimator, batch_size=len(batch)),
-                     step_id=0, ledger=ledger)
-
     def test_hand_mac_count_depth_three(self):
         # dims (8,16,16,4): augmented activations 9,17,17; gradients 16,16,4
         net = toy_net(dims=(8, 16, 16, 4), acts=("relu", "relu", "linear"), seed=27)
@@ -590,29 +580,13 @@ class TestLedger:
         assert pair_macs(net, Estimator.GHOST) == (9 + 16 + 1) + (17 + 16 + 1) + (17 + 4 + 1)
         assert pair_macs(net, Estimator.LLI) == 17 + 4 + 1
         assert backward_extra_macs(net) == (16 * 16 + 16) + (4 * 16 + 16)
-        batch = toy_split(net, 3, seed=28)
-        val = toy_split(net, 5, seed=29)
-        ledger = CostLedger()
-        self.run_method(net, batch, val, Estimator.GHOST, ledger)
-        totals = ledger.totals(Estimator.GHOST.value)
         hand = (3 * 5 * 82 + 3 * 352, 5 * (9 + 17 + 17 + 16 + 16 + 4) * 8)
-        assert (totals["macs"], totals["cache_bytes"]) == hand
         assert batch_cost(net, Estimator.GHOST, 3, 5) == hand
+        val = taps_of(net, toy_split(net, 5, seed=29), Estimator.GHOST)
+        assert build_validation_cache(net, val, Estimator.GHOST).byte_size == hand[1]
         # precond_lai rescales the 3 members' and the 5 cached output gradients
         assert batch_cost(net, Estimator.PRECOND_LAI, 3, 5) == (
             3 * 4 + 5 * 4 + 3 * 5 * 48, 5 * (9 + 17 + 17 + 4) * 8)
-
-    def test_cached_cost_follows_the_specs(self):
-        # batch_cost is cached on the layer specs: every net, asked in turn, gets
-        # its own closed form, whatever was asked before it
-        nets = [toy_net(dims=dims, seed=48) for dims in ((3, 4, 2), (3, 5, 2), (3, 4, 2))]
-        nets.append(toy_net(dims=(3, 4, 2), acts=("tanh", "linear"), seed=49))
-        for _ in range(2):
-            for net in nets:
-                for est in (Estimator.IP, Estimator.GHOST, Estimator.LAI, Estimator.PRECOND_LAI):
-                    for cached in (True, False):
-                        assert batch_cost(net, est, 3, 5, cached) == \
-                            trainer._ledger_cost(net, est, 3, 5, cached)
 
     def test_cache_byte_closed_forms(self):
         net = toy_net(dims=(8, 16, 16, 4), acts=("relu", "relu", "linear"), seed=30)
@@ -647,16 +621,8 @@ class TestLedger:
 
     def test_lai_cheaper_than_ghost_at_depth_three(self):
         net = toy_net(dims=(6, 10, 12, 3), acts=("relu", "tanh", "linear"), seed=31)
-        batch = toy_split(net, 4, seed=32)
-        val = toy_split(net, 6, seed=33)
-        ledger = CostLedger()
-        for est in (Estimator.GHOST, Estimator.LAI, Estimator.LLI):
-            self.run_method(net, batch, val, est, ledger)
-        lai, ghost = ledger.totals(Estimator.LAI.value), ledger.totals(Estimator.GHOST.value)
-        assert lai["macs"] < ghost["macs"]
-        assert lai["cache_bytes"] < ghost["cache_bytes"]
-        for n in (1, 2, 7):
-            for m in (1, 3, 16):
+        for n in (1, 2, 4, 7):
+            for m in (1, 3, 6, 16):
                 for cached in (True, False):
                     lai_m, lai_b = batch_cost(net, Estimator.LAI, n, m, cached)
                     ghost_m, ghost_b = batch_cost(net, Estimator.GHOST, n, m, cached)
@@ -666,32 +632,40 @@ class TestLedger:
         net = toy_net(dims=(5, 3), acts=("linear",), seed=34)
         assert pair_macs(net, Estimator.LAI) == pair_macs(net, Estimator.GHOST)
         assert backward_extra_macs(net) == 0
-        batch = toy_split(net, 4, seed=35)
-        val = toy_split(net, 4, seed=36)
-        ledger = CostLedger()
-        for est in (Estimator.GHOST, Estimator.LAI):
-            self.run_method(net, batch, val, est, ledger)
-        assert ledger.totals(Estimator.LAI.value)["macs"] \
-            == ledger.totals(Estimator.GHOST.value)["macs"]
+        for cached in (True, False):
+            assert batch_cost(net, Estimator.LAI, 4, 4, cached)[0] \
+                == batch_cost(net, Estimator.GHOST, 4, 4, cached)[0]
 
     @pytest.mark.parametrize("estimator", [Estimator.LAI, Estimator.LLI, Estimator.GHOST,
                                            Estimator.IP, Estimator.PRECOND_LAI])
-    def test_curate_batch_records_batch_cost(self, estimator):
+    def test_train_ledger_sums_batch_cost(self, estimator):
+        # train's ledger is batch_cost summed over its scored steps, the largest
+        # cache, and the rows at or above the threshold: a lone self-scored row
+        # counts, keep_top1's pick in an empty batch does not
+        data = make_noisy_blob_bundle(3, 30, 4, 0.4, flip_rate=0.3,
+                                      fractions=(0.7, 0.15, 0.15), seed=67)
         net = toy_net(dims=(4, 6, 5, 3), acts=("relu", "tanh", "linear"), seed=42)
-        taps = taps_of(net, toy_split(net, 5, seed=43), estimator)
-        val = taps_of(net, toy_split(net, 3, seed=44), estimator)
-        for mode, cache, m in ((CurationMode.VALIDATION,
-                                build_validation_cache(net, val, estimator), 3),
-                               (CurationMode.SELF, None, 4)):
-            ledger = CostLedger()
-            decision = curate_batch(net, taps, cache, cfg_with(estimator=estimator, mode=mode),
-                                    ledger=ledger, preconditioner=np.ones(3))
-            macs, cache_bytes = batch_cost(net, estimator, 5, m, cache is not None)
-            assert ledger.totals(estimator.value) == {
-                "macs": macs, "cache_bytes": cache_bytes, "samples_scored": 5,
-                "samples_kept": int(decision.kept_mask.sum()), "steps": 1}
-            if cache is not None:
-                assert cache.byte_size == cache_bytes
+        for settings, fallback in ((dict(batch_size=8, cache_refresh_steps=3), False),
+                                   (dict(mode=CurationMode.SELF, batch_size=len(data.train) - 1,
+                                         threshold=0.5), False),
+                                   (dict(batch_size=8, threshold=5.0,
+                                         empty_batch_policy=EmptyBatchPolicy.KEEP_TOP1), True)):
+            cfg = cfg_with(estimator=estimator, epochs=3, warmup_epochs=1, **settings)
+            report, _ = train(net, cfg, data)
+            cached = cfg.mode is CurationMode.VALIDATION
+            k = math.ceil(cfg.val_fraction_per_batch * len(data.validation))
+            sizes = np.unique(report.score_steps, return_counts=True)[1]  # rows per scored step
+            assert cached or 1 in sizes
+            costs = [batch_cost(net, estimator, b, k if cached else b - 1, cached) for b in sizes]
+            lone = np.repeat(sizes, sizes) == 1
+            passed = int(np.count_nonzero((report.score_benefits >= cfg.threshold) | lone))
+            assert report.ledger.totals(estimator.value) == {
+                "macs": sum(macs for macs, _ in costs),
+                "cache_bytes": max(nbytes for _, nbytes in costs),
+                "samples_scored": report.score_ids.size, "samples_kept": passed,
+                "steps": sizes.size}
+            kept = sum(s.kept_count for s in report.epoch_stats[cfg.warmup_epochs:])
+            assert (kept > passed) if fallback else (kept == passed)
 
     def test_self_mode_counts_each_unordered_pair_once(self):
         # pair_matrix forms the full n x n block; the ledger charges n(n-1)/2 pairs
